@@ -83,7 +83,7 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         _emit_json(report.as_dict())
         return report.exit_code
-    for line in report.lines:
+    for line in report.lines + report.inconsistency_lines:
         print(line)
     print(f"{report.matched}/{report.row_count} rows match the published "
           f"values; {len(report.typo_lines)} misprints adjudicated; "
@@ -168,6 +168,22 @@ def cmd_coset_count(args) -> int:
     return 0
 
 
+def _int_in_range(low: int, high: int | None = None, why: str = ""):
+    """argparse type: an int in [low, high]; anything else exits 2 with a message."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}{why}, "
+                                             f"got {value}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kgunits",
@@ -175,27 +191,34 @@ def _build_parser() -> argparse.ArgumentParser:
                     "verification, and the minimal isomorphic pair")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, bound=False, jobs=False):
+    def common(p, bound=None, jobs=False):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        if bound:
-            p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+        if bound is not None:
+            p.add_argument("--bound", type=bound, default=DEFAULT_BOUND,
                            help="strict upper bound on algebra size "
-                                f"(default {DEFAULT_BOUND}; larger values "
-                                "extend past the published catalog)")
+                                f"(default {DEFAULT_BOUND}; table and scan-iso "
+                                "extend past it, verify does not)")
         if jobs:
-            p.add_argument("--jobs", type=int, default=1,
+            p.add_argument("--jobs", type=_int_in_range(1), default=1,
                            help="worker processes (default 1)")
 
+    # table and scan-iso extend past the published catalog; verify cannot,
+    # since rows above it have no published values to compare with
+    extensible_bound = _int_in_range(2)
+    published_bound = _int_in_range(
+        2, DEFAULT_BOUND, why=" (the bound of the published catalog; "
+                              "table and scan-iso extend past it)")
+
     p = sub.add_parser("table", help="print every catalog row")
-    common(p, bound=True, jobs=True)
+    common(p, bound=extensible_bound, jobs=True)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="compare the catalog with published values")
-    common(p, bound=True, jobs=True)
+    common(p, bound=published_bound, jobs=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan-iso", help="scan same-field pairs for ring isomorphism")
-    common(p, bound=True, jobs=True)
+    common(p, bound=extensible_bound, jobs=True)
     p.set_defaults(func=cmd_scan_iso)
 
     p = sub.add_parser("unit-group", help="one unit group, e.g. unit-group F4 C4")

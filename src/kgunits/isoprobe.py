@@ -460,18 +460,21 @@ def _verdict_row(size, field_label, ga, gb, verdict) -> ScanRow:
 
 
 def _sizes_with_pairs(bound: int):
-    out = []
-    for size in range(4, bound):
-        combos = []
-        for n in range(2, 10):
-            q = round(size ** (1.0 / n))
-            for cand in (q - 1, q, q + 1):
-                if cand >= 2 and cand ** n == size and prime_power_split(cand):
-                    if len(groups_of_order(n)) >= 2:
-                        combos.append((cand, n))
-        if combos:
-            out.append((size, tuple(sorted(combos))))
-    return out
+    """(size, ((q, n), ...)) for every size q^n < bound with n >= 2 and at
+    least two groups of order n, sizes ascending; exact integer powers."""
+    combos: dict[int, list[tuple[int, int]]] = {}
+    q = 2
+    while q * q < bound:
+        if prime_power_split(q):
+            size = q * q
+            for n in range(2, 10):
+                if size >= bound:
+                    break
+                if len(groups_of_order(n)) >= 2:
+                    combos.setdefault(size, []).append((q, n))
+                size *= q
+        q += 1
+    return [(size, tuple(combos[size])) for size in sorted(combos)]
 
 
 def _scan_one_size(args) -> tuple:

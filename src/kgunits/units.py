@@ -1,5 +1,12 @@
 """Unit-group structure: order spectra, abelian invariants, dihedral shapes.
 
+The order spectrum comes from one power walk per cyclic subgroup: a unit u
+whose order is still unknown is multiplied out through u, u^2, ... back to 1,
+and the orders of all its powers follow from ord(u^k) = o / gcd(k, o) (Holt,
+Eick & O'Brien, Handbook of Computational Group Theory, 2005).  A walk that
+leaves the unit list, runs past |U| steps or gives an order not dividing |U|
+raises ValueError.
+
 Abelian invariants are recovered purely from order statistics: for each prime
 r dividing |U|, the counts N_i of solutions of u^(r^i) = 1 determine the
 partition of the r-primary component, and the recovered partition is checked
@@ -129,7 +136,9 @@ class UnitGroup:
         return self.algebra.group.is_abelian()
 
     def element_order(self, u: AlgebraElement) -> int:
-        """Multiplicative order, by divisor descent from |U| (Lagrange)."""
+        """Multiplicative order of one unit, by divisor descent from |U|
+        (Lagrange); also the reference the power walk of _order_list is
+        tested against."""
         one = self.algebra.one()
         o = self.order
         for r in prime_factors(o):
@@ -140,8 +149,41 @@ class UnitGroup:
         return o
 
     def _order_list(self):
+        """Multiplicative order of every unit, aligned with self.units.
+
+        One power walk per cyclic subgroup: a unit u whose order is not yet
+        known is multiplied out through u, u^2, ... until the walk returns to
+        1, each power looked up in self.index, and then every power u^k gets
+        its order o / gcd(k, o) at once.  The walk must stay inside the unit
+        list, end within |U| steps and give an order dividing |U|; anything
+        else raises ValueError.
+        """
         if self._orders is None:
-            self._orders = tuple(self.element_order(u) for u in self.units)
+            orders: list[int | None] = [None] * self.order
+            one = self.algebra.one().key()
+            for i, u in enumerate(self.units):
+                if orders[i] is not None:
+                    continue
+                powers = [i]
+                acc = u
+                key = u.key()
+                while key != one:
+                    if len(powers) >= self.order:
+                        raise ValueError(f"power walk of {u} does not return "
+                                         f"to 1 within |U| = {self.order} steps")
+                    acc = acc * u
+                    key = acc.key()
+                    j = self.index.get(key)
+                    if j is None:
+                        raise ValueError(f"power walk of {u} leaves the unit list")
+                    powers.append(j)
+                o = len(powers)
+                if self.order % o:
+                    raise ValueError(f"order {o} of {u} does not divide "
+                                     f"|U| = {self.order}; not a unit?")
+                for k, j in enumerate(powers, 1):
+                    orders[j] = o // gcd(k, o)
+            self._orders = tuple(orders)
         return self._orders
 
     def unit_order_spectrum(self) -> dict[int, int]:

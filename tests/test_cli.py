@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import kgunits
+from kgunits import cli
+from kgunits.catalog import CatalogRow, verify_catalog
 from kgunits.cli import main
 
 
@@ -126,6 +128,53 @@ def test_error_paths_exit_2(capsys, argv):
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("table", "--bound", "0"), "argument --bound: must be at least 2, got 0"),
+    (("table", "--bound", "1"), "argument --bound: must be at least 2, got 1"),
+    (("scan-iso", "--bound", "-3"), "argument --bound: must be at least 2, got -3"),
+    (("verify", "--bound", "-5"), "argument --bound: must be at least 2, got -5"),
+    (("table", "--jobs", "0"), "argument --jobs: must be at least 1, got 0"),
+    (("verify", "--jobs", "-1"), "argument --jobs: must be at least 1, got -1"),
+    (("scan-iso", "--jobs", "0"), "argument --jobs: must be at least 1, got 0"),
+    (("verify", "--bound", "1100", "--jobs", "2"),
+     "argument --bound: must be at most 1024 (the bound of the published catalog"),
+])
+def test_bad_bound_and_jobs_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_extreme_accepted_bounds(capsys):
+    code, out, err = run_cli(capsys, "table", "--bound", "2", "--jobs", "1")
+    assert code == 0 and err == ""
+    assert out.startswith("unit groups of group algebras with size below 2 (0 rows)")
+    parse = cli._build_parser().parse_args
+    assert parse(["verify", "--bound", "1024"]).bound == 1024
+    assert parse(["table", "--bound", "1100"]).bound == 1100
+    assert parse(["scan-iso", "--bound", "1100"]).bound == 1100
+
+
+def test_verify_text_names_each_inconsistency(capsys, monkeypatch):
+    bad = CatalogRow(field="F2", p=2, k=1, group="C2", size=4,
+                     decomposition=None, unit_count=2, structure="C3",
+                     method="enumeration", method_detail="hand-built",
+                     published=None)
+    report = verify_catalog(rows=(bad,))
+    assert report.exit_code == 2
+    assert report.inconsistency_lines == (
+        "INCONSISTENT F2 C2: structure C3 implies order 3, unit count is 2",)
+    monkeypatch.setattr(cli, "verify_catalog", lambda bound, jobs: report)
+    code, out, err = run_cli(capsys, "verify", "--bound", "10")
+    assert code == 2
+    lines = out.rstrip("\n").split("\n")
+    assert lines[-2] == report.inconsistency_lines[0]
+    assert lines[-1].endswith("0 mismatches; 1 inconsistencies")
 
 
 def _declared_entry_point() -> tuple[str, str]:

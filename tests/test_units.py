@@ -3,6 +3,7 @@ from math import lcm
 import pytest
 
 from kgunits.algebra import Algebra
+from kgunits.catalog import catalog_specs
 from kgunits.fields import make_field
 from kgunits.groups import group_by_label
 from kgunits.units import (AbelianType, UnitGroup, partition_from_power_counts,
@@ -116,6 +117,65 @@ def test_element_order_brute_cross_check():
             acc = acc * el
             o += 1
         assert u.element_order(el) == o
+
+
+def test_order_list_matches_divisor_descent():
+    # the power-walk kernel against the per-unit divisor descent it replaced
+    specs = catalog_specs(256)
+    assert len(specs) == 91
+    for p, k, label in specs:
+        u = _units(p, k, label)
+        assert u._order_list() == tuple(u.element_order(x) for x in u.units), \
+            (p, k, label)
+
+
+@pytest.mark.parametrize("p,k,label", [(2, 1, "D8"), (2, 2, "C3"), (3, 1, "C2xC2")])
+def test_order_list_brute_cross_check(p, k, label):
+    u = _units(p, k, label)
+    one = u.algebra.one()
+    brute = []
+    for el in u.units:
+        o, acc = 1, el
+        while acc != one:
+            acc = acc * el
+            o += 1
+        brute.append(o)
+    assert u._order_list() == tuple(brute)
+
+
+def _tampered(u, units):
+    """Replace the unit list of u, as a faulty enumeration would."""
+    u.units = tuple(units)
+    u.order = len(u.units)
+    u.index = {x.key(): i for i, x in enumerate(u.units)}
+    u._orders = None
+
+
+def test_order_list_rejects_a_walk_leaving_the_unit_list():
+    u = _units(2, 1, "C4")
+    one = u.algebra.one()
+    x = u.algebra.group_element("x")  # order 4, so x^2 is dropped below
+    _tampered(u, [one, x])
+    with pytest.raises(ValueError, match="leaves the unit list"):
+        u._order_list()
+
+
+def test_order_list_rejects_an_order_not_dividing_the_group_order():
+    u = _units(2, 1, "C4")
+    one = u.algebra.one()
+    x = u.algebra.group_element("x")
+    powers = [one, x, x * x, x * x * x]
+    extra = next(v for v in u.units if v not in powers)
+    _tampered(u, powers + [extra])  # five units, yet x has order 4
+    with pytest.raises(ValueError, match="does not divide"):
+        u._order_list()
+
+
+def test_order_list_rejects_a_walk_that_never_returns_to_one():
+    u = _units(2, 1, "C2")
+    _tampered(u, [u.algebra.one(), u.algebra.zero()])  # 0 * 0 = 0 forever
+    with pytest.raises(ValueError, match="does not return to 1"):
+        u._order_list()
 
 
 def test_closure_sizes():
