@@ -1,9 +1,18 @@
 """Group-algebra arithmetic: convolution products, augmentation, units.
 
 An Algebra is K[G] for a FieldSpec K and a Group G.  Elements store one field
-coefficient per group element.  Inversion goes through the regular
-representation: build the left-multiplication matrix and solve against the
+coefficient per group element; their ``key()`` is the tuple of the
+coefficients' int field codes.  Inversion goes through the regular
+representation: the left-multiplication matrix of a is solved against the
 identity vector, so unit detection needs no structure theory at all.
+
+One routine, ``row_reduce``, does every elimination, on rows of field codes.
+It backs ``AlgebraElement.try_inverse``, ``enumerate_units`` and the
+FieldElement-level ``solve_linear`` and ``matrix_rank``.  An inverse b found
+by elimination is always checked on both sides, a*b = b*a = 1, by the
+code-level convolution ``Algebra.mul_codes``.  ``enumerate_units`` walks code
+tuples in counting order and records each verified inverse b as a unit as
+well (the same identity certifies it), so b is never eliminated again.
 """
 
 from __future__ import annotations
@@ -24,6 +33,12 @@ class Algebra:
         self._zero = None
         self._one = None
         self._basis = None
+        n = group.order
+        # left multiplication by a sends basis j to the sum of a[i] * (i j),
+        # so its matrix entry (i, j) is a[i j^-1]
+        self._left = tuple(tuple(group.mul(i, group.inv(j)) for j in range(n))
+                           for i in range(n))
+        self._one_key = tuple(int(i == group.identity) for i in range(n))
 
     def label(self) -> str:
         return f"{self.field.label()}{self.group.label}"
@@ -75,6 +90,51 @@ class Algebra:
         z, n = self.field.zero(), self.group.order
         return AlgebraElement(self, tuple(c if j == 0 else z for j in range(n)))
 
+    def from_key(self, key) -> "AlgebraElement":
+        """The element whose coefficient codes are key."""
+        els = self.field.elements()
+        return AlgebraElement(self, tuple([els[c] for c in key]))
+
+    def mul_codes(self, a, b) -> tuple[int, ...]:
+        """The convolution product of two code tuples, as a code tuple."""
+        table = self.group.table
+        field = self.field
+        out = [0] * len(a)
+        if field.k == 1:
+            for i, ai in enumerate(a):
+                if ai:
+                    row = table[i]
+                    for j, bj in enumerate(b):
+                        if bj:
+                            out[row[j]] += ai * bj
+            p = field.p
+            return tuple([c % p for c in out])
+        add, mul = field.add, field.mul
+        for i, ai in enumerate(a):
+            if ai:
+                row = table[i]
+                for j, bj in enumerate(b):
+                    if bj:
+                        k = row[j]
+                        out[k] = add(out[k], mul(ai, bj))
+        return tuple(out)
+
+    def inverse_codes(self, a):
+        """The two-sided inverse of the code tuple a, or None if a is no unit.
+
+        Solves the regular representation by row_reduce and checks the
+        solution b on both sides, a*b = b*a = 1; a failed check raises.
+        """
+        n = len(a)
+        one = self._one_key
+        rows = [[a[t] for t in idx] + [e] for idx, e in zip(self._left, one)]
+        if row_reduce(rows, self.field, n) < n:
+            return None
+        b = tuple(row[n] for row in rows)
+        if self.mul_codes(a, b) != one or self.mul_codes(b, a) != one:
+            raise RuntimeError("inverse verification failed")
+        return b
+
     def elements(self):
         """All q^|G| elements; coefficient tuples in base-q counting order."""
         for digits in itertools.product(self.field.elements(), repeat=self.group.order):
@@ -96,7 +156,7 @@ class AlgebraElement:
 
     def key(self) -> tuple[int, ...]:
         """Hashable coefficient-code tuple, also the counting order key."""
-        return tuple(c.code for c in self.coeffs)
+        return tuple([c.code for c in self.coeffs])
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -171,23 +231,12 @@ class AlgebraElement:
 
     def left_mult_matrix(self):
         """Matrix of left multiplication by self on the group-element basis."""
-        g = self.algebra.group
-        n = g.order
-        return [[self.coeffs[g.mul(i, g.inv(j))] for j in range(n)] for i in range(n)]
+        return [[self.coeffs[t] for t in idx] for idx in self.algebra._left]
 
     def try_inverse(self):
         """The two-sided inverse, or None.  Non-units are a normal outcome."""
-        A = self.algebra
-        n = A.group.order
-        m = self.left_mult_matrix()
-        rhs = [A.field.one() if i == A.group.identity else A.field.zero() for i in range(n)]
-        sol = solve_linear(m, rhs, A.field)
-        if sol is None:
-            return None
-        beta = AlgebraElement(A, tuple(sol))
-        if self * beta != A.one() or beta * self != A.one():
-            raise RuntimeError("inverse verification failed")  # unreachable
-        return beta
+        inv = self.algebra.inverse_codes(self.key())
+        return None if inv is None else self.algebra.from_key(inv)
 
     def __str__(self):
         names = self.algebra.group.element_names
@@ -210,49 +259,76 @@ class AlgebraElement:
         return f"{self.algebra.label()}<{self}>"
 
 
-def solve_linear(matrix, rhs, field: FieldSpec):
-    """Solve M x = b over the field by Gaussian elimination; None if singular."""
-    n = len(matrix)
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [inv * v for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+def row_reduce(rows, field: FieldSpec, ncols: int) -> int:
+    """Gauss-Jordan elimination on the first ncols columns; returns the rank.
 
-
-def matrix_rank(rows, field: FieldSpec) -> int:
-    """Row rank over the field; destructive on a copy."""
-    work = [list(r) for r in rows if any(r)]
+    rows is a list of lists of field codes and is reduced in place: the
+    first rank rows get a pivot 1 with zeros above and below it, in
+    increasing columns, and the rows after them are zero in those columns.
+    """
+    prime = field.k == 1
+    p = field.p
     rank = 0
-    cols = len(work[0]) if work else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot is None:
+    for col in range(ncols):
+        for pivot in range(rank, len(rows)):
+            if rows[pivot][col]:
+                break
+        else:
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = work[rank][col].inverse()
-        work[rank] = [inv * v for v in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = field.inv(rows[rank][col])
+        if prime:
+            prow = [inv * v % p for v in rows[rank]]
+        else:
+            prow = [field.mul(inv, v) for v in rows[rank]]
+        rows[rank] = prow
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != rank:
+                if prime:
+                    rows[r] = [(a - f * b) % p for a, b in zip(row, prow)]
+                else:
+                    rows[r] = [field.sub(a, field.mul(f, b)) for a, b in zip(row, prow)]
         rank += 1
-        if rank == len(work):
+        if rank == len(rows):
             break
     return rank
 
 
+def solve_linear(matrix, rhs, field: FieldSpec):
+    """Solve M x = b over the field for square nonsingular M; None if singular."""
+    n = len(matrix)
+    rows = [[c.code for c in matrix[i]] + [rhs[i].code] for i in range(n)]
+    if row_reduce(rows, field, n) < n:
+        return None
+    return [field.element(row[n]) for row in rows]
+
+
+def matrix_rank(rows, field: FieldSpec) -> int:
+    """Row rank over the field."""
+    work = [[c.code for c in r] for r in rows]
+    return row_reduce(work, field, len(work[0]) if work else 0)
+
+
 def enumerate_units(algebra: Algebra) -> list[AlgebraElement]:
-    """All invertible elements, in coefficient counting order (brute force)."""
-    return [a for a in algebra.elements() if a.try_inverse() is not None]
+    """All invertible elements, in coefficient counting order (brute force).
+
+    Each element is inverted on its code tuple by Algebra.inverse_codes,
+    which checks the inverse b on both sides; b is then recorded as a unit,
+    certified by the same identity, and is not eliminated again.
+    """
+    paired = set()
+    keys = []
+    for digits in itertools.product(range(algebra.field.q), repeat=algebra.group.order):
+        key = digits[::-1]
+        if key in paired:
+            keys.append(key)
+            continue
+        inv = algebra.inverse_codes(key)
+        if inv is not None:
+            keys.append(key)
+            paired.add(inv)
+    return [algebra.from_key(key) for key in keys]
 
 
 def p_power_collapse_check(algebra: Algebra) -> bool:

@@ -15,10 +15,10 @@ from functools import reduce
 
 from .algebra import Algebra, AlgebraElement
 from .fields import (FieldSpec, factor_monic, make_field, poly_divmod,
-                     poly_ext_gcd, poly_mod, poly_mul, prime_factors,
-                     prime_power_split, x_power_minus_one)
+                     poly_ext_gcd, poly_mod, poly_mul, prime_power_split,
+                     x_power_minus_one)
 from .groups import Group
-from .units import AbelianType, partition_from_power_counts
+from .units import AbelianType, primary_partitions
 
 
 def is_semisimple(algebra: Algebra) -> bool:
@@ -33,26 +33,7 @@ def primary_cyclic_orders(group: Group) -> dict[int, tuple[int, ...]]:
     """
     if not group.is_abelian():
         raise ValueError(f"{group.label} is not abelian")
-    spectrum = group.order_spectrum()
-    parts: dict[int, tuple[int, ...]] = {}
-    total = 1
-    for r in prime_factors(group.order):
-        max_e = 0
-        o = group.order
-        while o % r == 0:
-            o //= r
-            max_e += 1
-        counts = []
-        for i in range(max_e + 1):
-            cap = r ** i
-            counts.append(sum(c for d, c in spectrum.items() if cap % d == 0))
-        lam = partition_from_power_counts(r, counts)
-        parts[r] = lam
-        for e in lam:
-            total *= r ** e
-    if total != group.order:
-        raise RuntimeError("primary decomposition does not multiply up to |G|")
-    return parts
+    return primary_partitions(group.order, group.order_spectrum())
 
 
 @dataclass(frozen=True)

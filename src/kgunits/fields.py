@@ -7,6 +7,17 @@ significant, is smallest.  For k = 1 that rule yields the polynomial x, so
 prime fields are plain residues.  Elements are residue polynomials of degree
 below k, stored as int coefficient tuples and interned per field, so equality
 and hashing are cheap and arithmetic never mixes fields silently.
+
+Each element's ``code`` is that base-p integer, and ``FieldSpec.add``,
+``sub``, ``neg``, ``mul`` and ``inv`` compute on codes directly.  Prime fields
+use plain ``% p`` and ``pow(a, p - 2, p)``.  A field with k > 1 builds, on
+first use, three code tables of O(q) entries: exp and log to the first
+primitive element in counting order, and the Zech (add-one) logarithm
+Z(n) = log(1 + g^n), so that g^i + g^j = g^(i + Z(j - i)) (Lidl &
+Niederreiter, Finite Fields).  Its sums, products and inverses read these
+tables, with no extended Euclidean inverse; multiplicative orders read the
+log table in every field, so a prime field builds the tables only when asked
+for an order.  No field builds a q x q table.
 """
 
 from __future__ import annotations
@@ -62,7 +73,8 @@ def prime_power_split(q: int) -> tuple[int, int] | None:
 
 # ---------------------------------------------------------------------------
 # Raw polynomials over F_p: int coefficient tuples, index = degree, no
-# trailing zeros, () is the zero polynomial.  Only used for moduli handling.
+# trailing zeros, () is the zero polynomial.  Used for moduli and to build
+# the code tables.
 
 def _rstrip(c: tuple[int, ...]) -> tuple[int, ...]:
     n = len(c)
@@ -138,7 +150,7 @@ def _raw_is_irreducible(c: tuple[int, ...], p: int) -> bool:
 class FieldSpec:
     """The finite field F_{p^k} presented as F_p[t] / (modulus)."""
 
-    __slots__ = ("p", "k", "q", "modulus", "_els", "_zero", "_one", "_dlog")
+    __slots__ = ("p", "k", "q", "modulus", "_els", "_zero", "_one", "_tabs")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         if not is_prime(p):
@@ -157,7 +169,7 @@ class FieldSpec:
         self.k = k
         self.q = p ** k
         self.modulus = modulus
-        self._dlog = None
+        self._tabs = None
         els = []
         for code in range(self.q):
             c, n = [], code
@@ -217,25 +229,80 @@ class FieldSpec:
         if other.spec is not self and other.spec != self:
             raise ValueError(f"mixed-field arithmetic: {self.label()} vs {other.spec.label()}")
 
-    # -- discrete logs, built once per field, make order computations cheap
+    # -- arithmetic on codes
 
-    def _dlog_table(self) -> dict[int, int]:
-        if self._dlog is None:
-            g = self._find_generator()
-            table = {self._one.code: 0}
-            cur = self._one
-            for t in range(1, self.q - 1):
-                cur = cur * g
-                table[cur.code] = t
-            self._dlog = table
-        return self._dlog
+    def _tables(self):
+        """(exp, log, zech) code tables, built on first use.
 
-    def _find_generator(self) -> "FieldElement":
-        n = self.q - 1
-        for cand in self._els[1:]:
-            if all(cand ** (n // r) != self._one for r in prime_factors(n)):
-                return cand
-        raise RuntimeError("no multiplicative generator found")  # unreachable
+        exp[t] = g^t for the first primitive g in counting order, stored
+        twice over (2(q - 1) entries) so a sum of two logs needs no
+        reduction; log[0] and a Zech entry for 1 + g^n = 0 are None.
+        """
+        if self._tabs is None:
+            n = self.q - 1
+            for g in range(1, self.q):
+                powers = [1]
+                cur = g
+                while cur != 1:
+                    powers.append(cur)
+                    cur = self._poly_mul(cur, g)
+                if len(powers) == n:
+                    break
+            else:
+                raise RuntimeError("no primitive element found")  # unreachable
+            log: list = [None] * self.q
+            for t, c in enumerate(powers):
+                log[c] = t
+            p = self.p
+            # adding 1 raises the constant digit of the code
+            zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in powers]
+            self._tabs = (powers + powers, log, zech)
+        return self._tabs
+
+    def _poly_mul(self, a: int, b: int) -> int:
+        """Product of two codes by polynomial multiplication mod the modulus."""
+        prod = _rmul(_rstrip(self._els[a].coeffs), _rstrip(self._els[b].coeffs), self.p)
+        rem = _rdivmod(prod, self.modulus, self.p)[1]
+        return self._code_of(rem + (0,) * (self.k - len(rem)))
+
+    def add(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return (a + b) % self.p
+        if not a:
+            return b
+        if not b:
+            return a
+        exp, log, zech = self._tables()
+        i = log[a]
+        z = zech[(log[b] - i) % (self.q - 1)]
+        return 0 if z is None else exp[i + z]
+
+    def neg(self, a: int) -> int:
+        if self.k == 1:
+            return -a % self.p
+        if not a or self.p == 2:
+            return a
+        exp, log, _ = self._tables()
+        return exp[log[a] + (self.q - 1) // 2]  # -1 = g^((q-1)/2)
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return a * b % self.p
+        if not a or not b:
+            return 0
+        exp, log, _ = self._tables()
+        return exp[log[a] + log[b]]
+
+    def inv(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError(f"zero of {self.label()} has no inverse")
+        if self.k == 1:
+            return pow(a, self.p - 2, self.p)
+        exp, log, _ = self._tables()
+        return exp[self.q - 1 - log[a]]
 
 
 class FieldElement:
@@ -266,8 +333,7 @@ class FieldElement:
         s._check(other)
         if s.k == 1:
             return s._els[(self.code + other.code) % s.p]
-        co = tuple((a + b) % s.p for a, b in zip(self.coeffs, other.coeffs))
-        return s._els[s._code_of(co)]
+        return s._els[s.add(self.code, other.code)]
 
     def __sub__(self, other):
         if not isinstance(other, FieldElement):
@@ -276,14 +342,11 @@ class FieldElement:
         s._check(other)
         if s.k == 1:
             return s._els[(self.code - other.code) % s.p]
-        co = tuple((a - b) % s.p for a, b in zip(self.coeffs, other.coeffs))
-        return s._els[s._code_of(co)]
+        return s._els[s.sub(self.code, other.code)]
 
     def __neg__(self):
         s = self.spec
-        if s.k == 1:
-            return s._els[(-self.code) % s.p]
-        return s._els[s._code_of(tuple((-a) % s.p for a in self.coeffs))]
+        return s._els[s.neg(self.code)]
 
     def __mul__(self, other):
         if not isinstance(other, FieldElement):
@@ -292,10 +355,7 @@ class FieldElement:
         s._check(other)
         if s.k == 1:
             return s._els[(self.code * other.code) % s.p]
-        prod = _rmul(_rstrip(self.coeffs), _rstrip(other.coeffs), s.p)
-        _, rem = _rdivmod(prod, s.modulus, s.p)
-        rem = rem + (0,) * (s.k - len(rem))
-        return s._els[s._code_of(rem)]
+        return s._els[s.mul(self.code, other.code)]
 
     def __truediv__(self, other):
         if not isinstance(other, FieldElement):
@@ -318,39 +378,15 @@ class FieldElement:
         return acc
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        s = self.spec
-        if self.code == 0:
-            raise ZeroDivisionError(f"zero of {s.label()} has no inverse")
-        if s.k == 1:
-            return s._els[pow(self.code, s.p - 2, s.p)]
-        # invert self mod modulus
-        p = s.p
-        r0, r1 = s.modulus, _rstrip(self.coeffs)
-        t0, t1 = (), (1,)
-        while r1:
-            quo, rem = _rdivmod(r0, r1, p)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _rstrip(tuple(
-                (a - b) % p for a, b in itertools.zip_longest(t0, _rmul(quo, t1, p), fillvalue=0)))
-        # r0 is a nonzero constant gcd
-        c_inv = pow(r0[0], p - 2, p)
-        inv = tuple((c * c_inv) % p for c in t0)
-        inv = inv + (0,) * (s.k - len(inv))
-        out = s._els[s._code_of(inv[:s.k])]
-        if self * out != s._one:
-            raise RuntimeError("inverse verification failed")  # unreachable
-        return out
+        """Multiplicative inverse; ZeroDivisionError for zero."""
+        return self.spec._els[self.spec.inv(self.code)]
 
     def mult_order(self) -> int:
         """Least n >= 1 with self**n == 1; divides q - 1."""
         if self.code == 0:
             raise ZeroDivisionError("zero has no multiplicative order")
-        t = self.spec._dlog_table()[self.code]
         n = self.spec.q - 1
-        if n == 0:
-            return 1
-        return n // gcd(n, t) if t else 1
+        return n // gcd(n, self.spec._tables()[1][self.code])
 
     def __str__(self):
         s = self.spec
@@ -392,14 +428,6 @@ def make_field(p: int, k: int) -> FieldSpec:
         if _raw_is_irreducible(cand, p):
             return FieldSpec(p, k, cand)
     raise RuntimeError("no irreducible modulus found")  # unreachable
-
-
-def field_for_size(q: int) -> FieldSpec:
-    """make_field for a prime-power size q, e.g. 9 -> F_{3^2}."""
-    pk = prime_power_split(q)
-    if pk is None:
-        raise ValueError(f"{q} is not a prime power")
-    return make_field(*pk)
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +503,6 @@ def poly_mod(a, b):
     return poly_divmod(a, b)[1]
 
 
-def poly_eval(a, x: FieldElement) -> FieldElement:
-    acc = x.spec.zero()
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def poly_ext_gcd(a, b):
     """(g, u, v) with u*a + v*b = g and g monic (or zero)."""
     spec = (a[0] if a else b[0]).spec
@@ -527,9 +548,6 @@ class MonicPoly:
 
     def __mul__(self, other: "MonicPoly") -> "MonicPoly":
         return MonicPoly(self.spec, poly_mul(self.coeffs, other.coeffs))
-
-    def divides(self, other) -> bool:
-        return not poly_divmod(other.coeffs, self.coeffs)[1]
 
     def key(self) -> tuple[int, int]:
         """(degree, base-q counting integer of the non-leading coefficients)."""

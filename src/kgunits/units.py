@@ -1,17 +1,19 @@
 """Unit-group structure: order spectra, abelian invariants, dihedral shapes.
 
-The order spectrum comes from one power walk per cyclic subgroup: a unit u
-whose order is still unknown is multiplied out through u, u^2, ... back to 1,
-and the orders of all its powers follow from ord(u^k) = o / gcd(k, o) (Holt,
-Eick & O'Brien, Handbook of Computational Group Theory, 2005).  A walk that
-leaves the unit list, runs past |U| steps or gives an order not dividing |U|
-raises ValueError.
+The units come from ``enumerate_units`` on int code tuples (see algebra.py),
+and ``UnitGroup.index`` maps each unit's code tuple to its position.  The
+order spectrum comes from one power walk per cyclic subgroup, also on code
+tuples: a unit u whose order is still unknown is multiplied out through u,
+u^2, ... back to 1 by ``Algebra.mul_codes``, and the orders of all its powers
+follow from ord(u^k) = o / gcd(k, o) (Holt, Eick & O'Brien, Handbook of
+Computational Group Theory, 2005).  A walk that leaves the unit list, runs
+past |U| steps or gives an order not dividing |U| raises ValueError.
 
-Abelian invariants are recovered purely from order statistics: for each prime
-r dividing |U|, the counts N_i of solutions of u^(r^i) = 1 determine the
-partition of the r-primary component, and the recovered partition is checked
-by reproducing the counts.  Nothing here assumes any structure theory of the
-algebra; it only multiplies units.
+Abelian invariants are recovered purely from order statistics by
+``primary_partitions``: for each prime r dividing |U|, the counts N_i of
+solutions of u^(r^i) = 1 determine the partition of the r-primary component,
+and the recovered partition is checked by reproducing the counts.  Nothing
+here assumes any structure theory of the algebra; it only multiplies units.
 """
 
 from __future__ import annotations
@@ -52,6 +54,30 @@ def partition_from_power_counts(r: int, counts: list[int]) -> tuple[int, ...]:
     for i in range(len(s)):
         if sum(min(l, i) for l in parts) != s[i]:
             raise ValueError(f"partition {parts} does not reproduce counts {counts}")
+    return parts
+
+
+def primary_partitions(order: int, spectrum: dict[int, int]) -> dict[int, tuple[int, ...]]:
+    """Per-prime partitions of an abelian group from its order spectrum.
+
+    spectrum maps element order -> count.  The recovered cyclic orders must
+    multiply up to the group order; otherwise RuntimeError.
+    """
+    parts: dict[int, tuple[int, ...]] = {}
+    total = 1
+    for r in prime_factors(order):
+        max_e = 0
+        o = order
+        while o % r == 0:
+            o //= r
+            max_e += 1
+        counts = [sum(c for d, c in spectrum.items() if r ** i % d == 0)
+                  for i in range(max_e + 1)]
+        parts[r] = partition_from_power_counts(r, counts)
+        total *= r ** sum(parts[r])
+    if total != order:
+        raise RuntimeError(f"primary partitions {parts} do not multiply up to "
+                           f"the group order {order}")  # unreachable
     return parts
 
 
@@ -151,35 +177,35 @@ class UnitGroup:
     def _order_list(self):
         """Multiplicative order of every unit, aligned with self.units.
 
-        One power walk per cyclic subgroup: a unit u whose order is not yet
-        known is multiplied out through u, u^2, ... until the walk returns to
-        1, each power looked up in self.index, and then every power u^k gets
-        its order o / gcd(k, o) at once.  The walk must stay inside the unit
+        One power walk per cyclic subgroup, on the code tuples that key
+        self.index in unit order: a unit u whose order is not yet known is
+        multiplied out through u, u^2, ... until the walk returns to 1, each
+        power looked up in self.index, and then every power u^k gets its
+        order o / gcd(k, o) at once.  The walk must stay inside the unit
         list, end within |U| steps and give an order dividing |U|; anything
         else raises ValueError.
         """
         if self._orders is None:
             orders: list[int | None] = [None] * self.order
+            mul = self.algebra.mul_codes
             one = self.algebra.one().key()
-            for i, u in enumerate(self.units):
+            for i, u in enumerate(self.index):
                 if orders[i] is not None:
                     continue
                 powers = [i]
                 acc = u
-                key = u.key()
-                while key != one:
+                while acc != one:
                     if len(powers) >= self.order:
-                        raise ValueError(f"power walk of {u} does not return "
+                        raise ValueError(f"power walk of {self.units[i]} does not return "
                                          f"to 1 within |U| = {self.order} steps")
-                    acc = acc * u
-                    key = acc.key()
-                    j = self.index.get(key)
+                    acc = mul(acc, u)
+                    j = self.index.get(acc)
                     if j is None:
-                        raise ValueError(f"power walk of {u} leaves the unit list")
+                        raise ValueError(f"power walk of {self.units[i]} leaves the unit list")
                     powers.append(j)
                 o = len(powers)
                 if self.order % o:
-                    raise ValueError(f"order {o} of {u} does not divide "
+                    raise ValueError(f"order {o} of {self.units[i]} does not divide "
                                      f"|U| = {self.order}; not a unit?")
                 for k, j in enumerate(powers, 1):
                     orders[j] = o // gcd(k, o)
@@ -199,23 +225,8 @@ class UnitGroup:
         """Primary decomposition of an abelian unit group from order counts."""
         if not self.is_abelian():
             raise ValueError(f"{self.algebra.label()} has a nonabelian unit group")
-        spec = self.unit_order_spectrum()
-        parts: dict[int, tuple[int, ...]] = {}
-        for r in prime_factors(self.order):
-            max_e = 0
-            o = self.order
-            while o % r == 0:
-                o //= r
-                max_e += 1
-            counts = []
-            for i in range(max_e + 1):
-                cap = r ** i
-                counts.append(sum(c for d, c in spec.items() if cap % d == 0))
-            parts[r] = partition_from_power_counts(r, counts)
-        out = AbelianType.from_primary(parts)
-        if out.order() != self.order:
-            raise RuntimeError("abelian invariants do not multiply up to |U|")  # unreachable
-        return out
+        parts = primary_partitions(self.order, self.unit_order_spectrum())
+        return AbelianType.from_primary(parts)
 
     def recognize_dihedral(self):
         """(True, (r, s)) if U is dihedral of its order, witnessed; else (False, None).

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
+from kgunits import algebra as algebra_module
 from kgunits.algebra import (Algebra, enumerate_units, matrix_rank,
                              p_power_collapse_check, solve_linear)
+from kgunits.catalog import catalog_specs
 from kgunits.fields import make_field
 from kgunits.groups import group_by_label
 
@@ -130,3 +134,77 @@ def test_pow_matches_repeated_multiplication():
     for n in range(1, 6):
         acc = acc * x
         assert x ** n == acc
+
+
+# ---------------------------------------------------------------------------
+# the code-tuple unit kernel against the FieldElement elimination it replaced
+
+def reference_solve(a):
+    """Inverse coefficients of a by Gaussian elimination over FieldElement
+    objects on the left-multiplication matrix, or None if a is singular."""
+    field, g = a.algebra.field, a.algebra.group
+    n = g.order
+    aug = [[a.coeffs[g.mul(i, g.inv(j))] for j in range(n)]
+           + [field.one() if i == g.identity else field.zero()] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = aug[col][col].inverse()
+        aug[col] = [inv * v for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(aug[i][n] for i in range(n))
+
+
+def test_unit_kernel_matches_reference_elimination_on_the_catalog():
+    specs = catalog_specs(1024)
+    assert len(specs) == 243
+    for p, k, label in specs:
+        alg = _alg(p, k, label)
+        one = alg.one()
+        want = []
+        for a in alg.elements():
+            ref = reference_solve(a)
+            if ref is None:
+                continue
+            want.append(a.key())
+            b = a.try_inverse()
+            assert b is not None and b.coeffs == ref, (label, a)
+            assert a * b == one and b * a == one, (label, a)
+        assert [u.key() for u in enumerate_units(alg)] == want, (p, k, label)
+
+
+def test_a_wrong_elimination_is_caught_by_the_inverse_check(monkeypatch):
+    real = algebra_module.row_reduce
+
+    def wrong(rows, field, ncols):
+        rank = real(rows, field, ncols)
+        rows[0][-1] = field.add(rows[0][-1], 1)  # a wrong solution
+        return rank
+    monkeypatch.setattr(algebra_module, "row_reduce", wrong)
+    x = _alg(3, 1, "C4").group_element("x")
+    with pytest.raises(RuntimeError, match="inverse verification failed"):
+        x.try_inverse()
+    for p, k, label in ((3, 1, "C4"), (5, 1, "C1"), (2, 2, "C2")):
+        with pytest.raises(RuntimeError, match="inverse verification failed"):
+            enumerate_units(_alg(p, k, label))
+
+
+def test_ring_axioms_on_random_elements_of_every_catalog_algebra():
+    rng = random.Random(2009)
+    for p, k, label in catalog_specs(1024):
+        alg = _alg(p, k, label)
+        q, n = alg.field.q, alg.group.order
+        one = alg.one()
+        for _ in range(3):
+            x, y, z = (alg.from_key(tuple(rng.randrange(q) for _ in range(n)))
+                       for _ in range(3))
+            assert (x * y) * z == x * (y * z), (label, x, y, z)
+            assert x * (y + z) == x * y + x * z, (label, x, y, z)
+            assert (x + y) * z == x * z + y * z, (label, x, y, z)
+            assert x * one == x and one * x == x, (label, x)
+            assert alg.mul_codes(x.key(), y.key()) == (x * y).key(), (label, x, y)

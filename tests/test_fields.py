@@ -1,10 +1,27 @@
+import random
+
 import pytest
 
-from kgunits.fields import (FieldSpec, MonicPoly, factor_monic, field_for_size,
-                            is_prime, make_field, monic_irreducibles, poly_add,
-                            poly_divmod, poly_ext_gcd, poly_eval, poly_mul,
-                            poly_sub, prime_factors, prime_power_split,
-                            x_power_minus_one)
+from kgunits.fields import (SIZE_LIMIT, FieldSpec, MonicPoly, _rdivmod, _rmul,
+                            _rstrip, factor_monic, is_prime, make_field,
+                            monic_irreducibles, poly_add, poly_divmod,
+                            poly_ext_gcd, poly_mul, poly_sub, prime_factors,
+                            prime_power_split, x_power_minus_one)
+
+
+def field_for_size(q: int) -> FieldSpec:
+    """make_field for a prime-power size q, e.g. 9 -> F_{3^2}."""
+    pk = prime_power_split(q)
+    if pk is None:
+        raise ValueError(f"{q} is not a prime power")
+    return make_field(*pk)
+
+
+def poly_eval(a, x):
+    acc = x.spec.zero()
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
 
 
 def test_prime_power_split():
@@ -166,3 +183,91 @@ def test_frobenius_is_additive():
     for a in spec.elements():
         for b in spec.elements():
             assert (a + b) ** 2 == a ** 2 + b ** 2
+
+
+# ---------------------------------------------------------------------------
+# the code-level kernel against raw polynomial arithmetic on coefficients
+
+def _reference_ops(spec):
+    p, k = spec.p, spec.k
+
+    def digits(a):
+        return spec.element(a).coeffs
+
+    def code(coeffs):
+        return spec.from_coeffs(coeffs + (0,) * (k - len(coeffs))).code
+
+    def add(a, b):
+        return code(tuple((x + y) % p for x, y in zip(digits(a), digits(b))))
+
+    def sub(a, b):
+        return code(tuple((x - y) % p for x, y in zip(digits(a), digits(b))))
+
+    def neg(a):
+        return code(tuple(-x % p for x in digits(a)))
+
+    def mul(a, b):
+        prod = _rmul(_rstrip(digits(a)), _rstrip(digits(b)), p)
+        return code(_rdivmod(prod, spec.modulus, p)[1])
+
+    return add, sub, neg, mul
+
+
+def _check_pair(spec, ref, a, b):
+    add, sub, neg, mul = ref
+    assert spec.add(a, b) == add(a, b), (spec, a, b)
+    assert spec.sub(a, b) == sub(a, b), (spec, a, b)
+    assert spec.mul(a, b) == mul(a, b), (spec, a, b)
+    x, y = spec.element(a), spec.element(b)
+    assert ((x + y).code, (x - y).code, (x * y).code) == \
+        (spec.add(a, b), spec.sub(a, b), spec.mul(a, b)), (spec, a, b)
+
+
+def _check_single(spec, ref, a):
+    _, _, neg, mul = ref
+    assert spec.neg(a) == neg(a) == (-spec.element(a)).code, (spec, a)
+    if a:
+        inv = spec.inv(a)
+        assert mul(a, inv) == 1 and spec.element(a).inverse().code == inv, (spec, a)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            spec.inv(a)
+
+
+def test_code_kernel_matches_raw_polynomials_for_every_field():
+    rng = random.Random(20091)
+    sizes = [q for q in range(2, SIZE_LIMIT) if prime_power_split(q)]
+    assert len(sizes) == 197  # 172 primes and 25 higher prime powers
+    for q in sizes:
+        spec = make_field(*prime_power_split(q))
+        ref = _reference_ops(spec)
+        minus_one = spec.from_int(-1).code
+        if q <= 32:
+            singles = range(q)
+            pairs = [(a, b) for a in range(q) for b in range(q)]
+        else:
+            singles = [0, 1, minus_one] + [rng.randrange(q) for _ in range(20)]
+            special = [(a, b) for a in (0, 1, minus_one) for b in (0, 1, minus_one)]
+            pairs = special + [(rng.randrange(q), rng.randrange(q)) for _ in range(60)]
+        for a in singles:
+            _check_single(spec, ref, a)
+        for a, b in pairs:
+            _check_pair(spec, ref, a, b)
+
+
+def test_mult_order_matches_power_walk():
+    for p, k in ((2, 1), (2, 4), (3, 3), (5, 2), (7, 1), (2, 5), (31, 1)):
+        spec = make_field(p, k)
+        for a in range(1, spec.q):
+            o, acc = 1, a
+            while acc != 1:
+                acc = spec.mul(acc, a)
+                o += 1
+            assert spec.element(a).mult_order() == o, (spec, a)
+
+
+def test_field_tables_stay_linear_in_q():
+    for q in (4, 9, 64, 243, 512, 961, 1021):
+        spec = make_field(*prime_power_split(q))
+        spec.element(2).mult_order()  # builds the tables of a prime field too
+        assert all(len(t) <= 2 * q for t in spec._tables()), spec
