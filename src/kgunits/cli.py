@@ -235,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coset-count", help="order of a finitely presented group")
     p.add_argument("presentation")
-    p.add_argument("--limit", type=int, default=DEFAULT_COSET_LIMIT,
+    p.add_argument("--limit", type=_int_in_range(1), default=DEFAULT_COSET_LIMIT,
                    help="coset table size cap")
     common(p)
     p.set_defaults(func=cmd_coset_count)

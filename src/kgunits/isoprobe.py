@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 
-from .algebra import Algebra, AlgebraElement, matrix_rank, solve_linear
+from .algebra import Algebra, AlgebraElement, matrix_rank, row_reduce, solve_linear
 from .decompose import decompose_abelian
 from .fields import prime_power_split
 from .groups import groups_of_order, small_group_isomorphic
@@ -141,13 +141,9 @@ class Inconclusive:
 # ---------------------------------------------------------------------------
 # explicit isomorphism construction
 
-def all_idempotents(algebra: Algebra) -> list[AlgebraElement]:
-    return [a for a in algebra.elements() if a * a == a]
-
-
 def primitive_idempotents_by_search(algebra: Algebra) -> list[AlgebraElement]:
     """Minimal nonzero idempotents, by exhaustive search (size < 1024)."""
-    nonzero = [e for e in all_idempotents(algebra) if e]
+    nonzero = [e for e in algebra.elements() if e and e * e == e]
     out = []
     for e in nonzero:
         if all(f == e or f * e != f for f in nonzero):
@@ -167,38 +163,21 @@ def _poly_of_element(algebra, e, g, d):
     """Monic minimal polynomial coefficients (c_0..c_{d-1}) of g over K, degree d.
 
     Solves g^d = sum c_t g^t inside the block with identity e, working in
-    the ambient coefficient space.
+    the ambient coefficient space: one equation per coefficient, columns
+    e, g, .., g^{d-1}, then g^d as the right-hand side.
     """
     powers = [e]
     for _ in range(d):
         powers.append(powers[-1] * g)
-    n = algebra.group.order
     field = algebra.field
-    # least-squares-free exact solve: the system is consistent and has a
-    # unique solution because 1, g, .., g^{d-1} are independent over K
-    rows = [[powers[t].coeffs[i] for t in range(d)] for i in range(n)]
-    rhs = [powers[d].coeffs[i] for i in range(n)]
-    # row-reduce the rectangular system
-    aug = [rows[i] + [rhs[i]] for i in range(n)]
-    pivots = []
-    r = 0
-    for col in range(d):
-        pivot = next((i for i in range(r, n) if aug[i][col]), None)
-        if pivot is None:
-            raise RuntimeError("dependent powers below the expected degree")
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][col].inverse()
-        aug[r] = [inv * v for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, n):
-        if aug[i][d]:
-            raise RuntimeError("inconsistent minimal polynomial system")
-    return [aug[t][d] for t in range(d)]
+    rows = [[power.coeffs[i].code for power in powers]
+            for i in range(algebra.group.order)]
+    # the solution is unique only if 1, g, .., g^{d-1} are independent over K
+    if row_reduce(rows, field, d) < d:
+        raise RuntimeError("dependent powers below the expected degree")
+    if any(row[d] for row in rows[d:]):
+        raise RuntimeError("inconsistent minimal polynomial system")
+    return [field.element(row[d]) for row in rows[:d]]
 
 
 def _eval_poly_in_block(algebra, coeffs, e, h):

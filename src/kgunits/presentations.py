@@ -6,16 +6,25 @@ left-normed, so [a, b, c] = [[a, b], c]; the right-handed convention
 a b a^-1 b^-1 is available because published relator lists do not always
 say which one they mean.
 
-Coset enumeration is the HLT strategy over the trivial subgroup: scan and
+Coset enumeration is the HLT strategy over the trivial subgroup (Holt, Eick
+& O'Brien, Handbook of Computational Group Theory, 2005, ch. 5): scan and
 fill every relator at every live coset, with coincidences processed through
-a union-find table.  The enumeration either returns |G| exactly or raises
-CosetLimitExceeded, which callers must treat as "possibly infinite or cap
-too low", never as an order.
+a union-find table.  The table is column-major, one list per generator and
+per inverse, so a relator is a tuple of lists and a scan step is
+f = column[f].  Each scan first walks the whole relator; when every entry is
+defined that walk is the complete HLT scan, and only an incomplete one goes
+on to the forward/backward scan and fill.  The finished table is checked
+twice: every column must permute the live cosets, and then every relator,
+applied to all live cosets one run c^e at a time, must fix each of them.
+The enumeration either returns |G| exactly or raises CosetLimitExceeded,
+which callers must treat as "possibly infinite or cap too low", never as an
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Mapping
 
 from .units import UnitGroup, evaluate_word
@@ -234,19 +243,25 @@ class FpGroup:
 # ---------------------------------------------------------------------------
 # Todd-Coxeter
 
-def coset_enumeration(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT) -> int:
-    """Order of the presented group via HLT enumeration over the trivial subgroup."""
-    ngens = len(pres.generator_names)
-    ncols = 2 * ngens
+def relator_columns(pres: FpGroup) -> list[Word]:
+    """Each relator as a word of coset table columns.
 
-    def col(s: int) -> int:
-        # generator s>0 -> column 2(s-1); inverse -> 2(s-1)+1
-        return 2 * (s - 1) if s > 0 else 2 * (-s - 1) + 1
+    Generator s > 0 is column 2(s-1) and its inverse is column 2(s-1)+1, so
+    column c ^ 1 is the inverse of column c.
+    """
+    return [tuple(2 * s - 2 if s > 0 else -2 * s - 1 for s in r) for r in pres.relators]
 
-    rel_cols = [tuple(col(s) for s in r) for r in pres.relators]
 
-    table: list[list[int | None]] = [[None] * ncols]
-    p = [0]  # union-find; p[i] <= i, live iff p[i] == i
+def coset_table(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT):
+    """HLT enumeration over the trivial subgroup: (columns, union-find array).
+
+    columns[c][i] is the coset that coset i goes to under column c, or None.
+    The union-find array has p[i] <= i, and coset i is live iff p[i] == i.
+    The table is not checked; coset_enumeration does that.
+    """
+    ncols = 2 * len(pres.generator_names)
+    columns: list[list[int | None]] = [[None] for _ in range(ncols)]
+    p = [0]
     queue: list[int] = []
 
     def rep(k: int) -> int:
@@ -258,14 +273,15 @@ def coset_enumeration(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT) -> int:
         return r
 
     def define(a: int, c: int):
-        if len(table) >= limit:
+        b = len(p)
+        if b >= limit:
             raise CosetLimitExceeded(
                 f"coset cap {limit} exceeded; group is possibly infinite or the cap too low")
-        b = len(table)
-        table.append([None] * ncols)
+        for column in columns:
+            column.append(None)
         p.append(b)
-        table[a][c] = b
-        table[b][c ^ 1] = a
+        columns[c][a] = b
+        columns[c ^ 1][b] = a
 
     def merge(a: int, b: int):
         a, b = rep(a), rep(b)
@@ -278,77 +294,127 @@ def coset_enumeration(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT) -> int:
         merge(a, b)
         while queue:
             g = queue.pop()
-            row = table[g]
-            for c in range(ncols):
-                d = row[c]
+            for c, column in enumerate(columns):
+                d = column[g]
                 if d is None:
                     continue
-                table[d][c ^ 1] = None
+                inverse = columns[c ^ 1]
+                inverse[d] = None
                 mu, nu = rep(g), rep(d)
-                if table[mu][c] is not None:
-                    merge(nu, table[mu][c])
-                elif table[nu][c ^ 1] is not None:
-                    merge(mu, table[nu][c ^ 1])
+                if column[mu] is not None:
+                    merge(nu, column[mu])
+                elif inverse[nu] is not None:
+                    merge(mu, inverse[nu])
                 else:
-                    table[mu][c] = nu
-                    table[nu][c ^ 1] = mu
+                    column[mu] = nu
+                    inverse[nu] = mu
 
-    def scan_and_fill(a: int, word):
+    def scan_and_fill(a: int, word: Word, forward, backward):
         f, i = a, 0
         b, j = a, len(word) - 1
         while True:
-            while i <= j and table[f][word[i]] is not None:
-                f = table[f][word[i]]
+            while i <= j and forward[i][f] is not None:
+                f = forward[i][f]
                 i += 1
             if i > j:
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and table[b][word[j] ^ 1] is not None:
-                b = table[b][word[j] ^ 1]
+            while j >= i and backward[j][b] is not None:
+                b = backward[j][b]
                 j -= 1
             if j < i:
                 coincidence(f, b)
                 return
             if j == i:
-                table[f][word[i]] = b
-                table[b][word[i] ^ 1] = f
+                forward[i][f] = b
+                backward[i][b] = f
                 return
             define(f, word[i])
 
+    # The lists only grow by append, so these tuples of columns stay valid.
+    relators = [(word, tuple(columns[c] for c in word),
+                 tuple(columns[c ^ 1] for c in word))
+                for word in relator_columns(pres) if word]
     a = 0
-    while a < len(table):
+    while a < len(p):
         if p[a] != a:
             a += 1
             continue
-        for word in rel_cols:
-            if not word:
-                continue
-            scan_and_fill(a, word)
+        for word, forward, backward in relators:
+            # Whole-relator walk first.  When every entry is defined, this is
+            # the complete HLT scan; otherwise scan and fill from a afresh,
+            # which costs less than resuming mid-word.
+            f = a
+            for column in forward:
+                f = column[f]
+                if f is None:
+                    scan_and_fill(a, word, forward, backward)
+                    break
+            else:
+                if f != a:
+                    coincidence(f, a)
             if p[a] != a:
                 break
-        if p[a] == a:
-            for c in range(ncols):
-                if table[a][c] is None:
+        else:
+            for c, column in enumerate(columns):
+                if column[a] is None:
                     define(a, c)
         a += 1
+    return columns, p
 
-    live = [i for i in range(len(table)) if p[i] == i]
-    # verification sweep: the table must be total, closed, and every relator
-    # must trace back to its start at every live coset
-    for i in live:
-        for c in range(ncols):
-            d = table[i][c]
-            if d is None or p[d] != d or table[d][c ^ 1] != i:
+
+def check_coset_table(columns, p: list[int], words) -> list[int]:
+    """The live cosets of a finished table, once the table is shown closed.
+
+    First every live entry must be defined, point at a live coset and agree
+    with the inverse column, so each column permutes the live cosets.  Then
+    each relator word, applied to all live cosets at once one run c^e at a
+    time, must fix every live coset.  A run with e > 1 maps each coset to its
+    e-th image along the cycles of column c, which the first check makes
+    well defined.
+    """
+    live = [i for i in range(len(p)) if p[i] == i]
+    for c, column in enumerate(columns):
+        inverse = columns[c ^ 1]
+        for i in live:
+            d = column[i]
+            if d is None or p[d] != d or inverse[d] != i:
                 raise RuntimeError("coset table inconsistent after enumeration")
-    for i in live:
-        for word in rel_cols:
-            cur = i
-            for c in word:
-                cur = table[cur][c]
-            if cur != i:
-                raise RuntimeError("relator fails to close on the finished table")
-    return len(live)
+    for word in words:
+        images = live
+        for c, run in groupby(word):
+            column = columns[c]
+            e = len(list(run))
+            if e > 1:
+                column = _column_power(column, live, e)
+            images = [column[i] for i in images]
+        if images != live:
+            raise RuntimeError("relator fails to close on the finished table")
+    return live
+
+
+def _column_power(column, live: list[int], e: int) -> list[int | None]:
+    """column^e on the live cosets, from its cycles; column must permute them."""
+    power: list[int | None] = [None] * len(column)
+    for start in live:
+        if power[start] is not None:
+            continue
+        cycle = [start]
+        i = column[start]
+        while i != start:
+            cycle.append(i)
+            i = column[i]
+        m = len(cycle)
+        for k, i in enumerate(cycle):
+            power[i] = cycle[(k + e) % m]
+    return power
+
+
+def coset_enumeration(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT) -> int:
+    """Order of the presented group via HLT enumeration over the trivial subgroup."""
+    columns, p = coset_table(pres, limit)
+    return len(check_coset_table(columns, p, relator_columns(pres)))
 
 
 # ---------------------------------------------------------------------------

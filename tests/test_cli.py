@@ -140,6 +140,9 @@ def test_error_paths_exit_2(capsys, argv):
     (("scan-iso", "--jobs", "0"), "argument --jobs: must be at least 1, got 0"),
     (("verify", "--bound", "1100", "--jobs", "2"),
      "argument --bound: must be at most 1024 (the bound of the published catalog"),
+    (("coset-count", "x | x", "--limit", "0"), "argument --limit: must be at least 1, got 0"),
+    (("coset-count", "x | x^3", "--limit", "-5"),
+     "argument --limit: must be at least 1, got -5"),
 ])
 def test_bad_bound_and_jobs_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -8,12 +8,14 @@ from kgunits.expected import (D6_PRESENTATION_COMMUTATOR,
                               D6_PRESENTATION_PRINTED, PRESENTATION_SOURCES)
 from kgunits.fields import make_field
 from kgunits.groups import group_by_label
-from kgunits.presentations import (Certificate, CosetLimitExceeded, FpGroup,
+from kgunits.presentations import (CONVENTIONS, DEFAULT_COSET_LIMIT,
+                                   Certificate, CosetLimitExceeded, FpGroup,
                                    Refutation, certify_from_source,
                                    certify_unit_group_presentation,
-                                   commutator_word, coset_enumeration,
-                                   free_reduce, invert_word,
-                                   parse_presentation, parse_word, power_word)
+                                   check_coset_table, commutator_word,
+                                   coset_enumeration, coset_table, free_reduce,
+                                   invert_word, parse_presentation, parse_word,
+                                   power_word, relator_columns)
 from kgunits.units import UnitGroup
 
 
@@ -91,6 +93,60 @@ def test_coset_enumeration_limit():
     # free group of rank 1 is infinite; a tight limit must abort loudly
     with pytest.raises(CosetLimitExceeded):
         coset_enumeration(FpGroup(("x", "y"), ((1, 1),)), limit=50)
+
+
+def _columns(*cycles_of_x):
+    """Columns x, x^-1 of a one-generator table from the cycles of x."""
+    x = {}
+    for cycle in cycles_of_x:
+        for k, i in enumerate(cycle):
+            x[i] = cycle[(k + 1) % len(cycle)]
+    n = len(x)
+    column = [x[i] for i in range(n)]
+    inverse = [None] * n
+    for i, j in enumerate(column):
+        inverse[j] = i
+    return [column, inverse]
+
+
+def test_closing_check_runs_relators_by_cycles():
+    x6 = [(0,) * 6]
+    assert check_coset_table(_columns((0, 1, 2)), [0, 1, 2], x6) == [0, 1, 2]
+    assert check_coset_table(_columns((0,), (1, 2), (3, 4, 5)), list(range(6)), x6) \
+        == list(range(6))
+    with pytest.raises(RuntimeError, match="relator fails to close"):
+        check_coset_table(_columns((0, 1, 2, 3)), [0, 1, 2, 3], x6)
+    with pytest.raises(RuntimeError, match="relator fails to close"):
+        check_coset_table(_columns((0, 1), (2, 3, 4, 5)), list(range(6)), x6)
+
+
+def test_closing_check_needs_a_permutation_table():
+    inconsistent = "coset table inconsistent after enumeration"
+    x3 = [(0,) * 3]
+    missing = _columns((0, 1, 2))
+    missing[0][2] = None
+    with pytest.raises(RuntimeError, match=inconsistent):
+        check_coset_table(missing, [0, 1, 2], x3)
+    # coset 2 merged into 1, but coset 1 still points at it
+    dead = [[1, 2, 0], [2, 0, 1]]
+    with pytest.raises(RuntimeError, match=inconsistent):
+        check_coset_table(dead, [0, 1, 1], x3)
+    mismatch = _columns((0, 1, 2))
+    mismatch[1][0] = 1
+    with pytest.raises(RuntimeError, match=inconsistent):
+        check_coset_table(mismatch, [0, 1, 2], x3)
+
+
+def test_closing_check_on_a_dihedral_table():
+    pres = parse_presentation("r, s | r^4, s^2, (s*r)^2")
+    columns, p = coset_table(pres)
+    words = relator_columns(pres)
+    assert len(check_coset_table(columns, p, words)) == 8
+    # send s to the identity: r^4 and s^2 still hold, (s*r)^2 = r^2 does not
+    broken = [columns[0], columns[1], list(range(8)), list(range(8))]
+    assert check_coset_table(broken, p, words[:2]) == list(range(8))
+    with pytest.raises(RuntimeError, match="relator fails to close"):
+        check_coset_table(broken, p, words)
 
 
 def test_printed_dihedral_presentation_collapses():
@@ -203,3 +259,161 @@ def test_missing_generator_image_is_an_error():
     pres = parse_presentation("w, y | w^6, y^2")
     with pytest.raises(ValueError):
         certify_unit_group_presentation(u, pres, {"w": u.algebra.one()})
+
+
+def _reference_coset_enumeration(pres, limit):
+    """The row-major HLT kernel that coset_table replaced, with its final check.
+
+    Returns (order, table, p): table[i][c] is coset i under column c.
+    """
+    ncols = 2 * len(pres.generator_names)
+
+    def col(s):
+        return 2 * (s - 1) if s > 0 else 2 * (-s - 1) + 1
+
+    rel_cols = [tuple(col(s) for s in r) for r in pres.relators]
+    table = [[None] * ncols]
+    p = [0]
+    queue = []
+
+    def rep(k):
+        r = k
+        while p[r] != r:
+            r = p[r]
+        while p[k] != r:
+            p[k], k = r, p[k]
+        return r
+
+    def define(a, c):
+        if len(table) >= limit:
+            raise CosetLimitExceeded(
+                f"coset cap {limit} exceeded; group is possibly infinite or the cap too low")
+        b = len(table)
+        table.append([None] * ncols)
+        p.append(b)
+        table[a][c] = b
+        table[b][c ^ 1] = a
+
+    def merge(a, b):
+        a, b = rep(a), rep(b)
+        if a != b:
+            a, b = min(a, b), max(a, b)
+            p[b] = a
+            queue.append(b)
+
+    def coincidence(a, b):
+        merge(a, b)
+        while queue:
+            g = queue.pop()
+            row = table[g]
+            for c in range(ncols):
+                d = row[c]
+                if d is None:
+                    continue
+                table[d][c ^ 1] = None
+                mu, nu = rep(g), rep(d)
+                if table[mu][c] is not None:
+                    merge(nu, table[mu][c])
+                elif table[nu][c ^ 1] is not None:
+                    merge(mu, table[nu][c ^ 1])
+                else:
+                    table[mu][c] = nu
+                    table[nu][c ^ 1] = mu
+
+    def scan_and_fill(a, word):
+        f, i = a, 0
+        b, j = a, len(word) - 1
+        while True:
+            while i <= j and table[f][word[i]] is not None:
+                f = table[f][word[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][word[j] ^ 1] is not None:
+                b = table[b][word[j] ^ 1]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if j == i:
+                table[f][word[i]] = b
+                table[b][word[i] ^ 1] = f
+                return
+            define(f, word[i])
+
+    a = 0
+    while a < len(table):
+        if p[a] != a:
+            a += 1
+            continue
+        for word in rel_cols:
+            if not word:
+                continue
+            scan_and_fill(a, word)
+            if p[a] != a:
+                break
+        if p[a] == a:
+            for c in range(ncols):
+                if table[a][c] is None:
+                    define(a, c)
+        a += 1
+
+    live = [i for i in range(len(table)) if p[i] == i]
+    for i in live:
+        for c in range(ncols):
+            d = table[i][c]
+            if d is None or p[d] != d or table[d][c ^ 1] != i:
+                raise RuntimeError("coset table inconsistent after enumeration")
+    for i in live:
+        for word in rel_cols:
+            cur = i
+            for c in word:
+                cur = table[cur][c]
+            if cur != i:
+                raise RuntimeError("relator fails to close on the finished table")
+    return len(live), table, p
+
+
+# The query stream's four families, at sizes up to order about 800.
+FAMILY_TEXTS = (
+    [f"a | a^{n}" for n in (4, 12, 40, 150, 500)]
+    + [f"r, s | r^{n}, s^2, (s*r)^2" for n in (4, 10, 36, 120, 400)]
+    + [f"a, x | a^{2 * n}, x^2 = a^{n}, x^-1*a*x = a^-1" for n in (3, 6, 20, 64, 200)]
+    + [f"a, b | a^{n}, b^{n + 4}, a*b = b*a" for n in (3, 6, 13, 25)])
+MUTATION_LIMIT = 4000
+
+
+def _same_outcome(pres, limit):
+    """Both kernels agree on pres: the table, or the cap message, at limit."""
+    try:
+        order, table, p = _reference_coset_enumeration(pres, limit)
+    except CosetLimitExceeded as exc:
+        with pytest.raises(CosetLimitExceeded) as new:
+            coset_table(pres, limit)
+        assert str(new.value) == str(exc)
+        return
+    # coset_enumeration at the cap len(p), in its two steps
+    columns, new_p = coset_table(pres, len(p))
+    assert new_p == p
+    assert columns == [list(col) for col in zip(*table)]
+    assert len(check_coset_table(columns, new_p, relator_columns(pres))) == order
+    with pytest.raises(CosetLimitExceeded) as old:
+        _reference_coset_enumeration(pres, len(p) - 1)
+    with pytest.raises(CosetLimitExceeded) as new:
+        coset_enumeration(pres, len(p) - 1)
+    assert str(new.value) == str(old.value)
+
+
+def test_column_kernel_matches_the_row_kernel():
+    # only the published texts hold commutators, so only they read two ways
+    for text in FAMILY_TEXTS + [D6_PRESENTATION_PRINTED, D6_PRESENTATION_CORRECTED]:
+        _same_outcome(parse_presentation(text), DEFAULT_COSET_LIMIT)
+    for src in PRESENTATION_SOURCES.values():
+        for convention in CONVENTIONS:
+            _same_outcome(parse_presentation(src.text, convention), DEFAULT_COSET_LIMIT)
+    for _, key, _ in CERTIFIABLE:
+        pres = parse_presentation(PRESENTATION_SOURCES[key].text)
+        for i in range(len(pres.relators)):
+            _same_outcome(pres.drop_relator(i), MUTATION_LIMIT)
