@@ -4,7 +4,7 @@ Catalog construction, structure certificates, and the minimum-size
 isomorphic pair of group algebras with non-isomorphic groups.
 """
 
-from .fields import FieldSpec, FieldElement, MonicPoly, make_field, factor_monic, monic_irreducibles
+from .fields import FieldSpec, FieldElement, make_field, factor_monic, monic_irreducibles
 from .groups import (Group, cyclic, direct_product, dihedral, quaternion8,
                      groups_up_to_order, group_by_label, small_group_isomorphic)
 from .algebra import Algebra, AlgebraElement, enumerate_units, p_power_collapse_check
@@ -21,7 +21,7 @@ from .isoprobe import (InvariantBundle, IsoWitness, Isomorphic, NotIsomorphic,
 from .catalog import CatalogRow, Catalog, build_row, build_catalog, verify_catalog
 
 __all__ = [
-    "FieldSpec", "FieldElement", "MonicPoly", "make_field", "factor_monic",
+    "FieldSpec", "FieldElement", "make_field", "factor_monic",
     "monic_irreducibles", "Group", "cyclic", "direct_product", "dihedral",
     "quaternion8", "groups_up_to_order", "group_by_label",
     "small_group_isomorphic", "Algebra", "AlgebraElement",

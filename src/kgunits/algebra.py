@@ -1,23 +1,27 @@
-"""Group-algebra arithmetic: convolution products, augmentation, units.
+"""Group-algebra arithmetic on int code tuples: products, augmentation, units.
 
-An Algebra is K[G] for a FieldSpec K and a Group G.  Elements store one field
-coefficient per group element; their ``key()`` is the tuple of the
-coefficients' int field codes.  Inversion goes through the regular
-representation: the left-multiplication matrix of a is solved against the
-identity vector, so unit detection needs no structure theory at all.
+An Algebra is K[G] for a FieldSpec K and a Group G.  An element is the tuple
+of its coefficients' int field codes, one per group element; ``key()``
+returns it.  Every operation runs on those tuples with the FieldSpec code
+operations, and products go through the one convolution ``Algebra.mul_codes``.
+``AlgebraElement.coeffs`` is a read-only FieldElement view for display and
+the public API.  Inversion goes through the regular representation: the
+left-multiplication matrix of a is solved against the identity vector, so
+unit detection needs no structure theory at all.
 
 One routine, ``row_reduce``, does every elimination, on rows of field codes.
-It backs ``AlgebraElement.try_inverse``, ``enumerate_units`` and the
-FieldElement-level ``solve_linear`` and ``matrix_rank``.  An inverse b found
-by elimination is always checked on both sides, a*b = b*a = 1, by the
-code-level convolution ``Algebra.mul_codes``.  ``enumerate_units`` walks code
-tuples in counting order and records each verified inverse b as a unit as
-well (the same identity certifies it), so b is never eliminated again.
+It backs ``AlgebraElement.try_inverse``, ``enumerate_units`` and the linear
+algebra of the isomorphism probe.  An inverse b found by elimination is
+always checked on both sides, a*b = b*a = 1, by ``mul_codes``.
+``enumerate_units`` walks code tuples in counting order and records each
+verified inverse b as a unit as well (the same identity certifies it), so b
+is never eliminated again.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 
 from .fields import FieldElement, FieldSpec
 from .groups import Group
@@ -30,9 +34,6 @@ class Algebra:
         self.field = field
         self.group = group
         self.size = field.q ** group.order
-        self._zero = None
-        self._one = None
-        self._basis = None
         n = group.order
         # left multiplication by a sends basis j to the sum of a[i] * (i j),
         # so its matrix entry (i, j) is a[i j^-1]
@@ -54,46 +55,25 @@ class Algebra:
         return f"Algebra({self.label()}, size={self.size})"
 
     def zero(self) -> "AlgebraElement":
-        if self._zero is None:
-            z = self.field.zero()
-            self._zero = AlgebraElement(self, (z,) * self.group.order)
-        return self._zero
+        return AlgebraElement(self, (0,) * self.group.order)
 
     def one(self) -> "AlgebraElement":
-        if self._one is None:
-            self._one = self.basis_element(self.group.identity)
-        return self._one
+        return AlgebraElement(self, self._one_key)
 
     def basis_element(self, i: int) -> "AlgebraElement":
-        if self._basis is None:
-            z, o, n = self.field.zero(), self.field.one(), self.group.order
-            self._basis = tuple(
-                AlgebraElement(self, tuple(o if j == k else z for j in range(n)))
-                for k in range(n))
-        return self._basis[i]
+        return AlgebraElement(self, tuple(int(j == i) for j in range(self.group.order)))
 
     def group_element(self, name: str) -> "AlgebraElement":
         """The basis element for the group element with this display name."""
         return self.basis_element(self.group.name_to_index[name])
 
-    def from_coeffs(self, coeffs) -> "AlgebraElement":
-        coeffs = tuple(coeffs)
-        if len(coeffs) != self.group.order:
-            raise ValueError("one coefficient per group element required")
-        for c in coeffs:
-            self.field._check(c)
-        return AlgebraElement(self, coeffs)
-
     def scalar(self, c: FieldElement) -> "AlgebraElement":
         """The scalar c embedded as c * identity."""
-        self.field._check(c)
-        z, n = self.field.zero(), self.group.order
-        return AlgebraElement(self, tuple(c if j == 0 else z for j in range(n)))
+        return self.one().scale(c)
 
     def from_key(self, key) -> "AlgebraElement":
         """The element whose coefficient codes are key."""
-        els = self.field.elements()
-        return AlgebraElement(self, tuple([els[c] for c in key]))
+        return AlgebraElement(self, tuple(key))
 
     def mul_codes(self, a, b) -> tuple[int, ...]:
         """The convolution product of two code tuples, as a code tuple."""
@@ -135,10 +115,15 @@ class Algebra:
             raise RuntimeError("inverse verification failed")
         return b
 
+    def keys(self):
+        """All q^|G| code tuples in base-q counting order."""
+        for digits in itertools.product(range(self.field.q), repeat=self.group.order):
+            yield digits[::-1]
+
     def elements(self):
-        """All q^|G| elements; coefficient tuples in base-q counting order."""
-        for digits in itertools.product(self.field.elements(), repeat=self.group.order):
-            yield AlgebraElement(self, digits[::-1])
+        """All q^|G| elements, in the counting order of their keys."""
+        for key in self.keys():
+            yield AlgebraElement(self, key)
 
     def _check(self, other: "AlgebraElement"):
         if other.algebra is not self and other.algebra != self:
@@ -146,66 +131,61 @@ class Algebra:
 
 
 class AlgebraElement:
-    """An element of K[G], one field coefficient per group element."""
+    """An element of K[G], stored as one field code per group element."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra", "_key")
 
-    def __init__(self, algebra: Algebra, coeffs: tuple[FieldElement, ...]):
+    def __init__(self, algebra: Algebra, key: tuple[int, ...]):
         self.algebra = algebra
-        self.coeffs = coeffs
+        self._key = key
 
     def key(self) -> tuple[int, ...]:
         """Hashable coefficient-code tuple, also the counting order key."""
-        return tuple([c.code for c in self.coeffs])
+        return self._key
+
+    @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        """The coefficients as field elements, one per group element."""
+        els = self.algebra.field.elements()
+        return tuple([els[c] for c in self._key])
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.algebra == other.algebra and self.key() == other.key()
+        return self.algebra == other.algebra and self._key == other._key
 
     def __hash__(self):
-        return hash((id(self.algebra.group), self.algebra.field.q, self.key()))
+        return hash((id(self.algebra.group), self.algebra.field.q, self._key))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self._key)
+
+    def _zip(self, op, other):
+        """op on the codes of self and other, coefficient by coefficient."""
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        self.algebra._check(other)
+        return AlgebraElement(self.algebra, tuple(map(op, self._key, other._key)))
 
     def __add__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        self.algebra._check(other)
-        return AlgebraElement(self.algebra,
-                              tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._zip(self.algebra.field.add, other)
 
     def __sub__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        self.algebra._check(other)
-        return AlgebraElement(self.algebra,
-                              tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._zip(self.algebra.field.sub, other)
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, tuple(-a for a in self.coeffs))
+        return AlgebraElement(self.algebra, tuple(map(self.algebra.field.neg, self._key)))
 
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        A = self.algebra
-        A._check(other)
-        table = A.group.table
-        out = [A.field.zero()] * A.group.order
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            row = table[i]
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    k = row[j]
-                    out[k] = out[k] + a * b
-        return AlgebraElement(A, tuple(out))
+        self.algebra._check(other)
+        return AlgebraElement(self.algebra, self.algebra.mul_codes(self._key, other._key))
 
     def scale(self, c: FieldElement) -> "AlgebraElement":
-        self.algebra.field._check(c)
-        return AlgebraElement(self.algebra, tuple(c * a for a in self.coeffs))
+        field = self.algebra.field
+        field._check(c)
+        return AlgebraElement(self.algebra, tuple([field.mul(c.code, a) for a in self._key]))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -224,18 +204,17 @@ class AlgebraElement:
 
     def augmentation(self) -> FieldElement:
         """Coefficient sum; a ring homomorphism onto K."""
-        acc = self.algebra.field.zero()
-        for c in self.coeffs:
-            acc = acc + c
-        return acc
+        field = self.algebra.field
+        return field.element(reduce(field.add, self._key, 0))
 
     def left_mult_matrix(self):
         """Matrix of left multiplication by self on the group-element basis."""
-        return [[self.coeffs[t] for t in idx] for idx in self.algebra._left]
+        coeffs = self.coeffs
+        return [[coeffs[t] for t in idx] for idx in self.algebra._left]
 
     def try_inverse(self):
         """The two-sided inverse, or None.  Non-units are a normal outcome."""
-        inv = self.algebra.inverse_codes(self.key())
+        inv = self.algebra.inverse_codes(self._key)
         return None if inv is None else self.algebra.from_key(inv)
 
     def __str__(self):
@@ -295,21 +274,6 @@ def row_reduce(rows, field: FieldSpec, ncols: int) -> int:
     return rank
 
 
-def solve_linear(matrix, rhs, field: FieldSpec):
-    """Solve M x = b over the field for square nonsingular M; None if singular."""
-    n = len(matrix)
-    rows = [[c.code for c in matrix[i]] + [rhs[i].code] for i in range(n)]
-    if row_reduce(rows, field, n) < n:
-        return None
-    return [field.element(row[n]) for row in rows]
-
-
-def matrix_rank(rows, field: FieldSpec) -> int:
-    """Row rank over the field."""
-    work = [[c.code for c in r] for r in rows]
-    return row_reduce(work, field, len(work[0]) if work else 0)
-
-
 def enumerate_units(algebra: Algebra) -> list[AlgebraElement]:
     """All invertible elements, in coefficient counting order (brute force).
 
@@ -319,8 +283,7 @@ def enumerate_units(algebra: Algebra) -> list[AlgebraElement]:
     """
     paired = set()
     keys = []
-    for digits in itertools.product(range(algebra.field.q), repeat=algebra.group.order):
-        key = digits[::-1]
+    for key in algebra.keys():
         if key in paired:
             keys.append(key)
             continue

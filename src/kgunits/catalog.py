@@ -35,6 +35,8 @@ class CatalogRow:
     method: str  # enumeration | lemma | decomposition | presentation
     method_detail: str
     published: dict | None
+    # sorted (order, count) pairs of U; for unit-group, not in as_dict
+    spectrum: tuple[tuple[int, int], ...] = ()
 
     def as_dict(self) -> dict:
         return {
@@ -154,7 +156,8 @@ def build_row(p: int, k: int, label: str) -> CatalogRow:
     return CatalogRow(field=field.label(), p=p, k=k, group=label,
                       size=algebra.size, decomposition=decomposition,
                       unit_count=units.order, structure=structure,
-                      method=method, method_detail=detail, published=published)
+                      method=method, method_detail=detail, published=published,
+                      spectrum=tuple(sorted(units.unit_order_spectrum().items())))
 
 
 def _build_row_spec(spec: tuple[int, int, str]) -> CatalogRow:

@@ -15,10 +15,9 @@ from .catalog import build_catalog, build_row, verify_catalog
 from .decompose import decompose_abelian
 from .fields import make_field, prime_power_split
 from .groups import group_by_label
-from .isoprobe import compare_unit_groups, scan_minimum_counterexample
+from .isoprobe import scan_minimum_counterexample
 from .presentations import CosetLimitExceeded, DEFAULT_COSET_LIMIT, \
     coset_enumeration, parse_presentation
-from .units import UnitGroup
 
 DEFAULT_BOUND = 1024
 
@@ -94,15 +93,7 @@ def cmd_verify(args) -> int:
 
 def cmd_scan_iso(args) -> int:
     report = scan_minimum_counterexample(args.bound, args.jobs)
-    notes = []
-    for row in report.rows:
-        ga, gb = group_by_label(row.group_a), group_by_label(row.group_b)
-        if ga.is_abelian() or gb.is_abelian():
-            continue
-        p, k = _parse_field(row.field)
-        field = make_field(p, k)
-        notes.append(compare_unit_groups(UnitGroup(Algebra(field, ga)),
-                                         UnitGroup(Algebra(field, gb))))
+    notes = report.notes
     if args.format == "json":
         payload = report.as_dict()
         payload["notes"] = [n.as_dict() for n in notes]
@@ -128,7 +119,7 @@ def cmd_scan_iso(args) -> int:
 def cmd_unit_group(args) -> int:
     algebra = _algebra_for(args.field, args.group)
     row = build_row(algebra.field.p, algebra.field.k, args.group)
-    spectrum = sorted(UnitGroup(algebra).unit_order_spectrum().items())
+    spectrum = row.spectrum
     if args.format == "json":
         payload = row.as_dict()
         payload["spectrum"] = [list(pair) for pair in spectrum]

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .algebra import Algebra, AlgebraElement
-from .fields import (FieldSpec, factor_monic, make_field, poly_divmod,
-                     poly_ext_gcd, poly_mod, poly_mul, prime_power_split,
-                     x_power_minus_one)
+from .fields import (factor_monic, make_field, poly_divmod, poly_ext_gcd,
+                     poly_mul, prime_power_split, x_power_minus_one)
 from .groups import Group
 from .units import AbelianType, primary_partitions
 
@@ -157,10 +156,10 @@ def decompose_abelian(algebra: Algebra) -> SummandList:
         refined = []
         for d in degrees:
             sub = make_field(p, field.k * d)
-            for f, mult in factor_monic(x_power_minus_one(sub, n)):
+            for f, mult in factor_monic(sub, x_power_minus_one(sub, n)):
                 if mult != 1:
                     raise RuntimeError("repeated factor in a coprime cyclotomic split")
-                refined.append(d * f.degree)
+                refined.append(d * (len(f) - 1))
         degrees = refined
     if p_part:
         blocks = tuple(ModularBlock(field.q, d, p_part) for d in degrees)
@@ -206,25 +205,22 @@ def primitive_idempotents(algebra: Algebra) -> tuple[AlgebraElement, ...]:
     if group.order % field.p == 0:
         raise ValueError(f"{algebra.label()} is not semisimple")
     n = group.order
-    gen = group.generators[0][1]
     power_index = [0] * n
-    idx = 0
-    for j in range(1, n):
-        idx = group.mul(idx, gen)
-        power_index[j] = idx
+    for j in range(1, n):  # C1 has no generator and needs none
+        power_index[j] = group.mul(power_index[j - 1], group.generators[0][1])
 
     modulus = x_power_minus_one(field, n)
     out = []
-    for f, _ in factor_monic(modulus):
-        cof = poly_divmod(modulus.coeffs, f.coeffs)[0]
-        g, u, _ = poly_ext_gcd(cof, f.coeffs)
+    for f, _ in factor_monic(field, modulus):
+        cof = poly_divmod(field, modulus, f)[0]
+        g, u, _ = poly_ext_gcd(field, cof, f)
         if len(g) != 1:
             raise RuntimeError("cofactor shares a factor with its complement")
-        e_poly = poly_mod(poly_mul(u, cof), modulus.coeffs)
-        coeffs = [field.zero()] * n
+        e_poly = poly_divmod(field, poly_mul(field, u, cof), modulus)[1]
+        key = [0] * n
         for j, c in enumerate(e_poly):
-            coeffs[power_index[j]] = c
-        out.append(algebra.from_coeffs(coeffs))
+            key[power_index[j]] = c
+        out.append(algebra.from_key(key))
 
     total = algebra.zero()
     for i, e in enumerate(out):
@@ -248,10 +244,10 @@ class DecompositionCertificate:
     idempotents: tuple[AlgebraElement, ...]
 
     def validate(self) -> None:
+        field = self.algebra.field
         degrees = sorted(b.degree for b in self.summands.blocks)
-        factored = sorted(f.degree for f, _ in
-                          factor_monic(x_power_minus_one(self.algebra.field,
-                                                         self.algebra.group.order)))
+        factored = sorted(len(f) - 1 for f, _ in factor_monic(
+            field, x_power_minus_one(field, self.algebra.group.order)))
         if degrees != factored or len(self.idempotents) != len(degrees):
             raise RuntimeError("blocks do not match the factorization")
         basis = [self.algebra.basis_element(i)

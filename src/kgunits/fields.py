@@ -1,23 +1,29 @@
-"""Exact arithmetic in small finite fields F_{p^k}, plus monic polynomial factorization.
+"""Exact arithmetic in small finite fields F_{p^k}, on int codes, plus monic
+polynomial factorization.
 
 A field is fixed by (p, k) and a monic degree-k defining polynomial over F_p.
 ``make_field`` picks the modulus deterministically: the monic irreducible whose
 coefficient tuple (c0, ..., c_{k-1}), read as a base-p integer with c0 least
 significant, is smallest.  For k = 1 that rule yields the polynomial x, so
-prime fields are plain residues.  Elements are residue polynomials of degree
-below k, stored as int coefficient tuples and interned per field, so equality
-and hashing are cheap and arithmetic never mixes fields silently.
+prime fields are plain residues.
 
-Each element's ``code`` is that base-p integer, and ``FieldSpec.add``,
-``sub``, ``neg``, ``mul`` and ``inv`` compute on codes directly.  Prime fields
-use plain ``% p`` and ``pow(a, p - 2, p)``.  A field with k > 1 builds, on
-first use, three code tables of O(q) entries: exp and log to the first
-primitive element in counting order, and the Zech (add-one) logarithm
+Every computation runs on that base-p integer, the element's code:
+``FieldSpec.add``, ``sub``, ``neg``, ``mul`` and ``inv`` take and return codes.
+Prime fields use plain ``% p`` and ``pow(a, p - 2, p)``.  A field with k > 1
+builds, on first use, three code tables of O(q) entries: exp and log to the
+first primitive element in counting order, and the Zech (add-one) logarithm
 Z(n) = log(1 + g^n), so that g^i + g^j = g^(i + Z(j - i)) (Lidl &
 Niederreiter, Finite Fields).  Its sums, products and inverses read these
 tables, with no extended Euclidean inverse; multiplicative orders read the
 log table in every field, so a prime field builds the tables only when asked
-for an order.  No field builds a q x q table.
+for an order.  No field builds a q x q table.  ``FieldElement`` is an
+interned view of one code for display and the public API; its operators
+call the ``FieldSpec`` code operations.
+
+Polynomials are tuples of codes over a given FieldSpec, index = degree.  The
+one polynomial layer (``poly_*``, ``monic_irreducibles``, ``factor_monic``)
+serves both the prime field, for moduli and code tables, and F_q, for the
+factors of x^n - 1 and the CRT idempotents of cyclic group algebras.
 """
 
 from __future__ import annotations
@@ -71,82 +77,6 @@ def prime_power_split(q: int) -> tuple[int, int] | None:
     return (p, k) if q == 1 else None
 
 
-# ---------------------------------------------------------------------------
-# Raw polynomials over F_p: int coefficient tuples, index = degree, no
-# trailing zeros, () is the zero polynomial.  Used for moduli and to build
-# the code tables.
-
-def _rstrip(c: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(c)
-    while n and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
-
-
-def _rmul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _rstrip(tuple(out))
-
-
-def _rdivmod(a: tuple[int, ...], b: tuple[int, ...], p: int):
-    """Divide with remainder; b must have an invertible leading coefficient."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead_inv = pow(b[-1], p - 2, p)
-    rem = list(a)
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return (), _rstrip(a)
-    quo = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = rem[i] % p
-        if c == 0:
-            continue
-        f = (c * lead_inv) % p
-        quo[i - db] = f
-        for j in range(db + 1):
-            rem[i - db + j] = (rem[i - db + j] - f * b[j]) % p
-    return _rstrip(tuple(quo)), _rstrip(tuple(rem))
-
-
-@lru_cache(maxsize=None)
-def _raw_monic_irreducibles(p: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """Monic irreducibles of degree d over F_p as raw tuples, counting order."""
-    found = []
-    lower = [g for dd in range(1, d // 2 + 1) for g in _raw_monic_irreducibles(p, dd)]
-    for code in range(p ** d):
-        c, n = [], code
-        for _ in range(d):
-            c.append(n % p)
-            n //= p
-        cand = tuple(c) + (1,)
-        if d > 1 and all(_rdivmod(cand, g, p)[1] for g in lower):
-            found.append(cand)
-        elif d == 1:
-            found.append(cand)
-    return tuple(found)
-
-
-def _raw_is_irreducible(c: tuple[int, ...], p: int) -> bool:
-    d = len(c) - 1
-    if d < 1:
-        return False
-    for dd in range(1, d // 2 + 1):
-        for g in _raw_monic_irreducibles(p, dd):
-            if not _rdivmod(c, g, p)[1]:
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-
-
 class FieldSpec:
     """The finite field F_{p^k} presented as F_p[t] / (modulus)."""
 
@@ -163,7 +93,7 @@ class FieldSpec:
         if k == 1:
             if modulus != (0, 1):
                 raise ValueError("degree-1 modulus is normalized to x")
-        elif not _raw_is_irreducible(modulus, p):
+        elif not is_irreducible(make_field(p, 1), modulus):
             raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.k = k
@@ -261,9 +191,9 @@ class FieldSpec:
 
     def _poly_mul(self, a: int, b: int) -> int:
         """Product of two codes by polynomial multiplication mod the modulus."""
-        prod = _rmul(_rstrip(self._els[a].coeffs), _rstrip(self._els[b].coeffs), self.p)
-        rem = _rdivmod(prod, self.modulus, self.p)[1]
-        return self._code_of(rem + (0,) * (self.k - len(rem)))
+        prime = make_field(self.p, 1)
+        prod = poly_mul(prime, self._els[a].coeffs, self._els[b].coeffs)
+        return self._code_of(poly_divmod(prime, prod, self.modulus)[1])
 
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -286,6 +216,8 @@ class FieldSpec:
         return exp[log[a] + (self.q - 1) // 2]  # -1 = g^((q-1)/2)
 
     def sub(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return (a - b) % self.p
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
@@ -326,36 +258,24 @@ class FieldElement:
     def __hash__(self):
         return hash((self.spec.p, self.spec.k, self.spec.modulus, self.code))
 
-    def __add__(self, other):
+    def _lift(self, op, other):
+        """op on the codes of self and other, as an element of the field."""
         if not isinstance(other, FieldElement):
             return NotImplemented
-        s = self.spec
-        s._check(other)
-        if s.k == 1:
-            return s._els[(self.code + other.code) % s.p]
-        return s._els[s.add(self.code, other.code)]
+        self.spec._check(other)
+        return self.spec._els[op(self.code, other.code)]
+
+    def __add__(self, other):
+        return self._lift(self.spec.add, other)
 
     def __sub__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        s = self.spec
-        s._check(other)
-        if s.k == 1:
-            return s._els[(self.code - other.code) % s.p]
-        return s._els[s.sub(self.code, other.code)]
+        return self._lift(self.spec.sub, other)
 
     def __neg__(self):
-        s = self.spec
-        return s._els[s.neg(self.code)]
+        return self.spec._els[self.spec.neg(self.code)]
 
     def __mul__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        s = self.spec
-        s._check(other)
-        if s.k == 1:
-            return s._els[(self.code * other.code) % s.p]
-        return s._els[s.mul(self.code, other.code)]
+        return self._lift(self.spec.mul, other)
 
     def __truediv__(self, other):
         if not isinstance(other, FieldElement):
@@ -363,19 +283,16 @@ class FieldElement:
         return self * other.inverse()
 
     def __pow__(self, n: int):
-        s = self.spec
         if n < 0:
             return self.inverse() ** (-n)
-        if s.k == 1:
-            return s._els[pow(self.code, n, s.p)]
-        acc = s._one
-        base = self
+        s = self.spec
+        acc, base = 1, self.code
         while n:
             if n & 1:
-                acc = acc * base
-            base = base * base
+                acc = s.mul(acc, base)
+            base = s.mul(base, base)
             n >>= 1
-        return acc
+        return s._els[acc]
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse; ZeroDivisionError for zero."""
@@ -419,218 +336,136 @@ def make_field(p: int, k: int) -> FieldSpec:
         raise ValueError(f"field size {p ** k} out of supported range (< {SIZE_LIMIT})")
     if k == 1:
         return FieldSpec(p, 1, (0, 1))
-    for code in range(p ** k):
-        c, n = [], code
-        for _ in range(k):
-            c.append(n % p)
-            n //= p
-        cand = tuple(c) + (1,)
-        if _raw_is_irreducible(cand, p):
-            return FieldSpec(p, k, cand)
-    raise RuntimeError("no irreducible modulus found")  # unreachable
+    prime = make_field(p, 1)
+    return FieldSpec(p, k, next(f for f in _monics(p, k) if is_irreducible(prime, f)))
 
 
 # ---------------------------------------------------------------------------
-# Polynomials with FieldElement coefficients.  Tuples, index = degree, no
-# trailing zeros, () = 0.  These carry the factorization work and the CRT
-# idempotent construction for cyclic group algebras.
+# Polynomials over a FieldSpec: tuples of codes, index = degree, no trailing
+# zeros, () = 0.
 
-def poly_strip(c):
+def poly_strip(c) -> tuple[int, ...]:
     n = len(c)
     while n and not c[n - 1]:
         n -= 1
     return tuple(c[:n])
 
 
-def poly_add(a, b):
-    if not a:
-        return poly_strip(b)
-    if not b:
-        return poly_strip(a)
-    zero = a[0].spec.zero()
-    out = itertools.zip_longest(a, b, fillvalue=zero)
-    return poly_strip(tuple(x + y for x, y in out))
+def poly_add(spec: FieldSpec, a, b) -> tuple[int, ...]:
+    return poly_strip([spec.add(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
-def poly_sub(a, b):
-    if not b:
-        return poly_strip(a)
-    if not a:
-        return poly_strip(tuple(-y for y in b))
-    zero = a[0].spec.zero()
-    out = itertools.zip_longest(a, b, fillvalue=zero)
-    return poly_strip(tuple(x - y for x, y in out))
+def poly_sub(spec: FieldSpec, a, b) -> tuple[int, ...]:
+    return poly_strip([spec.sub(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
-def poly_mul(a, b):
+def poly_mul(spec: FieldSpec, a, b) -> tuple[int, ...]:
     if not a or not b:
         return ()
-    zero = a[0].spec.zero()
-    out = [zero] * (len(a) + len(b) - 1)
+    add, mul = spec.add, spec.mul
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return poly_strip(tuple(out))
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = add(out[i + j], mul(ai, bj))
+    return poly_strip(out)
 
 
-def poly_divmod(a, b):
-    """(quotient, remainder); the divisor's leading coefficient must be a unit."""
+def poly_divmod(spec: FieldSpec, a, b):
+    """(quotient, remainder) of a by the nonzero b."""
     b = poly_strip(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    spec = b[-1].spec
-    lead_inv = b[-1].inverse()
-    rem = list(a)
     db = len(b) - 1
     if len(a) - 1 < db:
         return (), poly_strip(a)
-    quo = [spec.zero()] * (len(a) - db)
+    sub, mul = spec.sub, spec.mul
+    lead_inv = spec.inv(b[-1])
+    rem = list(a)
+    quo = [0] * (len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
         c = rem[i]
-        if not c:
-            continue
-        f = c * lead_inv
-        quo[i - db] = f
-        for j in range(db + 1):
-            rem[i - db + j] = rem[i - db + j] - f * b[j]
-    return poly_strip(tuple(quo)), poly_strip(tuple(rem))
+        if c:
+            f = mul(c, lead_inv)
+            quo[i - db] = f
+            for j, bj in enumerate(b):
+                rem[i - db + j] = sub(rem[i - db + j], mul(f, bj))
+    return poly_strip(quo), poly_strip(rem)
 
 
-def poly_mod(a, b):
-    return poly_divmod(a, b)[1]
-
-
-def poly_ext_gcd(a, b):
+def poly_ext_gcd(spec: FieldSpec, a, b):
     """(g, u, v) with u*a + v*b = g and g monic (or zero)."""
-    spec = (a[0] if a else b[0]).spec
-    one = spec.one()
-    r0, s0, t0 = poly_strip(a), (one,), ()
-    r1, s1, t1 = poly_strip(b), (), (one,)
+    r0, s0, t0 = poly_strip(a), (1,), ()
+    r1, s1, t1 = poly_strip(b), (), (1,)
     while r1:
-        quo, rem = poly_divmod(r0, r1)
+        quo, rem = poly_divmod(spec, r0, r1)
         r0, r1 = r1, rem
-        s0, s1 = s1, poly_sub(s0, poly_mul(quo, s1))
-        t0, t1 = t1, poly_sub(t0, poly_mul(quo, t1))
+        s0, s1 = s1, poly_sub(spec, s0, poly_mul(spec, quo, s1))
+        t0, t1 = t1, poly_sub(spec, t0, poly_mul(spec, quo, t1))
     if r0:
-        lead_inv = r0[-1].inverse()
-        scale = (lead_inv,)
-        r0, s0, t0 = poly_mul(r0, scale), poly_mul(s0, scale), poly_mul(t0, scale)
+        scale = (spec.inv(r0[-1]),)
+        r0, s0, t0 = (poly_mul(spec, c, scale) for c in (r0, s0, t0))
     return r0, s0, t0
 
 
-class MonicPoly:
-    """A monic polynomial over a FieldSpec, coefficients ascending by degree."""
-
-    __slots__ = ("spec", "coeffs")
-
-    def __init__(self, spec: FieldSpec, coeffs):
-        coeffs = tuple(coeffs)
-        if not coeffs or coeffs[-1] != spec.one():
-            raise ValueError("polynomial must be monic and nonzero")
-        for c in coeffs:
-            spec._check(c)
-        self.spec = spec
-        self.coeffs = coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other):
-        return (isinstance(other, MonicPoly)
-                and self.spec == other.spec and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.spec, self.coeffs))
-
-    def __mul__(self, other: "MonicPoly") -> "MonicPoly":
-        return MonicPoly(self.spec, poly_mul(self.coeffs, other.coeffs))
-
-    def key(self) -> tuple[int, int]:
-        """(degree, base-q counting integer of the non-leading coefficients)."""
-        code = 0
-        for c in reversed(self.coeffs[:-1]):
-            code = code * self.spec.q + c.code
-        return (self.degree, code)
-
-    def __str__(self):
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            cs = str(c)
-            if "+" in cs:
-                cs = f"({cs})"
-            if i == 0:
-                terms.append(cs)
-            else:
-                var = "x" if i == 1 else f"x^{i}"
-                terms.append(var if cs == "1" else f"{cs}*{var}")
-        return " + ".join(terms) if terms else "0"
-
-    def __repr__(self):
-        return f"MonicPoly({self.spec.label()}, {self})"
-
-
-def x_power_minus_one(spec: FieldSpec, n: int) -> MonicPoly:
+def x_power_minus_one(spec: FieldSpec, n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("exponent must be positive")
-    coeffs = [-spec.one()] + [spec.zero()] * (n - 1) + [spec.one()]
-    return MonicPoly(spec, coeffs)
+    return (spec.neg(1),) + (0,) * (n - 1) + (1,)
+
+
+def _monics(q: int, d: int):
+    """Monic degree-d code tuples in counting order, c0 varying fastest."""
+    for tail in itertools.product(range(q), repeat=d):
+        yield tail[::-1] + (1,)
+
+
+def is_irreducible(spec: FieldSpec, f) -> bool:
+    """Whether the monic f has degree >= 1 and no monic factor of degree <= deg f / 2."""
+    d = len(f) - 1
+    return d >= 1 and all(poly_divmod(spec, f, g)[1] for e in range(1, d // 2 + 1)
+                          for g in monic_irreducibles(spec, e))
 
 
 @lru_cache(maxsize=None)
-def monic_irreducibles(spec: FieldSpec, d: int) -> tuple[MonicPoly, ...]:
+def monic_irreducibles(spec: FieldSpec, d: int) -> tuple[tuple[int, ...], ...]:
     """All monic irreducibles of degree d over spec, in counting order."""
     if d < 1:
         raise ValueError("degree must be positive")
-    lower = [g for dd in range(1, d // 2 + 1) for g in monic_irreducibles(spec, dd)]
-    out = []
-    one = spec.one()
-    for tail in itertools.product(spec.elements(), repeat=d):
-        # product varies the last slot fastest; counting order wants c0 fastest
-        cand = MonicPoly(spec, tail[::-1] + (one,))
-        if d == 1 or all(poly_divmod(cand.coeffs, g.coeffs)[1] for g in lower):
-            out.append(cand)
-    return tuple(out)
+    return tuple(f for f in _monics(spec.q, d) if is_irreducible(spec, f))
 
 
-def factor_monic(f: MonicPoly) -> list[tuple[MonicPoly, int]]:
-    """Irreducible factorization by trial division; factors sorted, with multiplicity."""
-    if f.degree < 1:
-        raise ValueError("cannot factor a constant")
-    spec = f.spec
-    work = f.coeffs
-    found: dict[MonicPoly, int] = {}
+def factor_monic(spec: FieldSpec, f) -> list[tuple[tuple[int, ...], int]]:
+    """Irreducible factorization by trial division, with multiplicities.
 
-    def deg(c):
-        return len(c) - 1
-
+    Factors come in counting order: by degree, then by the non-leading
+    coefficients read as a base-q integer with c0 least significant.
+    """
+    f = tuple(f)
+    if len(f) < 2 or f[-1] != 1:
+        raise ValueError("can only factor a monic polynomial of positive degree")
+    work = f
+    found: dict[tuple[int, ...], int] = {}
     d = 1
-    while 2 * d <= deg(work):
+    while 2 * d <= len(work) - 1:
         for g in monic_irreducibles(spec, d):
-            while True:
-                quo, rem = poly_divmod(work, g.coeffs)
-                if rem:
-                    break
+            quo, rem = poly_divmod(spec, work, g)
+            while not rem:
                 work = quo
                 found[g] = found.get(g, 0) + 1
-            if 2 * d > deg(work):
+                quo, rem = poly_divmod(spec, work, g)
+            if 2 * d > len(work) - 1:
                 break
         d += 1
-    if deg(work) >= 1:
-        last = MonicPoly(spec, work)
-        found[last] = found.get(last, 0) + 1
-    out = sorted(found.items(), key=lambda kv: kv[0].key())
+    if len(work) > 1:
+        found[work] = found.get(work, 0) + 1
+    out = sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0][::-1]))
     # recombination guard: the product of the factors must be f
-    acc = MonicPoly(spec, (spec.one(),))
+    acc: tuple[int, ...] = (1,)
     for g, m in out:
         for _ in range(m):
-            acc = acc * g
+            acc = poly_mul(spec, acc, g)
     if acc != f:
         raise RuntimeError("factorization failed to recombine")  # unreachable
     return out

@@ -8,10 +8,9 @@ isomorphism; invariant equality alone never certifies.
 
 import hashlib
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 
-from .algebra import Algebra, AlgebraElement, matrix_rank, row_reduce, solve_linear
+from .algebra import Algebra, AlgebraElement, row_reduce
 from .decompose import decompose_abelian
 from .fields import prime_power_split
 from .groups import groups_of_order, small_group_isomorphic
@@ -51,37 +50,36 @@ class InvariantBundle:
 
 
 def bundle(algebra: Algebra, units: UnitGroup | None = None) -> InvariantBundle:
-    """All invariants by exhaustive enumeration over the algebra."""
+    """All invariants by exhaustive enumeration over the algebra's code tuples."""
     group = algebra.group
     n = group.order
     if units is None:
         units = UnitGroup(algebra)
+    mul = algebra.mul_codes
     idem = nil = sq0 = 0
     squarings = max(0, (n - 1).bit_length())  # a nilpotent has a^(2^t) = 0 once 2^t >= dim
-    for a in algebra.elements():
-        a2 = a * a
+    for a in algebra.keys():
+        a2 = mul(a, a)
         if a2 == a:
             idem += 1
-        if not a2:
+        if not any(a2):
             sq0 += 1
         s = a if squarings == 0 else a2
         for _ in range(squarings - 1):
-            s = s * s
-        if not s:
+            s = mul(s, s)
+        if not any(s):
             nil += 1
 
     if group.is_abelian():
         center_dim = n
     else:
-        basis = [algebra.basis_element(i) for i in range(n)]
+        # x is central iff x*g - g*x = 0 for every generator g
         gens = [algebra.group_element(name) for name, _ in group.generators]
         rows = []
-        for b in basis:
-            row: list = []
-            for g in gens:
-                row.extend((b * g - g * b).coeffs)
-            rows.append(row)
-        center_dim = n - matrix_rank(rows, algebra.field)
+        for i in range(n):
+            b = algebra.basis_element(i)
+            rows.append([c for g in gens for c in (b * g - g * b).key()])
+        center_dim = n - row_reduce(rows, algebra.field, len(rows[0]))
 
     return InvariantBundle(
         size=algebra.size,
@@ -108,11 +106,7 @@ class IsoWitness:
     images: tuple[AlgebraElement, ...]
 
     def apply(self, a: AlgebraElement) -> AlgebraElement:
-        out = self.images[0].algebra.zero()
-        for c, img in zip(a.coeffs, self.images):
-            if c:
-                out = out + img.scale(c)
-        return out
+        return _combination(a.key(), self.images)
 
     def checksum(self) -> str:
         text = f"{self.source_label}->{self.target_label}|" + "|".join(
@@ -141,26 +135,32 @@ class Inconclusive:
 # ---------------------------------------------------------------------------
 # explicit isomorphism construction
 
+def _combination(codes, vectors) -> AlgebraElement:
+    """sum codes[t] * vectors[t] for field codes and elements of one algebra."""
+    algebra = vectors[0].algebra
+    add, mul = algebra.field.add, algebra.field.mul
+    out = (0,) * algebra.group.order
+    for c, v in zip(codes, vectors):
+        if c:
+            out = tuple([add(x, mul(c, y)) for x, y in zip(out, v.key())])
+    return AlgebraElement(algebra, out)
+
+
 def primitive_idempotents_by_search(algebra: Algebra) -> list[AlgebraElement]:
     """Minimal nonzero idempotents, by exhaustive search (size < 1024)."""
-    nonzero = [e for e in algebra.elements() if e and e * e == e]
-    out = []
-    for e in nonzero:
-        if all(f == e or f * e != f for f in nonzero):
-            out.append(e)
-    return out
+    mul = algebra.mul_codes
+    nonzero = [e for e in algebra.keys() if any(e) and mul(e, e) == e]
+    return [algebra.from_key(e) for e in nonzero
+            if all(f == e or mul(f, e) != f for f in nonzero)]
 
 
 def _block_elements(algebra: Algebra, e: AlgebraElement) -> list[AlgebraElement]:
-    seen = {}
-    for a in algebra.elements():
-        v = a * e
-        seen.setdefault(v.key(), v)
-    return [seen[k] for k in sorted(seen)]
+    mul, ek = algebra.mul_codes, e.key()
+    return [algebra.from_key(k) for k in sorted({mul(a, ek) for a in algebra.keys()})]
 
 
 def _poly_of_element(algebra, e, g, d):
-    """Monic minimal polynomial coefficients (c_0..c_{d-1}) of g over K, degree d.
+    """Monic minimal polynomial codes (c_0..c_{d-1}) of g over K, degree d.
 
     Solves g^d = sum c_t g^t inside the block with identity e, working in
     the ambient coefficient space: one equation per coefficient, columns
@@ -169,27 +169,21 @@ def _poly_of_element(algebra, e, g, d):
     powers = [e]
     for _ in range(d):
         powers.append(powers[-1] * g)
-    field = algebra.field
-    rows = [[power.coeffs[i].code for power in powers]
-            for i in range(algebra.group.order)]
+    rows = [list(col) for col in zip(*(power.key() for power in powers))]
     # the solution is unique only if 1, g, .., g^{d-1} are independent over K
-    if row_reduce(rows, field, d) < d:
+    if row_reduce(rows, algebra.field, d) < d:
         raise RuntimeError("dependent powers below the expected degree")
     if any(row[d] for row in rows[d:]):
         raise RuntimeError("inconsistent minimal polynomial system")
-    return [field.element(row[d]) for row in rows[:d]]
+    return [row[d] for row in rows[:d]]
 
 
 def _eval_poly_in_block(algebra, coeffs, e, h):
     """sum coeffs[t] * h^t - h^d inside the block with identity e."""
-    d = len(coeffs)
-    acc = algebra.zero()
-    power = e
-    for t in range(d):
-        if coeffs[t]:
-            acc = acc + power.scale(coeffs[t])
-        power = power * h
-    return acc - power
+    powers = [e]
+    for _ in coeffs:
+        powers.append(powers[-1] * h)
+    return _combination(list(coeffs) + [algebra.field.neg(1)], powers)
 
 
 def explicit_isomorphism(a: Algebra, b: Algebra) -> IsoWitness:
@@ -253,20 +247,15 @@ def explicit_isomorphism(a: Algebra, b: Algebra) -> IsoWitness:
     if len(basis_a) != n:
         raise RuntimeError("block bases do not span the algebra")
 
-    mat = [[basis_a[j].coeffs[i] for j in range(n)] for i in range(n)]
-    images = []
-    for s in range(n):
-        rhs = [field.one() if i == s else field.zero() for i in range(n)]
-        coords = solve_linear(mat, rhs, field)
-        if coords is None:
-            raise RuntimeError("block basis is singular")
-        img = b.zero()
-        for c, vec in zip(coords, basis_b):
-            if c:
-                img = img + vec.scale(c)
-        images.append(img)
+    # invert the matrix whose columns are basis_a: the image of basis
+    # element s is sum x_j basis_b[j] for the solution x of (basis_a) x = e_s
+    rows = [[v.key()[i] for v in basis_a] + [int(i == s) for s in range(n)]
+            for i in range(n)]
+    if row_reduce(rows, field, n) < n:
+        raise RuntimeError("block basis is singular")
+    images = tuple(_combination([row[n + s] for row in rows], basis_b) for s in range(n))
 
-    witness = IsoWitness(a.label(), b.label(), tuple(images))
+    witness = IsoWitness(a.label(), b.label(), images)
     _verify_witness(a, b, witness)
     return witness
 
@@ -284,8 +273,8 @@ def _verify_witness(a: Algebra, b: Algebra, w: IsoWitness) -> None:
     n = a.group.order
     if len({img.key() for img in w.images}) != n:
         raise RuntimeError("witness images are not independent")
-    rows = [list(img.coeffs) for img in w.images]
-    if matrix_rank(rows, a.field) != n:
+    rows = [list(img.key()) for img in w.images]
+    if row_reduce(rows, a.field, n) != n:
         raise RuntimeError("witness is not bijective")
     if w.apply(a.one()) != b.one():
         raise RuntimeError("witness does not fix the identity")
@@ -400,6 +389,9 @@ class ScanReport:
     inconclusive: tuple[ScanRow, ...]
     pair_count: int
     expected_pair_count: int
+    # unit-group comparisons of the pairs of nonabelian groups, in row
+    # order; the CLI prints them, as_dict leaves them out
+    notes: tuple[UnitGroupComparison, ...] = ()
 
     def headline(self) -> str:
         if self.minimum is None:
@@ -457,15 +449,17 @@ def _sizes_with_pairs(bound: int):
 
 
 def _scan_one_size(args) -> tuple:
+    """(rows, notes) for one size; each algebra's units are built once."""
     size, combos = args
     from .fields import make_field  # local import keeps workers lightweight
-    rows = []
+    rows, notes = [], []
     for q, n in combos:
         p, k = prime_power_split(q)
         field = make_field(p, k)
         groups = groups_of_order(n)
         algebras = {g.label: Algebra(field, g) for g in groups}
-        bundles = {lbl: bundle(alg) for lbl, alg in algebras.items()}
+        units = {lbl: UnitGroup(alg) for lbl, alg in algebras.items()}
+        bundles = {lbl: bundle(alg, units[lbl]) for lbl, alg in algebras.items()}
         for ga, gb in combinations(groups, 2):
             if small_group_isomorphic(ga, gb):
                 continue
@@ -473,7 +467,9 @@ def _scan_one_size(args) -> tuple:
                                             bundles[ga.label], bundles[gb.label])
             rows.append(_verdict_row(size, field.label(), ga.label, gb.label,
                                      verdict))
-    return tuple(rows)
+            if not (ga.is_abelian() or gb.is_abelian()):
+                notes.append(compare_unit_groups(units[ga.label], units[gb.label]))
+    return tuple(rows), tuple(notes)
 
 
 def scan_minimum_counterexample(bound: int = 1024, jobs: int = 1) -> ScanReport:
@@ -489,7 +485,7 @@ def scan_minimum_counterexample(bound: int = 1024, jobs: int = 1) -> ScanReport:
             chunks = list(pool.map(_scan_one_size, work))
     else:
         chunks = [_scan_one_size(item) for item in work]
-    rows = tuple(r for chunk in chunks for r in chunk)
+    rows = tuple(r for chunk_rows, _ in chunks for r in chunk_rows)
 
     expected = 0
     for _, combos in work:
@@ -501,4 +497,5 @@ def scan_minimum_counterexample(bound: int = 1024, jobs: int = 1) -> ScanReport:
     inconclusive = tuple(r for r in rows if r.verdict == "inconclusive")
     return ScanReport(bound=bound, rows=rows, minimum=minimum,
                       inconclusive=inconclusive, pair_count=len(rows),
-                      expected_pair_count=expected)
+                      expected_pair_count=expected,
+                      notes=tuple(n for _, chunk_notes in chunks for n in chunk_notes))

@@ -264,36 +264,18 @@ class UnitGroup:
             self.algebra._check(g)
             if g.key() not in self.index:
                 raise ValueError(f"generator {g} is not a unit of {self.algebra.label()}")
-        seen = {self.algebra.one().key()}
-        frontier = [self.algebra.one()]
+        mul = self.algebra.mul_codes
+        keys = [g.key() for g in gens]
+        frontier = [self.algebra.one().key()]
+        seen = set(frontier)
         while frontier:
             cur = frontier.pop()
-            for g in gens:
-                nxt = cur * g
-                k = nxt.key()
-                if k not in seen:
-                    seen.add(k)
+            for g in keys:
+                nxt = mul(cur, g)
+                if nxt not in seen:
+                    seen.add(nxt)
                     frontier.append(nxt)
         return len(seen)
-
-    def verify_presentation_generators(self, images, relators) -> bool:
-        """Do the images satisfy every relator and generate all of U?
-
-        images: candidate generators, ordered as the presentation's
-        generators; relators: words as tuples of signed 1-based indices.
-        """
-        images = list(images)
-        inverses = []
-        for g in images:
-            inv = g.try_inverse()
-            if inv is None:
-                raise ValueError("presentation generator is not a unit")
-            inverses.append(inv)
-        one = self.algebra.one()
-        for rel in relators:
-            if evaluate_word(rel, images, inverses, one) != one:
-                return False
-        return self.closure(images) == self.order
 
 
 def evaluate_word(word, images, inverses, one: AlgebraElement) -> AlgebraElement:

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from kgunits import algebra as algebra_module
-from kgunits.algebra import (Algebra, enumerate_units, matrix_rank,
-                             p_power_collapse_check, solve_linear)
+from kgunits.algebra import (Algebra, enumerate_units, p_power_collapse_check,
+                             row_reduce)
 from kgunits.catalog import catalog_specs
 from kgunits.fields import make_field
 from kgunits.groups import group_by_label
@@ -101,24 +101,24 @@ def test_left_mult_matrix_represents_multiplication():
             assert tuple(got) == want
 
 
-def test_solve_linear():
+def test_row_reduce_solves_a_square_system():
     spec = make_field(5, 1)
-    f = spec.from_int
-    m = [[f(1), f(2)], [f(3), f(4)]]
-    x = solve_linear(m, [f(1), f(0)], spec)
-    assert x is not None
-    assert (m[0][0] * x[0] + m[0][1] * x[1]) == f(1)
-    assert (m[1][0] * x[0] + m[1][1] * x[1]) == f(0)
-    singular = [[f(1), f(2)], [f(2), f(4)]]
-    assert solve_linear(singular, [f(1), f(0)], spec) is None
+    rows = [[1, 2, 1], [3, 4, 0]]  # x + 2y = 1, 3x + 4y = 0
+    assert row_reduce(rows, spec, 2) == 2
+    x, y = rows[0][2], rows[1][2]
+    assert rows[0][:2] == [1, 0] and rows[1][:2] == [0, 1]
+    assert (x + 2 * y) % 5 == 1 and (3 * x + 4 * y) % 5 == 0
+    singular = [[1, 2, 1], [2, 4, 0]]
+    assert row_reduce(singular, spec, 2) == 1
 
 
-def test_matrix_rank():
+def test_row_reduce_returns_the_rank():
     spec = make_field(2, 1)
-    f = spec.from_int
-    rows = [[f(1), f(0), f(1)], [f(0), f(1), f(1)], [f(1), f(1), f(0)]]
-    assert matrix_rank(rows, spec) == 2
-    assert matrix_rank([[f(0), f(0)]], spec) == 0
+    assert row_reduce([[1, 0, 1], [0, 1, 1], [1, 1, 0]], spec, 3) == 2
+    assert row_reduce([[0, 0]], spec, 2) == 0
+    f4 = make_field(2, 2)  # over F4 the rows (1, t) and (t, t^2) are dependent
+    t, t2 = 2, f4.mul(2, 2)
+    assert row_reduce([[1, t], [t, t2]], f4, 2) == 1
 
 
 def test_p_power_collapse():
@@ -194,6 +194,23 @@ def test_a_wrong_elimination_is_caught_by_the_inverse_check(monkeypatch):
             enumerate_units(_alg(p, k, label))
 
 
+def reference_mul(x, y):
+    """The FieldElement-object convolution that AlgebraElement.__mul__ ran
+    before elements held code tuples, as a coefficient tuple."""
+    alg = x.algebra
+    table = alg.group.table
+    out = [alg.field.zero()] * alg.group.order
+    for i, a in enumerate(x.coeffs):
+        if not a:
+            continue
+        row = table[i]
+        for j, b in enumerate(y.coeffs):
+            if b:
+                k = row[j]
+                out[k] = out[k] + a * b
+    return tuple(out)
+
+
 def test_ring_axioms_on_random_elements_of_every_catalog_algebra():
     rng = random.Random(2009)
     for p, k, label in catalog_specs(1024):
@@ -207,4 +224,5 @@ def test_ring_axioms_on_random_elements_of_every_catalog_algebra():
             assert x * (y + z) == x * y + x * z, (label, x, y, z)
             assert (x + y) * z == x * z + y * z, (label, x, y, z)
             assert x * one == x and one * x == x, (label, x)
-            assert alg.mul_codes(x.key(), y.key()) == (x * y).key(), (label, x, y)
+            assert (x * y).coeffs == reference_mul(x, y), (label, x, y)
+            assert (y * x).coeffs == reference_mul(y, x), (label, x, y)

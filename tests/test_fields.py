@@ -1,12 +1,16 @@
 import random
+from functools import lru_cache
 
 import pytest
 
-from kgunits.fields import (SIZE_LIMIT, FieldSpec, MonicPoly, _rdivmod, _rmul,
-                            _rstrip, factor_monic, is_prime, make_field,
-                            monic_irreducibles, poly_add, poly_divmod,
+from kgunits import decompose as decompose_module
+from kgunits.algebra import Algebra
+from kgunits.catalog import catalog_specs
+from kgunits.fields import (SIZE_LIMIT, FieldSpec, factor_monic, is_prime,
+                            make_field, monic_irreducibles, poly_add,
                             poly_ext_gcd, poly_mul, poly_sub, prime_factors,
                             prime_power_split, x_power_minus_one)
+from kgunits.groups import group_by_label
 
 
 def field_for_size(q: int) -> FieldSpec:
@@ -17,10 +21,11 @@ def field_for_size(q: int) -> FieldSpec:
     return make_field(*pk)
 
 
-def poly_eval(a, x):
-    acc = x.spec.zero()
+def poly_eval(spec, a, x):
+    """The polynomial a (codes) at the code x, by Horner's rule."""
+    acc = 0
     for c in reversed(a):
-        acc = acc * x + c
+        acc = spec.add(spec.mul(acc, x), c)
     return acc
 
 
@@ -108,23 +113,22 @@ def test_inverses_and_orders():
 
 def test_poly_add_sub_empty_operands():
     spec = make_field(3, 1)
-    one = spec.one()
-    assert poly_add((), ()) == ()
-    assert poly_sub((), ()) == ()
-    assert poly_add((), (one,)) == (one,)
-    assert poly_sub((), (one,)) == (-one,)
-    assert poly_sub((one,), ()) == (one,)
+    assert poly_add(spec, (), ()) == ()
+    assert poly_sub(spec, (), ()) == ()
+    assert poly_add(spec, (), (1,)) == (1,)
+    assert poly_sub(spec, (), (1,)) == (2,)
+    assert poly_sub(spec, (1,), ()) == (1,)
+    assert poly_sub(spec, (1, 2), (1, 2)) == ()
 
 
 def test_poly_ext_gcd_bezout():
     spec = make_field(3, 1)
-    f = spec.from_int
-    a = (f(1), f(2), f(0), f(1))       # 1 + 2x + x^3
-    b = (f(2), f(1), f(1))             # 2 + x + x^2
-    g, u, v = poly_ext_gcd(a, b)
-    lhs = poly_add(poly_mul(a, u), poly_mul(b, v))
+    a = (1, 2, 0, 1)       # 1 + 2x + x^3
+    b = (2, 1, 1)          # 2 + x + x^2
+    g, u, v = poly_ext_gcd(spec, a, b)
+    lhs = poly_add(spec, poly_mul(spec, a, u), poly_mul(spec, b, v))
     assert lhs == g
-    assert g[-1] == spec.one()  # monic
+    assert g[-1] == 1  # monic
 
 
 def test_factorization_degree_patterns():
@@ -139,27 +143,29 @@ def test_factorization_degree_patterns():
     ]
     for p, k, n, degrees in cases:
         spec = make_field(p, k)
-        factors = factor_monic(x_power_minus_one(spec, n))
+        factors = factor_monic(spec, x_power_minus_one(spec, n))
         assert all(m == 1 for _, m in factors)
-        assert sorted(f.degree for f, _ in factors) == degrees
+        assert sorted(len(f) - 1 for f, _ in factors) == degrees
 
 
 def test_factorization_with_multiplicity():
     spec = make_field(2, 1)
-    factors = factor_monic(x_power_minus_one(spec, 4))
-    assert len(factors) == 1
-    f, mult = factors[0]
-    assert f.degree == 1 and mult == 4  # (x - 1)^4 in characteristic 2
+    factors = factor_monic(spec, x_power_minus_one(spec, 4))
+    assert factors == [((1, 1), 4)]  # (x - 1)^4 in characteristic 2
+    with pytest.raises(ValueError):
+        factor_monic(spec, (1,))
+    with pytest.raises(ValueError):
+        factor_monic(make_field(3, 1), (1, 2))  # 1 + 2x is not monic
 
 
 def test_factors_multiply_back():
     for p, k, n in ((2, 1, 7), (3, 1, 8), (5, 1, 6), (2, 2, 5)):
         spec = make_field(p, k)
         target = x_power_minus_one(spec, n)
-        product = None
-        for f, mult in factor_monic(target):
+        product = (1,)
+        for f, mult in factor_monic(spec, target):
             for _ in range(mult):
-                product = f if product is None else product * f
+                product = poly_mul(spec, product, f)
         assert product == target
 
 
@@ -174,8 +180,8 @@ def test_monic_irreducible_counts():
 def test_x_power_minus_one_has_root_one():
     spec = make_field(3, 2)
     f = x_power_minus_one(spec, 8)
-    assert f.degree == 8
-    assert not poly_eval(f.coeffs, spec.one())
+    assert len(f) - 1 == 8
+    assert poly_eval(spec, f, 1) == 0
 
 
 def test_frobenius_is_additive():
@@ -188,7 +194,38 @@ def test_frobenius_is_additive():
 # ---------------------------------------------------------------------------
 # the code-level kernel against raw polynomial arithmetic on coefficients
 
+def _raw_strip(c):
+    n = len(c)
+    while n and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
+
+
+def _raw_mul(a, b, p):
+    """Product of coefficient tuples over F_p, with no field object."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return _raw_strip(tuple(out))
+
+
+def _raw_mod(a, b, p):
+    """Remainder of a by the monic b over F_p, with no field object."""
+    rem = list(a)
+    db = len(b) - 1
+    for i in range(len(rem) - 1, db - 1, -1):
+        f = rem[i] % p
+        for j in range(db + 1):
+            rem[i - db + j] = (rem[i - db + j] - f * b[j]) % p
+    return _raw_strip(tuple(rem))
+
+
 def _reference_ops(spec):
+    """Field operations on codes by coefficient arithmetic mod p and mod the
+    modulus: no exp, log or Zech table is read."""
     p, k = spec.p, spec.k
 
     def digits(a):
@@ -207,8 +244,8 @@ def _reference_ops(spec):
         return code(tuple(-x % p for x in digits(a)))
 
     def mul(a, b):
-        prod = _rmul(_rstrip(digits(a)), _rstrip(digits(b)), p)
-        return code(_rdivmod(prod, spec.modulus, p)[1])
+        return code(_raw_mod(_raw_mul(_raw_strip(digits(a)), _raw_strip(digits(b)), p),
+                             spec.modulus, p))
 
     return add, sub, neg, mul
 
@@ -271,3 +308,122 @@ def test_field_tables_stay_linear_in_q():
         spec = make_field(*prime_power_split(q))
         spec.element(2).mult_order()  # builds the tables of a prime field too
         assert all(len(t) <= 2 * q for t in spec._tables()), spec
+
+
+# ---------------------------------------------------------------------------
+# the polynomial layer on codes against the FieldElement layer it replaced
+
+def _ref_strip(c):
+    n = len(c)
+    while n and not c[n - 1]:
+        n -= 1
+    return tuple(c[:n])
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [a[0].spec.zero()] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = out[i + j] + ai * bj
+    return _ref_strip(out)
+
+
+def _ref_divmod(a, b):
+    """poly_divmod over FieldElement coefficients, as it was."""
+    b = _ref_strip(b)
+    spec = b[-1].spec
+    lead_inv = b[-1].inverse()
+    rem = list(a)
+    db = len(b) - 1
+    if len(a) - 1 < db:
+        return (), _ref_strip(a)
+    quo = [spec.zero()] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        f = c * lead_inv
+        quo[i - db] = f
+        for j in range(db + 1):
+            rem[i - db + j] = rem[i - db + j] - f * b[j]
+    return _ref_strip(quo), _ref_strip(rem)
+
+
+@lru_cache(maxsize=None)
+def _ref_monic_irreducibles(spec, d):
+    lower = [g for dd in range(1, d // 2 + 1) for g in _ref_monic_irreducibles(spec, dd)]
+    out = []
+    for code in range(spec.q ** d):
+        tail = []
+        for _ in range(d):
+            tail.append(spec.element(code % spec.q))
+            code //= spec.q
+        cand = tuple(tail) + (spec.one(),)
+        if d == 1 or all(_ref_divmod(cand, g)[1] for g in lower):
+            out.append(cand)
+    return tuple(out)
+
+
+def _ref_factor_monic(coeffs):
+    """factor_monic over FieldElement coefficients, as it was."""
+    spec = coeffs[-1].spec
+    work = coeffs
+    found = {}
+    d = 1
+    while 2 * d <= len(work) - 1:
+        for g in _ref_monic_irreducibles(spec, d):
+            while True:
+                quo, rem = _ref_divmod(work, g)
+                if rem:
+                    break
+                work = quo
+                found[g] = found.get(g, 0) + 1
+            if 2 * d > len(work) - 1:
+                break
+        d += 1
+    if len(work) - 1 >= 1:
+        found[work] = found.get(work, 0) + 1
+
+    def key(g):  # (degree, base-q integer of the non-leading coefficients)
+        code = 0
+        for c in reversed(g[:-1]):
+            code = code * spec.q + c.code
+        return (len(g) - 1, code)
+    out = sorted(found.items(), key=lambda kv: key(kv[0]))
+    acc = (spec.one(),)
+    for g, m in out:
+        for _ in range(m):
+            acc = _ref_mul(acc, g)
+    assert acc == coeffs
+    return out
+
+
+def test_code_factorization_matches_the_field_element_layer_on_the_catalog(monkeypatch):
+    calls = []
+    real = decompose_module.factor_monic
+
+    def recording(spec, f):
+        calls.append((spec, f))
+        return real(spec, f)
+    monkeypatch.setattr(decompose_module, "factor_monic", recording)
+    cyclic_semisimple = 0
+    for p, k, label in catalog_specs(1024):
+        group = group_by_label(label)
+        if not group.is_abelian():
+            continue
+        alg = Algebra(make_field(p, k), group)
+        decompose_module.decompose_abelian(alg)
+        if group.exponent() == group.order and group.order % p:
+            decompose_module.primitive_idempotents(alg)
+            cyclic_semisimple += 1
+    assert cyclic_semisimple == 221
+    seen = set(calls)
+    assert len(seen) == 221
+    for spec, f in sorted(seen, key=lambda c: (c[0].q, c[1])):
+        ref = _ref_factor_monic(tuple(spec.element(c) for c in f))
+        want = [(tuple(c.code for c in g), m) for g, m in ref]
+        assert factor_monic(spec, f) == want, (spec, f)

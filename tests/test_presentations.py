@@ -261,6 +261,27 @@ def test_missing_generator_image_is_an_error():
         certify_unit_group_presentation(u, pres, {"w": u.algebra.one()})
 
 
+def test_certify_steps_on_the_cyclic_unit_group_of_f2c3():
+    # U(F2C3) = C3, generated by the group element x
+    u = _units(2, 1, "C3")
+    x = u.algebra.group_element("x")
+    assert u.order == 3
+    cert = certify_unit_group_presentation(u, parse_presentation("x | x^3"), {"x": x})
+    assert isinstance(cert, Certificate) and cert.order == 3
+    # a relator the image violates
+    ref = certify_unit_group_presentation(u, parse_presentation("x | x^2"), {"x": x})
+    assert isinstance(ref, Refutation) and ref.failed_step == 1
+    assert ref.detail == "relator #1 does not evaluate to 1 on the generators"
+    # relators hold but the image fails to generate
+    ref = certify_unit_group_presentation(u, parse_presentation("x | x^3"),
+                                          {"x": u.algebra.one()})
+    assert isinstance(ref, Refutation) and ref.failed_step == 2
+    assert ref.detail == "generators span 1 of 3 units"
+    with pytest.raises(ValueError, match="generator x is not a unit"):
+        certify_unit_group_presentation(u, parse_presentation("x | x"),
+                                        {"x": u.algebra.zero()})
+
+
 def _reference_coset_enumeration(pres, limit):
     """The row-major HLT kernel that coset_table replaced, with its final check.
 

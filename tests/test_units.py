@@ -195,20 +195,6 @@ def test_exponent_is_lcm_of_spectrum():
         assert u.exponent() == lcm(*u.unit_order_spectrum())
 
 
-def test_verify_presentation_generators():
-    # U(F2C3) = C3, generated by the group element x with relator x^3
-    u = _units(2, 1, "C3")
-    x = u.algebra.group_element("x")
-    assert u.order == 3
-    assert u.verify_presentation_generators([x], [(1, 1, 1)]) is True
-    # a relator the image violates
-    assert u.verify_presentation_generators([x], [(1, 1)]) is False
-    # relators hold but the image fails to generate
-    assert u.verify_presentation_generators([u.algebra.one()], [(1,)]) is False
-    with pytest.raises(ValueError):
-        u.verify_presentation_generators([u.algebra.zero()], [(1,)])
-
-
 def test_structure_string_grammar():
     assert structure_string("abelian", AbelianType.from_cyclic_orders([4, 2])) == "C2 x C4"
     assert structure_string("dihedral", 12) == "D12"
