@@ -5,23 +5,30 @@ of its coefficients' int field codes, one per group element; ``key()``
 returns it.  Every operation runs on those tuples with the FieldSpec code
 operations, and products go through the one convolution ``Algebra.mul_codes``.
 ``AlgebraElement.coeffs`` is a read-only FieldElement view for display and
-the public API.  Inversion goes through the regular representation: the
-left-multiplication matrix of a is solved against the identity vector, so
-unit detection needs no structure theory at all.
+the public API.
+
+``enumerate_units`` decides every unit and its order in one element census,
+by multiplication alone.  Each code tuple x not yet classified, in counting
+order, is walked through x, x^2, ... to its first repeat.  If the repeat is
+1, x is a unit of order o, and every power x^k is a unit of order
+o / gcd(k, o) (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
+2005).  If the repeat is anything else, or the walk reaches a known non-unit,
+every power in the walk is a non-unit: by cancellation a unit's first repeat
+is 1, a unit's powers are units, and a one-sided inverse is two-sided in a
+finite-dimensional algebra.
 
 One routine, ``row_reduce``, does every elimination, on rows of field codes.
-It backs ``AlgebraElement.try_inverse``, ``enumerate_units`` and the linear
-algebra of the isomorphism probe.  An inverse b found by elimination is
-always checked on both sides, a*b = b*a = 1, by ``mul_codes``.
-``enumerate_units`` walks code tuples in counting order and records each
-verified inverse b as a unit as well (the same identity certifies it), so b
-is never eliminated again.
+It backs ``AlgebraElement.try_inverse``, which solves the regular
+representation (the left-multiplication matrix of a against the identity
+vector) and checks the inverse b on both sides, a*b = b*a = 1, by
+``mul_codes``; and it backs the linear algebra of the isomorphism probe.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import reduce
+from math import gcd
 
 from .fields import FieldElement, FieldSpec
 from .groups import Group
@@ -207,11 +214,6 @@ class AlgebraElement:
         field = self.algebra.field
         return field.element(reduce(field.add, self._key, 0))
 
-    def left_mult_matrix(self):
-        """Matrix of left multiplication by self on the group-element basis."""
-        coeffs = self.coeffs
-        return [[coeffs[t] for t in idx] for idx in self.algebra._left]
-
     def try_inverse(self):
         """The two-sided inverse, or None.  Non-units are a normal outcome."""
         inv = self.algebra.inverse_codes(self._key)
@@ -274,24 +276,62 @@ def row_reduce(rows, field: FieldSpec, ncols: int) -> int:
     return rank
 
 
-def enumerate_units(algebra: Algebra) -> list[AlgebraElement]:
-    """All invertible elements, in coefficient counting order (brute force).
+def enumerate_units(algebra: Algebra) -> dict[tuple[int, ...], int]:
+    """Every unit's code tuple, mapped to its multiplicative order, in
+    coefficient counting order: the element census of the module docstring.
 
-    Each element is inverted on its code tuple by Algebra.inverse_codes,
-    which checks the inverse b on both sides; b is then recorded as a unit,
-    certified by the same identity, and is not eliminated again.
+    Raises ValueError if a walk runs past |K[G]| steps, if a walk that met a
+    unit leaves the units, or if an order does not divide |U|.
     """
-    paired = set()
-    keys = []
-    for key in algebra.keys():
-        if key in paired:
-            keys.append(key)
-            continue
-        inv = algebra.inverse_codes(key)
-        if inv is not None:
-            keys.append(key)
-            paired.add(inv)
-    return [algebra.from_key(key) for key in keys]
+    # code tuple -> order of a unit, 0 for a non-unit, -1 while on the current walk
+    known = {algebra._one_key: 1}
+    census = {}
+    for x in algebra.keys():
+        if x not in known:
+            _power_walk(algebra, x, known)
+        if known[x]:
+            census[x] = known[x]
+    n = len(census)
+    for x, o in census.items():
+        if n % o:
+            raise ValueError(f"order {o} of {algebra.from_key(x)} does not divide "
+                             f"|U| = {n}; not a unit?")
+    return census
+
+
+def _power_walk(algebra: Algebra, x, known: dict) -> None:
+    """Walk x, x^2, ... to the first repeat, or to a known non-unit, and
+    record every power in known: if the repeat is 1, x has the order o of
+    the walk and x^k the order o / gcd(k, o); otherwise every power is a
+    non-unit."""
+    mul, one = algebra.mul_codes, algebra._one_key
+    powers = [x]
+    known[x] = -1
+    met_unit = False
+    acc = x
+    while True:
+        if len(powers) == algebra.size:
+            raise ValueError(f"power walk of {algebra.from_key(x)} does not return "
+                             f"to 1 within |K[G]| = {algebra.size} steps")
+        acc = mul(acc, x)
+        if acc == one:
+            o = len(powers) + 1
+            for k, y in enumerate(powers, 1):
+                known[y] = o // gcd(k, o)
+            return
+        status = known.get(acc)
+        if status is None:
+            known[acc] = -1
+        elif status > 0:
+            met_unit = True  # a power is a unit, so x is one
+        else:  # a repeat other than 1, or a known non-unit
+            if met_unit:
+                raise ValueError(f"power walk of {algebra.from_key(x)} meets a unit, "
+                                 f"then leaves the unit list")
+            for y in powers:
+                known[y] = 0
+            return
+        powers.append(acc)
 
 
 def p_power_collapse_check(algebra: Algebra) -> bool:

@@ -1,13 +1,12 @@
 """Unit-group structure: order spectra, abelian invariants, dihedral shapes.
 
-The units come from ``enumerate_units`` on int code tuples (see algebra.py),
-and ``UnitGroup.index`` maps each unit's code tuple to its position.  The
-order spectrum comes from one power walk per cyclic subgroup, also on code
-tuples: a unit u whose order is still unknown is multiplied out through u,
-u^2, ... back to 1 by ``Algebra.mul_codes``, and the orders of all its powers
-follow from ord(u^k) = o / gcd(k, o) (Holt, Eick & O'Brien, Handbook of
-Computational Group Theory, 2005).  A walk that leaves the unit list, runs
-past |U| steps or gives an order not dividing |U| raises ValueError.
+The units and their multiplicative orders come from one call to
+``enumerate_units``, the element census of algebra.py: it maps each unit's
+code tuple to its order, in counting order.  ``UnitGroup.index`` maps each
+unit's code tuple to its position, and the order spectrum is counted from
+the census orders, with no second walk.  The census raises ValueError on a
+walk that runs past |K[G]| steps or leaves the units after meeting one, and
+on an order not dividing |U|.
 
 Abelian invariants are recovered purely from order statistics by
 ``primary_partitions``: for each prime r dividing |U|, the counts N_i of
@@ -19,8 +18,8 @@ here assumes any structure theory of the algebra; it only multiplies units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from math import gcd, lcm
+from functools import cached_property, reduce
+from math import lcm
 
 from .algebra import Algebra, AlgebraElement, enumerate_units
 from .fields import prime_factors
@@ -145,10 +144,15 @@ class UnitGroup:
 
     def __init__(self, algebra: Algebra):
         self.algebra = algebra
-        self.units = tuple(enumerate_units(algebra))
-        self.order = len(self.units)
-        self.index = {u.key(): i for i, u in enumerate(self.units)}
-        self._orders = None
+        census = enumerate_units(algebra)
+        self.order = len(census)
+        self.index = {key: i for i, key in enumerate(census)}
+        self._orders = tuple(census.values())
+
+    @cached_property
+    def units(self) -> tuple[AlgebraElement, ...]:
+        """The units as algebra elements, in counting order, built on first use."""
+        return tuple(map(self.algebra.from_key, self.index))
 
     def __repr__(self):
         return f"UnitGroup({self.algebra.label()}, order={self.order})"
@@ -161,55 +165,9 @@ class UnitGroup:
         # the algebra is commutative, i.e. when G is
         return self.algebra.group.is_abelian()
 
-    def element_order(self, u: AlgebraElement) -> int:
-        """Multiplicative order of one unit, by divisor descent from |U|
-        (Lagrange); also the reference the power walk of _order_list is
-        tested against."""
-        one = self.algebra.one()
-        o = self.order
-        for r in prime_factors(o):
-            while o % r == 0 and u ** (o // r) == one:
-                o //= r
-        if u ** o != one:
-            raise ValueError("element order does not divide the group order; not a unit?")
-        return o
-
     def _order_list(self):
-        """Multiplicative order of every unit, aligned with self.units.
-
-        One power walk per cyclic subgroup, on the code tuples that key
-        self.index in unit order: a unit u whose order is not yet known is
-        multiplied out through u, u^2, ... until the walk returns to 1, each
-        power looked up in self.index, and then every power u^k gets its
-        order o / gcd(k, o) at once.  The walk must stay inside the unit
-        list, end within |U| steps and give an order dividing |U|; anything
-        else raises ValueError.
-        """
-        if self._orders is None:
-            orders: list[int | None] = [None] * self.order
-            mul = self.algebra.mul_codes
-            one = self.algebra.one().key()
-            for i, u in enumerate(self.index):
-                if orders[i] is not None:
-                    continue
-                powers = [i]
-                acc = u
-                while acc != one:
-                    if len(powers) >= self.order:
-                        raise ValueError(f"power walk of {self.units[i]} does not return "
-                                         f"to 1 within |U| = {self.order} steps")
-                    acc = mul(acc, u)
-                    j = self.index.get(acc)
-                    if j is None:
-                        raise ValueError(f"power walk of {self.units[i]} leaves the unit list")
-                    powers.append(j)
-                o = len(powers)
-                if self.order % o:
-                    raise ValueError(f"order {o} of {self.units[i]} does not divide "
-                                     f"|U| = {self.order}; not a unit?")
-                for k, j in enumerate(powers, 1):
-                    orders[j] = o // gcd(k, o)
-            self._orders = tuple(orders)
+        """Multiplicative order of every unit, aligned with self.units, as
+        the element census of enumerate_units found them."""
         return self._orders
 
     def unit_order_spectrum(self) -> dict[int, int]:
@@ -240,21 +198,20 @@ class UnitGroup:
             return (False, None)
         m = self.order // 2
         orders = self._order_list()
-        one = self.algebra.one()
-        for i, r in enumerate(self.units):
+        mul = self.algebra.mul_codes
+        for i, r in enumerate(self.index):
             if orders[i] != m:
                 continue
-            powers = set()
-            acc = one
-            for _ in range(m):
-                acc = acc * r
-                powers.add(acc.key())
-            r_inv = r.try_inverse()
-            for j, s in enumerate(self.units):
-                if orders[j] != 2 or s.key() in powers:
+            powers = [r]
+            while len(powers) < m:
+                powers.append(mul(powers[-1], r))
+            r_inv = powers[-2]  # r^(m-1)
+            in_r = set(powers)
+            for j, s in enumerate(self.index):
+                if orders[j] != 2 or s in in_r:
                     continue
-                if s * r * s == r_inv:
-                    return (True, (r, s))
+                if mul(mul(s, r), s) == r_inv:
+                    return (True, (self.algebra.from_key(r), self.algebra.from_key(s)))
         return (False, None)
 
     def closure(self, gens) -> int:

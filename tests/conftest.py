@@ -17,3 +17,14 @@ def catalog_by_key(catalog_rows):
 @pytest.fixture(scope="session")
 def scan_report():
     return scan_minimum_counterexample(1024)
+
+
+@pytest.fixture
+def faulty_mul(monkeypatch):
+    """faulty_mul(alg, fault): from then on alg.mul_codes(a, b) returns
+    fault(a, b, the true product), for injecting faults into the unit census."""
+    def install(alg, fault):
+        real = alg.mul_codes
+        monkeypatch.setattr(alg, "mul_codes", lambda a, b: fault(a, b, real(a, b)))
+        return alg
+    return install

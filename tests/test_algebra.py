@@ -90,10 +90,18 @@ def test_try_inverse_agrees_with_multiplication():
             assert el * inv == one and inv * el == one
 
 
+def left_mult_matrix(u):
+    """Matrix of left multiplication by u on the group-element basis, over
+    FieldElement objects: entry (i, j) is u[i j^-1]."""
+    g = u.algebra.group
+    return [[u.coeffs[g.mul(i, g.inv(j))] for j in range(g.order)]
+            for i in range(g.order)]
+
+
 def test_left_mult_matrix_represents_multiplication():
     a = _alg(3, 1, "C2")
     for u in list(a.elements())[:12]:
-        m = u.left_mult_matrix()
+        m = left_mult_matrix(u)
         for v in list(a.elements())[:12]:
             want = (u * v).coeffs
             got = [sum((m[i][j] * v.coeffs[j] for j in range(len(m))),
@@ -144,8 +152,8 @@ def reference_solve(a):
     objects on the left-multiplication matrix, or None if a is singular."""
     field, g = a.algebra.field, a.algebra.group
     n = g.order
-    aug = [[a.coeffs[g.mul(i, g.inv(j))] for j in range(n)]
-           + [field.one() if i == g.identity else field.zero()] for i in range(n)]
+    aug = [row + [field.one() if i == g.identity else field.zero()]
+           for i, row in enumerate(left_mult_matrix(a))]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
@@ -175,7 +183,7 @@ def test_unit_kernel_matches_reference_elimination_on_the_catalog():
             b = a.try_inverse()
             assert b is not None and b.coeffs == ref, (label, a)
             assert a * b == one and b * a == one, (label, a)
-        assert [u.key() for u in enumerate_units(alg)] == want, (p, k, label)
+        assert list(enumerate_units(alg)) == want, (p, k, label)
 
 
 def test_a_wrong_elimination_is_caught_by_the_inverse_check(monkeypatch):
@@ -189,9 +197,25 @@ def test_a_wrong_elimination_is_caught_by_the_inverse_check(monkeypatch):
     x = _alg(3, 1, "C4").group_element("x")
     with pytest.raises(RuntimeError, match="inverse verification failed"):
         x.try_inverse()
-    for p, k, label in ((3, 1, "C4"), (5, 1, "C1"), (2, 2, "C2")):
-        with pytest.raises(RuntimeError, match="inverse verification failed"):
-            enumerate_units(_alg(p, k, label))
+
+
+@pytest.mark.parametrize("p,k,label", [(3, 1, "C4"), (5, 1, "C1"), (2, 2, "C2")])
+def test_a_census_walk_that_never_returns_to_one_is_caught(faulty_mul, p, k, label):
+    # products that leave K[G] never repeat, so no walk can end
+    alg = faulty_mul(_alg(p, k, label), lambda a, b, ab: a + b)
+    with pytest.raises(ValueError, match=r"does not return to 1 within \|K\[G\]\| = "
+                                         f"{alg.size} steps"):
+        enumerate_units(alg)
+
+
+def test_a_census_order_not_dividing_the_unit_count_is_caught(faulty_mul):
+    # F2[C4] has 8 units; x^2 * x = 1 gives x the order 3
+    alg = _alg(2, 1, "C4")
+    x, x2 = (alg.group_element(g).key() for g in ("x", "x^2"))
+    one = alg.one().key()
+    faulty_mul(alg, lambda a, b, ab: one if (a, b) == (x2, x) else ab)
+    with pytest.raises(ValueError, match=r"order 3 of x does not divide \|U\| = 8"):
+        enumerate_units(alg)
 
 
 def reference_mul(x, y):

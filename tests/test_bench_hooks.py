@@ -2,11 +2,19 @@
 
 bench/tracing.py patches kgunits by module and attribute path; a renamed
 function would fail only a traced benchmark run.  This loads that file by
-path, in this process, and resolves each of its targets.
+path, in this process, and resolves each of its targets.  It also checks
+that the unit census runs inside the traced enumerate_units, so that
+algebra.enumerate_units_s measures it.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
+
+from kgunits.algebra import Algebra
+from kgunits.fields import make_field
+from kgunits.groups import group_by_label
+from kgunits.units import UnitGroup
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -28,3 +36,26 @@ def test_every_tracing_target_resolves():
     for module, path in targets:
         _, attr, value = tracing.resolve(module, path)
         assert attr == path.rsplit(".", 1)[-1] and callable(value), (module, path)
+
+
+def test_unit_census_runs_under_the_traced_enumerate_units(monkeypatch):
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    name = "algebra.enumerate_units"
+    _, attr, original = tracing.resolve(*tracing.SPAN_TARGETS[name])
+    traced = tracer.span_wrapper(name, original)
+    # as tracing.rebind does: every kgunits module that binds the function
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "kgunits" and getattr(module, attr, None) is original:
+            monkeypatch.setattr(module, attr, traced)
+    alg = Algebra(make_field(2, 1), group_by_label("D8"))
+    units = UnitGroup(alg)
+    assert [span[0] for span in tracer.spans] == [name]
+    assert tracing.span_metrics(tracer.spans)["algebra.enumerate_units_s"] > 0
+    # the orders come out of that call: reading them multiplies nothing
+    real = alg.mul_codes
+    products = []
+    monkeypatch.setattr(alg, "mul_codes", lambda a, b: products.append(1) or real(a, b))
+    assert len(units._order_list()) == units.order == 128
+    assert units.unit_order_spectrum()
+    assert products == []

@@ -1,17 +1,54 @@
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from kgunits.algebra import Algebra
 from kgunits.catalog import catalog_specs
-from kgunits.fields import make_field
+from kgunits.fields import make_field, prime_factors
 from kgunits.groups import group_by_label
 from kgunits.units import (AbelianType, UnitGroup, partition_from_power_counts,
                            structure_string)
 
 
+def _alg(p, k, label):
+    return Algebra(make_field(p, k), group_by_label(label))
+
+
 def _units(p, k, label):
-    return UnitGroup(Algebra(make_field(p, k), group_by_label(label)))
+    return UnitGroup(_alg(p, k, label))
+
+
+def element_order(u, x):
+    """Multiplicative order of the unit x of u, by divisor descent from |U|
+    (Lagrange), on AlgebraElement powers."""
+    one = u.algebra.one()
+    o = u.order
+    for r in prime_factors(o):
+        while o % r == 0 and x ** (o // r) == one:
+            o //= r
+    assert x ** o == one
+    return o
+
+
+def unit_list_power_walk(u):
+    """Per-unit orders by one power walk per cyclic subgroup over the unit
+    list of u: the walk UnitGroup._order_list ran before the element census."""
+    orders = [None] * u.order
+    mul = u.algebra.mul_codes
+    one = u.algebra.one().key()
+    for i, x in enumerate(u.index):
+        if orders[i] is not None:
+            continue
+        powers = [i]
+        acc = x
+        while acc != one:
+            assert len(powers) < u.order
+            acc = mul(acc, x)
+            powers.append(u.index[acc])
+        o = len(powers)
+        for k, j in enumerate(powers, 1):
+            orders[j] = o // gcd(k, o)
+    return tuple(orders)
 
 
 # U(F_{p^k} C_p^n) for every modular elementary abelian case under the size cap
@@ -96,8 +133,8 @@ def test_recognize_dihedral():
     found, witness = u.recognize_dihedral()
     assert found
     r, s = witness
-    assert u.element_order(r) == 6
-    assert u.element_order(s) == 2
+    assert element_order(u, r) == 6
+    assert element_order(u, s) == 2
     assert s * r * s == r.try_inverse()
 
     found, witness = _units(2, 1, "D8").recognize_dihedral()
@@ -116,17 +153,25 @@ def test_element_order_brute_cross_check():
         while acc != one:
             acc = acc * el
             o += 1
-        assert u.element_order(el) == o
+        assert element_order(u, el) == o
 
 
 def test_order_list_matches_divisor_descent():
-    # the power-walk kernel against the per-unit divisor descent it replaced
+    # the census orders against per-unit divisor descent
     specs = catalog_specs(256)
     assert len(specs) == 91
     for p, k, label in specs:
         u = _units(p, k, label)
-        assert u._order_list() == tuple(u.element_order(x) for x in u.units), \
+        assert u._order_list() == tuple(element_order(u, x) for x in u.units), \
             (p, k, label)
+
+
+def test_order_list_matches_the_unit_list_power_walk_on_the_catalog():
+    specs = catalog_specs(1024)
+    assert len(specs) == 243
+    for p, k, label in specs:
+        u = _units(p, k, label)
+        assert u._order_list() == unit_list_power_walk(u), (p, k, label)
 
 
 @pytest.mark.parametrize("p,k,label", [(2, 1, "D8"), (2, 2, "C3"), (3, 1, "C2xC2")])
@@ -143,39 +188,28 @@ def test_order_list_brute_cross_check(p, k, label):
     assert u._order_list() == tuple(brute)
 
 
-def _tampered(u, units):
-    """Replace the unit list of u, as a faulty enumeration would."""
-    u.units = tuple(units)
-    u.order = len(u.units)
-    u.index = {x.key(): i for i, x in enumerate(u.units)}
-    u._orders = None
-
-
-def test_order_list_rejects_a_walk_leaving_the_unit_list():
-    u = _units(2, 1, "C4")
-    one = u.algebra.one()
-    x = u.algebra.group_element("x")  # order 4, so x^2 is dropped below
-    _tampered(u, [one, x])
+def test_order_list_rejects_a_walk_leaving_the_unit_list(faulty_mul):
+    # in F2[C4], y = 1 + x + x^2 has y^2 = x^2, a unit walked before y;
+    # x^2 * y = 0 makes the walk of y leave the units after meeting one
+    alg = _alg(2, 1, "C4")
+    x2 = alg.group_element("x^2").key()
+    y = (alg.one() + alg.group_element("x") + alg.group_element("x^2")).key()
+    faulty_mul(alg, lambda a, b, ab: (0,) * 4 if (a, b) == (x2, y) else ab)
     with pytest.raises(ValueError, match="leaves the unit list"):
-        u._order_list()
+        UnitGroup(alg)
 
 
-def test_order_list_rejects_an_order_not_dividing_the_group_order():
-    u = _units(2, 1, "C4")
-    one = u.algebra.one()
-    x = u.algebra.group_element("x")
-    powers = [one, x, x * x, x * x * x]
-    extra = next(v for v in u.units if v not in powers)
-    _tampered(u, powers + [extra])  # five units, yet x has order 4
-    with pytest.raises(ValueError, match="does not divide"):
-        u._order_list()
+def test_order_list_rejects_an_order_not_dividing_the_group_order(faulty_mul):
+    # U(F5) = {1, 2, 3, 4}; 4 * 2 = 1 walks 2 -> 4 -> 1, so 2 gets the order 3
+    alg = faulty_mul(_alg(5, 1, "C1"), lambda a, b, ab: (1,) if (a, b) == ((4,), (2,)) else ab)
+    with pytest.raises(ValueError, match="order 3 of 2 does not divide"):
+        UnitGroup(alg)
 
 
-def test_order_list_rejects_a_walk_that_never_returns_to_one():
-    u = _units(2, 1, "C2")
-    _tampered(u, [u.algebra.one(), u.algebra.zero()])  # 0 * 0 = 0 forever
+def test_order_list_rejects_a_walk_that_never_returns_to_one(faulty_mul):
+    alg = faulty_mul(_alg(2, 1, "C2"), lambda a, b, ab: a + b)  # never repeats
     with pytest.raises(ValueError, match="does not return to 1"):
-        u._order_list()
+        UnitGroup(alg)
 
 
 def test_closure_sizes():
