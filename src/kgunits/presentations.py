@@ -10,21 +10,35 @@ Coset enumeration is the HLT strategy over the trivial subgroup (Holt, Eick
 & O'Brien, Handbook of Computational Group Theory, 2005, ch. 5): scan and
 fill every relator at every live coset, with coincidences processed through
 a union-find table.  The table is column-major, one list per generator and
-per inverse, so a relator is a tuple of lists and a scan step is
-f = column[f].  Each scan first walks the whole relator; when every entry is
-defined that walk is the complete HLT scan, and only an incomplete one goes
-on to the forward/backward scan and fill.  The finished table is checked
-twice: every column must permute the live cosets, and then every relator,
-applied to all live cosets one run c^e at a time, must fix each of them.
-The enumeration either returns |G| exactly or raises CosetLimitExceeded,
-which callers must treat as "possibly infinite or cap too low", never as an
-order.
+per inverse, so a scan step is f = column[f].  The enumeration reads each
+relator as runs (c, e), column c taken e times.  Each scan first walks the
+whole relator; when every entry is defined that walk is the complete HLT
+scan, and only an incomplete one goes on to the forward/backward scan and
+fill, which still defines and deduces one letter at a time.
+
+A walk of a run c^e with e > 1 that comes back to its start has closed a
+cycle of c, and the enumeration records it once, as a list per generator
+with each coset's position on it.  A later walk of a run from a coset on a
+recorded cycle jumps e places along it, forward for a generator and
+backward for its inverse, and then to the root of the coset it lands on.
+This is sound because the table after a coincidence is a quotient of the
+table before it: a cycle x_0 -> x_1 -> ... closed then still maps each root
+of x_k to the root of x_(k+1), and definitions and deductions only add
+entries.  The root is found without path compression, so the union-find
+array stays exactly as the letter-by-letter HLT leaves it.
+
+The finished table is checked twice, from the table alone: every column
+must permute the live cosets, and then every relator, applied to all live
+cosets one run c^e at a time along cycles rebuilt from the table, must fix
+each of them.  The enumeration either returns |G| exactly or raises
+CosetLimitExceeded, which callers must treat as "possibly infinite or cap
+too low", never as an order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import groupby
+from itertools import accumulate, groupby
 from typing import Mapping
 
 from .units import UnitGroup, evaluate_word
@@ -243,13 +257,16 @@ class FpGroup:
 # ---------------------------------------------------------------------------
 # Todd-Coxeter
 
-def relator_columns(pres: FpGroup) -> list[Word]:
-    """Each relator as a word of coset table columns.
+def relator_columns(pres: FpGroup) -> list[tuple[tuple[int, int], ...]]:
+    """Each relator as runs (c, e) of coset table columns: column c, e times.
 
     Generator s > 0 is column 2(s-1) and its inverse is column 2(s-1)+1, so
-    column c ^ 1 is the inverse of column c.
+    column c ^ 1 is the inverse of column c.  Runs are maximal, so a power
+    a^n is the one run (0, n) however large n is.
     """
-    return [tuple(2 * s - 2 if s > 0 else -2 * s - 1 for s in r) for r in pres.relators]
+    return [tuple((c, sum(1 for _ in run)) for c, run in
+                  groupby(2 * s - 2 if s > 0 else -2 * s - 1 for s in r))
+            for r in pres.relators]
 
 
 def coset_table(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT):
@@ -259,8 +276,14 @@ def coset_table(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT):
     The union-find array has p[i] <= i, and coset i is live iff p[i] == i.
     The table is not checked; coset_enumeration does that.
     """
-    ncols = 2 * len(pres.generator_names)
-    columns: list[list[int | None]] = [[None] for _ in range(ncols)]
+    ngens = len(pres.generator_names)
+    columns: list[list[int | None]] = [[None] for _ in range(2 * ngens)]
+    # records[g] is (cycle_of, pos).  cycle_of[x] is a cycle of generator g
+    # through coset x, closed when it was recorded, as a list with
+    # columns[2g][cycle[k]] == cycle[k + 1] (mod its length), or None;
+    # pos[x] is the position of x on it.  Cosets on a cycle may have died
+    # since; each stands for its root.
+    records = tuple(([None], [0]) for _ in range(ngens))
     p = [0]
     queue: list[int] = []
 
@@ -279,9 +302,13 @@ def coset_table(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT):
                 f"coset cap {limit} exceeded; group is possibly infinite or the cap too low")
         for column in columns:
             column.append(None)
+        for cycle_of, pos in records:
+            cycle_of.append(None)
+            pos.append(0)
         p.append(b)
         columns[c][a] = b
         columns[c ^ 1][b] = a
+        return b
 
     def merge(a: int, b: int):
         a, b = rep(a), rep(b)
@@ -289,6 +316,11 @@ def coset_table(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT):
             a, b = min(a, b), max(a, b)
             p[b] = a
             queue.append(b)
+            # a stands for b from now on, so b's cycles serve a
+            for cycle_of, pos in records:
+                if cycle_of[a] is None and cycle_of[b] is not None:
+                    cycle_of[a] = cycle_of[b]
+                    pos[a] = pos[b]
 
     def coincidence(a: int, b: int):
         merge(a, b)
@@ -309,51 +341,149 @@ def coset_table(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT):
                     column[mu] = nu
                     inverse[nu] = mu
 
-    def scan_and_fill(a: int, word: Word, forward, backward):
-        f, i = a, 0
-        b, j = a, len(word) - 1
+    def walk(f: int, run, n: int):
+        """Follow a column up to n times from live coset f: (coset, steps left).
+
+        run is (column, cycle_of, pos, sign): sign is -1 for an inverse
+        column, which steps backward along its generator's records.  The walk
+        stops early only at an undefined entry.  A coset on a recorded cycle
+        jumps along it, to the root of the coset it lands on, found without
+        path compression so that the union-find array stays as HLT leaves
+        it.  A walk that comes back to f first records the cycle it closed.
+        """
+        column, cycle_of, pos, sign = run
+        cycle = cycle_of[f]
+        if cycle is None:
+            x = f
+            for k in range(n, 0, -1):
+                y = column[x]
+                if y is None:
+                    return x, k
+                if y == f:
+                    break
+                x = y
+            else:
+                return x, 0
+            cycle = [f]
+            x = column[f]
+            while x != f:
+                cycle.append(x)
+                x = column[x]
+            if sign < 0:
+                cycle.reverse()
+            for k, x in enumerate(cycle):
+                cycle_of[x] = cycle
+                pos[x] = k
+        x = cycle[(pos[f] + sign * n) % len(cycle)]
+        while p[x] != x:
+            x = p[x]
+        return x, 0
+
+    def scan_and_fill(a: int, forward, backward):
+        """HLT scan and fill of one relator at a, a run at a time.
+
+        For run r = c^e of the relator, over letters start to end - 1,
+        forward[r] is (column c, end, run, c) and backward[r] is (column
+        c ^ 1, start, inverse run), with runs as walk takes them.  The letter
+        positions i and j, in runs ri and rj, move exactly as in a
+        letter-by-letter scan.
+        """
+        f, i, ri = a, 0, 0
+        b, j, rj = a, forward[-1][1] - 1, len(forward) - 1
         while True:
-            while i <= j and forward[i][f] is not None:
-                f = forward[i][f]
-                i += 1
+            while i <= j:
+                column, end, run, _ = forward[ri]
+                x = column[f]
+                if x is None:
+                    break
+                if end - i == 1:
+                    f = x
+                    i = end
+                    ri += 1
+                    continue
+                n = (end if end <= j else j + 1) - i
+                f, left = walk(f, run, n)
+                i += n - left
+                if left:
+                    break
+                if i == end:
+                    ri += 1
             if i > j:
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and backward[j][b] is not None:
-                b = backward[j][b]
-                j -= 1
+            while j >= i:
+                column, start, run = backward[rj]
+                x = column[b]
+                if x is None:
+                    break
+                if j == start:
+                    b = x
+                    j -= 1
+                    rj -= 1
+                    continue
+                n = j + 1 - (start if start >= i else i)
+                b, left = walk(b, run, n)
+                j -= n - left
+                if left:
+                    break
+                if j < start:
+                    rj -= 1
             if j < i:
                 coincidence(f, b)
                 return
+            column, end, _, c = forward[ri]
             if j == i:
-                forward[i][f] = b
-                backward[i][b] = f
+                column[f] = b
+                backward[ri][0][b] = f
                 return
-            define(f, word[i])
+            # The new coset has no entry for the next letter, which is not
+            # the inverse of this one in a freely reduced word, so the
+            # forward scan takes this one step and stops.
+            f = define(f, c)
+            i += 1
+            if i == end:
+                ri += 1
 
-    # The lists only grow by append, so these tuples of columns stay valid.
-    relators = [(word, tuple(columns[c] for c in word),
-                 tuple(columns[c ^ 1] for c in word))
-                for word in relator_columns(pres) if word]
+    # The lists only grow, so these references to them stay valid.
+    def run_of(c: int):
+        return (columns[c], *records[c >> 1], -1 if c & 1 else 1)
+
+    relators = []
+    for runs in relator_columns(pres):
+        if runs:
+            ends = list(accumulate(e for _, e in runs))
+            # the whole-relator walk steps through a run c^1 and walks c^e
+            steps = tuple((columns[c], None if e == 1 else run_of(c), e) for c, e in runs)
+            forward = tuple((columns[c], end, run_of(c), c)
+                            for (c, _), end in zip(runs, ends))
+            backward = tuple((columns[c ^ 1], end - e, run_of(c ^ 1))
+                             for (c, e), end in zip(runs, ends))
+            relators.append((steps, forward, backward))
     a = 0
     while a < len(p):
         if p[a] != a:
             a += 1
             continue
-        for word, forward, backward in relators:
+        for steps, forward, backward in relators:
             # Whole-relator walk first.  When every entry is defined, this is
             # the complete HLT scan; otherwise scan and fill from a afresh,
             # which costs less than resuming mid-word.
             f = a
-            for column in forward:
-                f = column[f]
-                if f is None:
-                    scan_and_fill(a, word, forward, backward)
+            for column, run, e in steps:
+                if run is None:
+                    f = column[f]
+                    if f is None:
+                        break
+                    continue
+                f, left = walk(f, run, e)
+                if left:
+                    f = None
                     break
-            else:
-                if f != a:
-                    coincidence(f, a)
+            if f is None:
+                scan_and_fill(a, forward, backward)
+            elif f != a:
+                coincidence(f, a)
             if p[a] != a:
                 break
         else:
@@ -364,15 +494,16 @@ def coset_table(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT):
     return columns, p
 
 
-def check_coset_table(columns, p: list[int], words) -> list[int]:
+def check_coset_table(columns, p: list[int], relators) -> list[int]:
     """The live cosets of a finished table, once the table is shown closed.
 
-    First every live entry must be defined, point at a live coset and agree
-    with the inverse column, so each column permutes the live cosets.  Then
-    each relator word, applied to all live cosets at once one run c^e at a
-    time, must fix every live coset.  A run with e > 1 maps each coset to its
-    e-th image along the cycles of column c, which the first check makes
-    well defined.
+    relators are runs as relator_columns gives them.  First every live entry
+    must be defined, point at a live coset and agree with the inverse column,
+    so each column permutes the live cosets.  Then each relator, applied to
+    all live cosets at once one run c^e at a time, must fix every live coset.
+    A run with e > 1 maps each coset to its e-th image along the cycles of
+    column c, which the first check makes well defined; the cycles are
+    rebuilt here from the table, never taken from the enumeration.
     """
     live = [i for i in range(len(p)) if p[i] == i]
     for c, column in enumerate(columns):
@@ -381,11 +512,10 @@ def check_coset_table(columns, p: list[int], words) -> list[int]:
             d = column[i]
             if d is None or p[d] != d or inverse[d] != i:
                 raise RuntimeError("coset table inconsistent after enumeration")
-    for word in words:
+    for runs in relators:
         images = live
-        for c, run in groupby(word):
+        for c, e in runs:
             column = columns[c]
-            e = len(list(run))
             if e > 1:
                 column = _column_power(column, live, e)
             images = [column[i] for i in images]

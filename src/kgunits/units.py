@@ -17,6 +17,7 @@ here assumes any structure theory of the algebra; it only multiplies units.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import lcm
@@ -171,10 +172,13 @@ class UnitGroup:
         return self._orders
 
     def unit_order_spectrum(self) -> dict[int, int]:
-        spec: dict[int, int] = {}
-        for o in self._order_list():
-            spec[o] = spec.get(o, 0) + 1
-        return spec
+        """Element order -> number of units of that order, in a fresh dict."""
+        return dict(self._spectrum)
+
+    @cached_property
+    def _spectrum(self) -> tuple[tuple[int, int], ...]:
+        """The order spectrum as sorted (order, count) pairs, counted once."""
+        return tuple(sorted(Counter(self._order_list()).items()))
 
     def exponent(self) -> int:
         return lcm(*self.unit_order_spectrum())

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -89,6 +90,15 @@ def test_coset_enumeration_known_groups():
     assert coset_enumeration(parse_presentation("x, y | x, y")) == 1
 
 
+def test_relator_columns_are_runs():
+    # x is generator 2 (columns 2, 3) and a generator 1 (columns 0, 1);
+    # x^2 = a^3 is the relator x^2 a^-3
+    pres = parse_presentation("a, x | x^2 = a^3, x^-1*a*x = a^-1")
+    assert relator_columns(pres) == [((2, 2), (1, 3)),
+                                     ((3, 1), (0, 1), (2, 1), (0, 1))]
+    assert relator_columns(parse_presentation("a | a^1500")) == [((0, 1500),)]
+
+
 def test_coset_enumeration_limit():
     # free group of rank 1 is infinite; a tight limit must abort loudly
     with pytest.raises(CosetLimitExceeded):
@@ -110,7 +120,7 @@ def _columns(*cycles_of_x):
 
 
 def test_closing_check_runs_relators_by_cycles():
-    x6 = [(0,) * 6]
+    x6 = [((0, 6),)]
     assert check_coset_table(_columns((0, 1, 2)), [0, 1, 2], x6) == [0, 1, 2]
     assert check_coset_table(_columns((0,), (1, 2), (3, 4, 5)), list(range(6)), x6) \
         == list(range(6))
@@ -122,7 +132,7 @@ def test_closing_check_runs_relators_by_cycles():
 
 def test_closing_check_needs_a_permutation_table():
     inconsistent = "coset table inconsistent after enumeration"
-    x3 = [(0,) * 3]
+    x3 = [((0, 3),)]
     missing = _columns((0, 1, 2))
     missing[0][2] = None
     with pytest.raises(RuntimeError, match=inconsistent):
@@ -204,6 +214,48 @@ def test_dropping_any_single_relator(certified):
                 assert isinstance(mutated, Refutation), (key, i)
                 assert mutated.failed_step == 3
                 assert "refuted at step 3" in mutated.summary()
+
+
+def _free_abelian_rank(pres):
+    """Rank of the presented group's abelianization modulo torsion: the
+    number of generators less the rational rank of the exponent-sum matrix."""
+    n = len(pres.generator_names)
+    rows = [[Fraction(sum((s == g + 1) - (s == -g - 1) for s in r)) for g in range(n)]
+            for r in pres.relators]
+    rank = 0
+    for g in range(n):
+        pivot = next((r for r in rows if r[g]), None)
+        if pivot is not None:
+            rows.remove(pivot)
+            rows = [[x - r[g] / pivot[g] * y for x, y in zip(r, pivot)] for r in rows]
+            rank += 1
+    return n - rank
+
+
+def test_presented_order_is_a_multiple_of_the_generated_subgroup(certified):
+    # The relators of a presentation and of each of its drop_relator
+    # mutations hold on the published generators, so by von Dyck the
+    # presented group maps onto the subgroup they generate: a finite order
+    # is a multiple of the closure, equal to it exactly when the dropped
+    # relator is redundant.  A mutation whose abelianization is infinite
+    # presents an infinite group, and must run into the cap.
+    infinite = 0
+    for key, (u, src, gens, res, order) in certified.items():
+        pres = res.presentation
+        span = u.closure(gens[name] for name in pres.generator_names)
+        assert coset_enumeration(pres) == span == order
+        for i in range(len(pres.relators)):
+            mutated = pres.drop_relator(i)
+            try:
+                n = coset_enumeration(mutated, MUTATION_LIMIT)
+            except CosetLimitExceeded:
+                assert i not in src.redundant, (key, i)
+                infinite += _free_abelian_rank(mutated) > 0
+                continue
+            assert _free_abelian_rank(mutated) == 0, (key, i)
+            assert n % span == 0 and (n == span) == (i in src.redundant), (key, i, n)
+    # F2[D8] without y^2 or a^4, F2[Q8] without a^4 or y^2 = x^2
+    assert infinite == 4
 
 
 def _swap_relator(text, index, old, new):
@@ -397,12 +449,18 @@ def _reference_coset_enumeration(pres, limit):
     return len(live), table, p
 
 
-# The query stream's four families, at sizes up to order about 800.
+# The query stream's four families, at sizes up to order about 3600.  The
+# abelian sizes 30 and 60 are rich in coincidences, so dead cosets hand their
+# cycle records to the survivors; the dicyclic x^2 = a^n is a two-run
+# relator whose run a^-n the scan also walks backward, along column a.  The
+# metacyclic group of order 21 records its a-cycles from a^-7, along the
+# inverse column, and then jumps both ways along them.
 FAMILY_TEXTS = (
     [f"a | a^{n}" for n in (4, 12, 40, 150, 500)]
     + [f"r, s | r^{n}, s^2, (s*r)^2" for n in (4, 10, 36, 120, 400)]
-    + [f"a, x | a^{2 * n}, x^2 = a^{n}, x^-1*a*x = a^-1" for n in (3, 6, 20, 64, 200)]
-    + [f"a, b | a^{n}, b^{n + 4}, a*b = b*a" for n in (3, 6, 13, 25)])
+    + [f"a, x | a^{2 * n}, x^2 = a^{n}, x^-1*a*x = a^-1" for n in (3, 6, 20, 64, 101, 200)]
+    + [f"a, b | a^{n}, b^{n + 4}, a*b = b*a" for n in (3, 6, 13, 25, 30, 60)]
+    + ["a, b | a^-7, b^3, b^-1*a*b = a^2"])
 MUTATION_LIMIT = 4000
 
 

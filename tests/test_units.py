@@ -113,6 +113,19 @@ def test_frozen_unit_order_spectra():
     assert _units(2, 1, "C4xC2").unit_order_spectrum() == {1: 1, 2: 63, 4: 64}
 
 
+def test_spectrum_is_counted_once_and_handed_out_fresh(monkeypatch):
+    u = _units(3, 1, "C4")
+    first = u.unit_order_spectrum()
+    # later calls do not read the orders again
+    monkeypatch.setattr(u, "_order_list", lambda: pytest.fail("orders recounted"))
+    assert u.unit_order_spectrum() == first == {1: 1, 2: 7, 4: 8, 8: 16}
+    first[2] = 0
+    first[99] = 1
+    assert u.unit_order_spectrum() == {1: 1, 2: 7, 4: 8, 8: 16}
+    assert u.unit_order_spectrum() is not u.unit_order_spectrum()
+    assert u.exponent() == 8
+
+
 def test_counts_of_units_of_order_at_most_two():
     def n_le_2(u):
         spec = u.unit_order_spectrum()
