@@ -200,13 +200,14 @@ class AlgebraElement:
             if inv is None:
                 raise ZeroDivisionError("negative power of a non-unit")
             return inv ** (-n)
-        acc = self.algebra.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return self.algebra.one()
+        # binary powering from the top bit: no product by one, no spare square
+        acc = self
+        for bit in bin(n)[3:]:
+            acc = acc * acc
+            if bit == "1":
+                acc = acc * self
         return acc
 
     def augmentation(self) -> FieldElement:

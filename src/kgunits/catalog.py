@@ -19,7 +19,7 @@ from .fields import make_field, prime_power_split
 from .groups import group_by_label, groups_of_order
 from .presentations import Certificate, certify_from_source, coset_enumeration, \
     parse_presentation
-from .units import UnitGroup, structure_string
+from .units import AbelianType, UnitGroup, structure_string
 
 
 @dataclass(frozen=True)
@@ -62,17 +62,10 @@ def parse_structure_order(text: str) -> int | None:
         return int(text[len("unclassified(order="):].rstrip(")"))
     if text.startswith("D") and text[1:].isdigit():
         return int(text[1:])
-    order = 1
     try:
-        for part in text.split(" x "):
-            if "^" in part:
-                base, mult = part.split("^")
-                order *= int(base[1:]) ** int(mult)
-            else:
-                order *= int(part[1:])
+        return AbelianType.parse(text).order()
     except ValueError:
         return None
-    return order
 
 
 def _is_elementary_abelian(group, p: int) -> bool:

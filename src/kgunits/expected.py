@@ -292,8 +292,7 @@ def validate_reference_data() -> None:
         if row.structure is not None and row.structure not in ("C1",) \
                 and not row.structure.startswith("D") \
                 and not row.structure.startswith("presented"):
-            parsed = AbelianType.from_cyclic_orders(
-                _orders_from_render(row.structure))
+            parsed = AbelianType.parse(row.structure)
             if parsed.render() != row.structure:
                 raise RuntimeError(f"structure {row.structure!r} is not canonical")
             if parsed.order() != row.unit_count:
@@ -310,14 +309,3 @@ def validate_reference_data() -> None:
         if m.key is not None and m.kind == "decomposition":
             if ROW_INDEX[m.key].decomposition != m.corrected:
                 raise RuntimeError(f"row {m.key} does not store the corrected value")
-
-
-def _orders_from_render(text: str) -> list[int]:
-    orders: list[int] = []
-    for part in text.split(" x "):
-        if "^" in part:
-            base, mult = part.split("^")
-            orders.extend([int(base[1:])] * int(mult))
-        else:
-            orders.append(int(part[1:]))
-    return orders

@@ -88,12 +88,6 @@ class Group:
         t = self.table
         return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
 
-    def generator_index(self, name: str) -> int:
-        for n, i in self.generators:
-            if n == name:
-                return i
-        raise KeyError(f"no generator named {name!r} in {self.label}")
-
     def __repr__(self):
         return f"Group({self.label}, order={self.order})"
 

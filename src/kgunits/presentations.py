@@ -1,10 +1,12 @@
 """Finitely presented groups: words, a relator grammar, coset enumeration.
 
-Words are tuples of signed 1-based generator indices (negative = inverse).
-Commutators default to the convention [a, b] = a^-1 b^-1 a b, nested
-left-normed, so [a, b, c] = [[a, b], c]; the right-handed convention
-a b a^-1 b^-1 is available because published relator lists do not always
-say which one they mean.
+A word is a tuple of runs (g, e): generator g (1-based) to the power e != 0,
+freely reduced, so two neighbouring runs never share a generator.  A power
+of one run is one run, so a^n costs the same whatever n is.  Commutators
+default to the convention [a, b] = a^-1 b^-1 a b, nested left-normed, so
+[a, b, c] = [[a, b], c]; the right-handed convention a b a^-1 b^-1 is
+available because published relator lists do not always say which one they
+mean.
 
 Coset enumeration is the HLT strategy over the trivial subgroup (Holt, Eick
 & O'Brien, Handbook of Computational Group Theory, 2005, ch. 5): scan and
@@ -38,12 +40,12 @@ too low", never as an order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate, groupby
+from itertools import accumulate
 from typing import Mapping
 
-from .units import UnitGroup, evaluate_word
+from .units import UnitGroup
 
-Word = tuple[int, ...]
+Word = tuple[tuple[int, int], ...]
 
 CONVENTIONS = ("left", "right")
 DEFAULT_COSET_LIMIT = 20000
@@ -57,16 +59,16 @@ class CosetLimitExceeded(RuntimeError):
 # word algebra
 
 def invert_word(w: Word) -> Word:
-    return tuple(-s for s in reversed(w))
+    return tuple((g, -e) for g, e in reversed(w))
 
 
 def free_reduce(w: Word) -> Word:
-    out: list[int] = []
-    for s in w:
-        if out and out[-1] == -s:
-            out.pop()
-        else:
-            out.append(s)
+    out: list[tuple[int, int]] = []
+    for g, e in w:
+        if out and out[-1][0] == g:
+            e += out.pop()[1]
+        if e:
+            out.append((g, e))
     return tuple(out)
 
 
@@ -81,6 +83,9 @@ def commutator_word(u: Word, v: Word, convention: str = "left") -> Word:
 
 
 def power_word(w: Word, n: int) -> Word:
+    if len(w) == 1:
+        (g, e), = w
+        return free_reduce(((g, e * n),))
     if n < 0:
         return power_word(invert_word(w), -n)
     return free_reduce(w * n)
@@ -167,7 +172,7 @@ class _WordParser:
             name = self.take()[1]
             if name not in self.names:
                 raise ValueError(f"unknown generator {name!r}")
-            return (self.names.index(name) + 1,)
+            return ((self.names.index(name) + 1, 1),)
         if kind == "(":
             self.take()
             w = self.expr()
@@ -235,9 +240,11 @@ class FpGroup:
     def __post_init__(self):
         n = len(self.generator_names)
         for rel in self.relators:
+            if not all(isinstance(run, tuple) and len(run) == 2 for run in rel):
+                raise ValueError(f"relator {rel} is not a tuple of runs (generator, exponent)")
             if rel != free_reduce(rel):
                 raise ValueError(f"relator {rel} is not freely reduced")
-            if any(s == 0 or abs(s) > n for s in rel):
+            if any(not 0 < g <= n for g, _ in rel):
                 raise ValueError(f"relator {rel} uses an unknown generator index")
 
     def drop_relator(self, i: int) -> "FpGroup":
@@ -247,9 +254,9 @@ class FpGroup:
     def describe(self) -> str:
         def show(w):
             parts = []
-            for s in w:
-                name = self.generator_names[abs(s) - 1]
-                parts.append(name if s > 0 else f"{name}^-1")
+            for g, e in w:
+                name = self.generator_names[g - 1]
+                parts.append(name if e == 1 else f"{name}^{e}")
             return "*".join(parts) if parts else "1"
         return f"< {', '.join(self.generator_names)} | {', '.join(show(r) for r in self.relators)} >"
 
@@ -260,12 +267,11 @@ class FpGroup:
 def relator_columns(pres: FpGroup) -> list[tuple[tuple[int, int], ...]]:
     """Each relator as runs (c, e) of coset table columns: column c, e times.
 
-    Generator s > 0 is column 2(s-1) and its inverse is column 2(s-1)+1, so
-    column c ^ 1 is the inverse of column c.  Runs are maximal, so a power
-    a^n is the one run (0, n) however large n is.
+    Generator g is column 2(g-1) and its inverse is column 2(g-1)+1, so
+    column c ^ 1 is the inverse of column c.  A run g^e of the relator is the
+    run (c, |e|), so a power a^n is the one run (0, n) however large n is.
     """
-    return [tuple((c, sum(1 for _ in run)) for c, run in
-                  groupby(2 * s - 2 if s > 0 else -2 * s - 1 for s in r))
+    return [tuple((2 * g - 2 if e > 0 else 2 * g - 1, abs(e)) for g, e in r)
             for r in pres.relators]
 
 
@@ -598,7 +604,10 @@ def certify_unit_group_presentation(unit_group: UnitGroup,
         inverses.append(inv)
     one = unit_group.algebra.one()
     for idx, rel in enumerate(pres.relators):
-        if evaluate_word(rel, images, inverses, one) != one:
+        value = one
+        for g, e in rel:
+            value = value * (images[g - 1] if e > 0 else inverses[g - 1]) ** abs(e)
+        if value != one:
             return Refutation(1, f"relator #{idx + 1} does not evaluate to 1 on the generators")
     span = unit_group.closure(images)
     if span != unit_group.order:

@@ -136,6 +136,20 @@ class AbelianType:
                 factors.append(base if mults[e] == 1 else f"{base}^{mults[e]}")
         return " x ".join(factors)
 
+    @classmethod
+    def parse(cls, text: str) -> "AbelianType":
+        """The type a structure string names: cyclic factors Cn or Cn^m joined by ' x '.
+
+        Reads back what render writes; raises ValueError on any other text.
+        """
+        orders: list[int] = []
+        for part in text.split(" x "):
+            base, _, mult = part.partition("^")
+            if not base.startswith("C"):
+                raise ValueError(f"not an abelian structure string: {text!r}")
+            orders += [int(base[1:])] * int(mult or 1)
+        return cls.from_cyclic_orders(orders)
+
     def __str__(self):
         return self.render()
 
@@ -237,14 +251,6 @@ class UnitGroup:
                     seen.add(nxt)
                     frontier.append(nxt)
         return len(seen)
-
-
-def evaluate_word(word, images, inverses, one: AlgebraElement) -> AlgebraElement:
-    """Evaluate a signed-index word: positive s means images[s-1], negative its inverse."""
-    acc = one
-    for s in word:
-        acc = acc * (images[s - 1] if s > 0 else inverses[-s - 1])
-    return acc
 
 
 def structure_string(kind: str, payload) -> str:

@@ -139,9 +139,9 @@ def test_pow_matches_repeated_multiplication():
     a = _alg(2, 1, "C3")
     x = a.group_element("x") + a.one()
     acc = a.one()
-    for n in range(1, 6):
-        acc = acc * x
+    for n in range(9):
         assert x ** n == acc
+        acc = acc * x
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from kgunits.catalog import (build_catalog, build_row, catalog_specs,
                              parse_structure_order, verify_catalog)
+from kgunits.units import AbelianType, primary_partitions
 
 
 def test_row_count_and_order(catalog_rows):
@@ -64,9 +65,15 @@ def test_fixed_rows(catalog_by_key):
 def test_every_row_is_published_and_self_consistent(catalog_rows):
     from kgunits.groups import group_by_label
     for r in catalog_rows:
+        group = group_by_label(r.group)
         assert r.published is not None, (r.field, r.group)
         assert parse_structure_order(r.structure) == r.unit_count, (r.field, r.group)
-        assert r.size == (r.p ** r.k) ** group_by_label(r.group).order
+        if group.is_abelian():
+            # the structure string reads back as the type the spectrum gives
+            t = AbelianType.from_primary(primary_partitions(r.unit_count, dict(r.spectrum)))
+            assert t.render() == r.structure, (r.field, r.group)
+            assert AbelianType.parse(t.render()) == t, (r.field, r.group)
+        assert r.size == (r.p ** r.k) ** group.order
         assert r.size < 1024
         assert json.dumps(r.as_dict())
 

@@ -1,8 +1,10 @@
 import json
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -63,6 +65,23 @@ def test_coset_count_limit(capsys):
     code, out, err = run_cli(capsys, "coset-count", "x, y | x^2", "--limit", "40")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_coset_cap_applies_before_a_power_is_written_out(capsys, monkeypatch):
+    # a^3000000 is one run: memory must not grow with the exponent typed
+    def no_process(*args, **kwargs):
+        raise AssertionError("coset-count started a process")
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "coset-count", "a | a^3000000", "--limit", "10")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("error: coset cap 10 exceeded")
+    assert peak < 2 * 2 ** 20
 
 
 def test_table_text_shape(capsys):

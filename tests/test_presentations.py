@@ -24,27 +24,33 @@ def _units(p, k, label):
     return UnitGroup(Algebra(make_field(p, k), group_by_label(label)))
 
 
+# generators 1, 2, 3 as one-letter words
+A, B, C = ((1, 1),), ((2, 1),), ((3, 1),)
+
+
 def test_word_utilities():
-    assert invert_word((1, 2, -3)) == (3, -2, -1)
-    assert free_reduce((1, -1, 2, 3, -3, -2, 1)) == (1,)
-    assert power_word((1, 2), 2) == (1, 2, 1, 2)
-    assert power_word((1, 2), 0) == ()
-    assert power_word((1,), -2) == (-1, -1)
-    assert commutator_word((1,), (2,), "left") == (-1, -2, 1, 2)
-    assert commutator_word((1,), (2,), "right") == (1, 2, -1, -2)
+    assert invert_word(A + B + ((3, -1),)) == ((3, 1), (2, -1), (1, -1))
+    assert free_reduce(A + ((1, -1),) + B + C + ((3, -1), (2, -1)) + A) == A
+    # neighbouring runs of one generator merge into one run
+    assert free_reduce(((1, 2), (1, -3), (2, 1))) == ((1, -1), (2, 1))
+    assert power_word(A + B, 2) == A + B + A + B
+    assert power_word(A + B, 0) == ()
+    assert power_word(A, -2) == ((1, -2),)
+    assert commutator_word(A, B, "left") == ((1, -1), (2, -1), (1, 1), (2, 1))
+    assert commutator_word(A, B, "right") == ((1, 1), (2, 1), (1, -1), (2, -1))
 
 
 def test_parse_word_forms():
     names = ["x", "y", "v1"]
-    assert parse_word("x*y", names) == (1, 2)
-    assert parse_word("x^3", names) == (1, 1, 1)
-    assert parse_word("x^-2", names) == (-1, -1)
-    assert parse_word("v1*y^-1", names) == (3, -2)
-    assert parse_word("(x*y)^2", names) == (1, 2, 1, 2)
-    assert parse_word("[x,y]", names) == (-1, -2, 1, 2)
+    assert parse_word("x*y", names) == A + B
+    assert parse_word("x^3", names) == ((1, 3),)
+    assert parse_word("x^-2", names) == ((1, -2),)
+    assert parse_word("v1*y^-1", names) == ((3, 1), (2, -1))
+    assert parse_word("(x*y)^2", names) == A + B + A + B
+    assert parse_word("[x,y]", names) == ((1, -1), (2, -1), (1, 1), (2, 1))
     # nested commutators associate left: [a,b,c] = [[a,b],c]
     assert parse_word("[x,y,v1]", names) == free_reduce(
-        commutator_word(commutator_word((1,), (2,)), (3,)))
+        commutator_word(commutator_word(A, B), C))
     assert parse_word("x*x^-1", names) == ()
     with pytest.raises(ValueError):
         parse_word("z", names)
@@ -57,7 +63,7 @@ def test_parse_presentation():
     assert g.generator_names == ("x", "y")
     assert len(g.relators) == 3
     # an equation R = S becomes the relator R*S^-1
-    assert g.relators[2] == free_reduce((2, 1, 2, -1, -1))
+    assert g.relators[2] == free_reduce(B + A + B + ((1, -2),))
     with pytest.raises(ValueError):
         parse_presentation("x^2, y^2")
     with pytest.raises(ValueError):
@@ -67,18 +73,21 @@ def test_parse_presentation():
 
 
 def test_fp_group_validation_and_helpers():
-    g = FpGroup(("a", "b"), ((1, 1), (2, 2)))
-    assert g.drop_relator(0).relators == ((2, 2),)
-    assert "a*a" in g.describe()
+    g = FpGroup(("a", "b"), (((1, 2),), ((2, 2),)))
+    assert g.drop_relator(0).relators == (((2, 2),),)
+    assert "a^2" in g.describe()
     with pytest.raises(ValueError):
-        FpGroup(("a",), ((1, -1),))
+        FpGroup(("a",), (((1, 1), (1, -1)),))
     with pytest.raises(ValueError):
-        FpGroup(("a",), ((2,),))
+        FpGroup(("a",), (((2, 1),),))
+    # flat letter words are not runs
+    with pytest.raises(ValueError, match="not a tuple of runs"):
+        FpGroup(("a", "b"), ((1, 1), (2, 2)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 29, 64])
 def test_coset_enumeration_cyclic(n):
-    g = FpGroup(("x",), (tuple([1] * n),))
+    g = FpGroup(("x",), (((1, n),),))
     assert coset_enumeration(g) == n
 
 
@@ -102,7 +111,7 @@ def test_relator_columns_are_runs():
 def test_coset_enumeration_limit():
     # free group of rank 1 is infinite; a tight limit must abort loudly
     with pytest.raises(CosetLimitExceeded):
-        coset_enumeration(FpGroup(("x", "y"), ((1, 1),)), limit=50)
+        coset_enumeration(FpGroup(("x", "y"), (((1, 2),),)), limit=50)
 
 
 def _columns(*cycles_of_x):
@@ -220,7 +229,7 @@ def _free_abelian_rank(pres):
     """Rank of the presented group's abelianization modulo torsion: the
     number of generators less the rational rank of the exponent-sum matrix."""
     n = len(pres.generator_names)
-    rows = [[Fraction(sum((s == g + 1) - (s == -g - 1) for s in r)) for g in range(n)]
+    rows = [[Fraction(sum(e for h, e in r if h == g + 1)) for g in range(n)]
             for r in pres.relators]
     rank = 0
     for g in range(n):
@@ -341,10 +350,9 @@ def _reference_coset_enumeration(pres, limit):
     """
     ncols = 2 * len(pres.generator_names)
 
-    def col(s):
-        return 2 * (s - 1) if s > 0 else 2 * (-s - 1) + 1
-
-    rel_cols = [tuple(col(s) for s in r) for r in pres.relators]
+    # each relator written out letter by letter, a run g^e as |e| letters
+    rel_cols = [tuple(2 * g - 2 if e > 0 else 2 * g - 1 for g, e in r for _ in range(abs(e)))
+                for r in pres.relators]
     table = [[None] * ncols]
     p = [0]
     queue = []
