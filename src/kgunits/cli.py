@@ -4,9 +4,14 @@ Commands: table, verify, scan-iso, unit-group, decompose, coset-count.
 Text output is aligned for reading; --format json emits one deterministic
 JSON document per run (sorted keys, fixed indentation), suitable for golden
 files and scripting.  Errors print to stderr and exit with status 2.
+
+The argument parser is built on the first ``main`` call, not at import, and
+reused for every later call in the process; parsing keeps no state between
+calls, so ``main`` is safe to call repeatedly in-process.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -16,8 +21,8 @@ from .decompose import decompose_abelian
 from .fields import make_field, prime_power_split
 from .groups import group_by_label
 from .isoprobe import scan_minimum_counterexample
-from .presentations import CosetLimitExceeded, DEFAULT_COSET_LIMIT, \
-    coset_enumeration, parse_presentation
+from .presentations import DEFAULT_COSET_LIMIT, coset_enumeration, \
+    parse_presentation
 
 DEFAULT_BOUND = 1024
 
@@ -175,6 +180,7 @@ def _int_in_range(low: int, high: int | None = None, why: str = ""):
     return parse
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kgunits",
@@ -238,11 +244,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CosetLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (KeyError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message as a repr
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -16,9 +16,13 @@ Z(n) = log(1 + g^n), so that g^i + g^j = g^(i + Z(j - i)) (Lidl &
 Niederreiter, Finite Fields).  Its sums, products and inverses read these
 tables, with no extended Euclidean inverse; multiplicative orders read the
 log table in every field, so a prime field builds the tables only when asked
-for an order.  No field builds a q x q table.  ``FieldElement`` is an
-interned view of one code for display and the public API; its operators
-call the ``FieldSpec`` code operations.
+for an order.  No field builds a q x q table.  The tables are built from
+codes alone: a product while they are built multiplies the base-p digits of
+two codes as polynomials mod the modulus.  ``FieldElement`` is an interned
+view of one code for display and the public API; its operators call the
+``FieldSpec`` code operations.  A field builds its q views on first use
+(``elements``, ``element``, ``zero``, ``one``, ``from_coeffs``,
+``from_int``), so a computation on codes alone never creates one.
 
 Polynomials are tuples of codes over a given FieldSpec, index = degree.  The
 one polynomial layer (``poly_*``, ``monic_irreducibles``, ``factor_monic``)
@@ -80,7 +84,7 @@ def prime_power_split(q: int) -> tuple[int, int] | None:
 class FieldSpec:
     """The finite field F_{p^k} presented as F_p[t] / (modulus)."""
 
-    __slots__ = ("p", "k", "q", "modulus", "_els", "_zero", "_one", "_tabs")
+    __slots__ = ("p", "k", "q", "modulus", "_els", "_tabs")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         if not is_prime(p):
@@ -100,16 +104,7 @@ class FieldSpec:
         self.q = p ** k
         self.modulus = modulus
         self._tabs = None
-        els = []
-        for code in range(self.q):
-            c, n = [], code
-            for _ in range(k):
-                c.append(n % p)
-                n //= p
-            els.append(FieldElement(self, tuple(c), code))
-        self._els = tuple(els)
-        self._zero = els[0]
-        self._one = els[1]
+        self._els = None
 
     # -- basics
 
@@ -127,27 +122,39 @@ class FieldSpec:
         return f"F{self.q}"
 
     def zero(self) -> "FieldElement":
-        return self._zero
+        return self.elements()[0]
 
     def one(self) -> "FieldElement":
-        return self._one
+        return self.elements()[1]
 
     def elements(self) -> tuple["FieldElement", ...]:
-        """All q elements in base-p counting order of the coefficient tuple."""
+        """All q elements in base-p counting order of the coefficient tuple,
+        built on first use and interned from then on."""
+        if self._els is None:
+            self._els = tuple(FieldElement(self, self._digits(code), code)
+                              for code in range(self.q))
         return self._els
 
     def element(self, code: int) -> "FieldElement":
-        return self._els[code]
+        return self.elements()[code]
 
     def from_coeffs(self, coeffs) -> "FieldElement":
         coeffs = tuple(int(c) % self.p for c in coeffs)
         if len(coeffs) != self.k:
             raise ValueError(f"need {self.k} coefficients, got {len(coeffs)}")
-        return self._els[self._code_of(coeffs)]
+        return self.element(self._code_of(coeffs))
 
     def from_int(self, n: int) -> "FieldElement":
         """The image of the integer n under Z -> F_p -> F_{p^k}."""
-        return self._els[n % self.p]
+        return self.element(n % self.p)
+
+    def _digits(self, code: int) -> tuple[int, ...]:
+        """The base-p digits of a code, c0 first: its coefficient tuple."""
+        out = []
+        for _ in range(self.k):
+            code, c = divmod(code, self.p)
+            out.append(c)
+        return tuple(out)
 
     def _code_of(self, coeffs: tuple[int, ...]) -> int:
         code = 0
@@ -192,7 +199,7 @@ class FieldSpec:
     def _poly_mul(self, a: int, b: int) -> int:
         """Product of two codes by polynomial multiplication mod the modulus."""
         prime = make_field(self.p, 1)
-        prod = poly_mul(prime, self._els[a].coeffs, self._els[b].coeffs)
+        prod = poly_mul(prime, self._digits(a), self._digits(b))
         return self._code_of(poly_divmod(prime, prod, self.modulus)[1])
 
     def add(self, a: int, b: int) -> int:
@@ -263,7 +270,7 @@ class FieldElement:
         if not isinstance(other, FieldElement):
             return NotImplemented
         self.spec._check(other)
-        return self.spec._els[op(self.code, other.code)]
+        return self.spec.element(op(self.code, other.code))
 
     def __add__(self, other):
         return self._lift(self.spec.add, other)
@@ -272,7 +279,7 @@ class FieldElement:
         return self._lift(self.spec.sub, other)
 
     def __neg__(self):
-        return self.spec._els[self.spec.neg(self.code)]
+        return self.spec.element(self.spec.neg(self.code))
 
     def __mul__(self, other):
         return self._lift(self.spec.mul, other)
@@ -292,11 +299,11 @@ class FieldElement:
                 acc = s.mul(acc, base)
             base = s.mul(base, base)
             n >>= 1
-        return s._els[acc]
+        return s.element(acc)
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse; ZeroDivisionError for zero."""
-        return self.spec._els[self.spec.inv(self.code)]
+        return self.spec.element(self.spec.inv(self.code))
 
     def mult_order(self) -> int:
         """Least n >= 1 with self**n == 1; divides q - 1."""

@@ -2,7 +2,8 @@
 
 A word is a tuple of runs (g, e): generator g (1-based) to the power e != 0,
 freely reduced, so two neighbouring runs never share a generator.  A power
-of one run is one run, so a^n costs the same whatever n is.  Commutators
+of one run is one run, so a^n costs the same whatever n is, and a power of
+a conjugate u c u^-1 is u c^n u^-1, so (x y x^-1)^n is three runs.  Commutators
 default to the convention [a, b] = a^-1 b^-1 a b, nested left-normed, so
 [a, b, c] = [[a, b], c]; the right-handed convention a b a^-1 b^-1 is
 available because published relator lists do not always say which one they
@@ -83,12 +84,27 @@ def commutator_word(u: Word, v: Word, convention: str = "left") -> Word:
 
 
 def power_word(w: Word, n: int) -> Word:
-    if len(w) == 1:
-        (g, e), = w
-        return free_reduce(((g, e * n),))
+    """w^n freely reduced, as u c^n u^-1 from w = u c u^-1 with c cyclically
+    reduced: a conjugate of one run stays three runs whatever n is, and only
+    a core c of two or more runs is written out |n| times.
+    """
+    core = list(free_reduce(w))
+    u: list[tuple[int, int]] = []
+    while len(core) > 1 and core[0][0] == core[-1][0]:
+        (g, e), (_, f) = core[0], core.pop()
+        u.append((g, -f))
+        if e + f:
+            core[0] = (g, e + f)  # g^e ... g^f = g^-f (g^(e+f) ...) g^f
+        else:
+            del core[0]
     if n < 0:
-        return power_word(invert_word(w), -n)
-    return free_reduce(w * n)
+        core, n = list(invert_word(core)), -n
+    if len(core) == 1:
+        (g, e), = core
+        power = ((g, e * n),)
+    else:
+        power = tuple(core) * n
+    return free_reduce(tuple(u) + power + invert_word(u))
 
 
 # ---------------------------------------------------------------------------

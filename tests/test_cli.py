@@ -67,21 +67,33 @@ def test_coset_count_limit(capsys):
     assert err.startswith("error:")
 
 
-def test_coset_cap_applies_before_a_power_is_written_out(capsys, monkeypatch):
-    # a^3000000 is one run: memory must not grow with the exponent typed
+def _assert_capped_in_little_memory(capsys, monkeypatch, presentation):
+    """coset-count of the presentation under --limit 10 exits 2 in-process,
+    starts no process, and peaks below 2 MiB of traced memory."""
     def no_process(*args, **kwargs):
         raise AssertionError("coset-count started a process")
     monkeypatch.setattr(subprocess, "Popen", no_process)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
     tracemalloc.start()
     try:
-        code, out, err = run_cli(capsys, "coset-count", "a | a^3000000", "--limit", "10")
+        code, out, err = run_cli(capsys, "coset-count", presentation, "--limit", "10")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 2 and out == ""
     assert err.startswith("error: coset cap 10 exceeded")
     assert peak < 2 * 2 ** 20
+
+
+def test_coset_cap_applies_before_a_power_is_written_out(capsys, monkeypatch):
+    # a^3000000 is one run: memory must not grow with the exponent typed
+    _assert_capped_in_little_memory(capsys, monkeypatch, "a | a^3000000")
+
+
+def test_a_conjugate_power_is_not_written_out(capsys, monkeypatch):
+    # (x y x^-1)^3000000 reduces to the three runs x y^3000000 x^-1
+    _assert_capped_in_little_memory(capsys, monkeypatch,
+                                    "x, y | (x*y*x^-1)^3000000")
 
 
 def test_table_text_shape(capsys):
@@ -147,6 +159,12 @@ def test_error_paths_exit_2(capsys, argv):
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
+
+
+def test_unknown_label_message_is_not_quoted(capsys):
+    code, out, err = run_cli(capsys, "unit-group", "F2", "X")
+    assert code == 2 and out == ""
+    assert err == "error: unknown group label 'X'\n"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -238,3 +256,27 @@ def test_installed_script(capsys, tmp_path):
     assert bad.returncode == 2
     assert bad.stderr.startswith(b"error:")
     assert bad.stdout == b""
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    """main reuses one parser per process; each call in a row prints what
+    the same command prints in a fresh process."""
+    assert cli._build_parser() is cli._build_parser()
+    package_root = str(Path(kgunits.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    calls = [
+        (("coset-count", "a | a^5", "--limit", "3"), 2),
+        (("coset-count", "a | a^5"), 0),
+        (("unit-group", "F4", "C4", "--format", "json"), 0),
+        (("unit-group", "F4", "C4"), 0),
+    ]
+    for argv, expected_code in calls:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == expected_code
+        fresh = subprocess.run([sys.executable, "-m", "kgunits", *argv],
+                               capture_output=True, cwd=tmp_path, env=env,
+                               timeout=120)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == \
+            (code, out.encode(), err.encode())
+    assert run_cli(capsys, "coset-count", "a | a^5")[1] == "5\n"

@@ -6,11 +6,15 @@ import pytest
 from kgunits import decompose as decompose_module
 from kgunits.algebra import Algebra
 from kgunits.catalog import catalog_specs
-from kgunits.fields import (SIZE_LIMIT, FieldSpec, factor_monic, is_prime,
-                            make_field, monic_irreducibles, poly_add,
+from kgunits.fields import (SIZE_LIMIT, FieldElement, FieldSpec,
+                            factor_monic, is_prime, make_field,
+                            monic_irreducibles, poly_add, poly_divmod,
                             poly_ext_gcd, poly_mul, poly_sub, prime_factors,
                             prime_power_split, x_power_minus_one)
 from kgunits.groups import group_by_label
+from kgunits.units import UnitGroup
+
+FIELD_SIZES = [q for q in range(2, SIZE_LIMIT) if prime_power_split(q)]
 
 
 def field_for_size(q: int) -> FieldSpec:
@@ -273,9 +277,8 @@ def _check_single(spec, ref, a):
 
 def test_code_kernel_matches_raw_polynomials_for_every_field():
     rng = random.Random(20091)
-    sizes = [q for q in range(2, SIZE_LIMIT) if prime_power_split(q)]
-    assert len(sizes) == 197  # 172 primes and 25 higher prime powers
-    for q in sizes:
+    assert len(FIELD_SIZES) == 197  # 172 primes and 25 higher prime powers
+    for q in FIELD_SIZES:
         spec = make_field(*prime_power_split(q))
         ref = _reference_ops(spec)
         minus_one = spec.from_int(-1).code
@@ -308,6 +311,78 @@ def test_field_tables_stay_linear_in_q():
         spec = make_field(*prime_power_split(q))
         spec.element(2).mult_order()  # builds the tables of a prime field too
         assert all(len(t) <= 2 * q for t in spec._tables()), spec
+
+
+def _reference_tables(spec):
+    """(exp, log, zech) as they were built over FieldElement coefficients:
+    powers of each candidate g by poly_mul and poly_divmod on .coeffs."""
+    prime = make_field(spec.p, 1)
+
+    def code(coeffs):
+        return spec.from_coeffs(coeffs + (0,) * (spec.k - len(coeffs))).code
+
+    def mul(a, b):
+        prod = poly_mul(prime, spec.element(a).coeffs, spec.element(b).coeffs)
+        return code(poly_divmod(prime, prod, spec.modulus)[1])
+
+    for g in range(1, spec.q):
+        powers = [1]
+        cur = g
+        while cur != 1:
+            powers.append(cur)
+            cur = mul(cur, g)
+        if len(powers) == spec.q - 1:
+            break
+    log = [None] * spec.q
+    for t, c in enumerate(powers):
+        log[c] = t
+    zech = []
+    for c in powers:
+        c0, *rest = spec.element(c).coeffs
+        zech.append(log[code(((c0 + 1) % spec.p, *rest))])
+    return powers + powers, log, zech
+
+
+def test_code_tables_match_the_field_element_walk():
+    sizes = [q for q in FIELD_SIZES if prime_power_split(q)[1] > 1]
+    assert len(sizes) == 25
+    for q in sizes + [2, 3, 5, 31, 1021]:
+        spec = make_field(*prime_power_split(q))
+        assert spec._tables() == _reference_tables(spec), spec
+
+
+def test_fields_and_code_census_build_no_field_element(monkeypatch):
+    built = []
+    real_init = FieldElement.__init__
+
+    def counting(self, spec, coeffs, code):
+        built.append((spec, code))
+        real_init(self, spec, coeffs, code)
+    monkeypatch.setattr(FieldElement, "__init__", counting)
+    fresh = make_field.__wrapped__  # a new FieldSpec, not the cached one
+    for q in FIELD_SIZES:
+        spec = fresh(*prime_power_split(q))
+        if spec.k > 1:
+            spec._tables()
+    for p, k in ((1021, 1), (3, 6), (2, 9)):
+        units = UnitGroup(Algebra(fresh(p, k), group_by_label("C1")))
+        assert units.order == p ** k - 1
+    assert built == []
+    spec = fresh(2, 3)
+    spec.one()
+    assert len(built) == spec.q  # the first use builds all q views at once
+
+
+def test_elements_are_built_once_and_interned():
+    spec = make_field.__wrapped__(3, 2)
+    els = spec.elements()
+    assert spec.elements() is els
+    assert [e.code for e in els] == list(range(9))
+    assert spec.zero() is els[0] and spec.one() is els[1]
+    assert all(spec.element(c) is e for c, e in enumerate(els))
+    assert spec.from_coeffs((1, 2)) is els[7] and spec.from_int(-1) is els[2]
+    assert els[3] * els[4] is els[spec.mul(3, 4)]
+    assert els[3] + els[4] is els[spec.add(3, 4)]
 
 
 # ---------------------------------------------------------------------------

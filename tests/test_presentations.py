@@ -38,6 +38,21 @@ def test_word_utilities():
     assert power_word(A, -2) == ((1, -2),)
     assert commutator_word(A, B, "left") == ((1, -1), (2, -1), (1, 1), (2, 1))
     assert commutator_word(A, B, "right") == ((1, 1), (2, 1), (1, -1), (2, -1))
+    # a conjugate power keeps the conjugator and powers the cyclic core
+    assert power_word(A + B + ((1, -1),), 3000000) == A + ((2, 3000000), (1, -1))
+    # a^2 b a^-1 = a (a b) a^-1, so its -2nd power is a b^-1 a^-1 b^-1 a^-2
+    assert power_word(((1, 2), (2, 1), (1, -1)), -2) == \
+        ((1, 1), (2, -1), (1, -1), (2, -1), (1, -2))
+
+
+def test_power_word_matches_the_written_out_power():
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        w = tuple((rng.randint(1, 3), rng.choice((-3, -2, -1, 1, 2, 3)))
+                  for _ in range(rng.randint(0, 8)))
+        n = rng.randint(-6, 6)
+        written_out = w * n if n >= 0 else invert_word(w) * -n
+        assert power_word(w, n) == free_reduce(written_out), (w, n)
 
 
 def test_parse_word_forms():
