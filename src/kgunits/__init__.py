@@ -7,14 +7,13 @@ isomorphic pair of group algebras with non-isomorphic groups.
 from .fields import FieldSpec, FieldElement, make_field, factor_monic, monic_irreducibles
 from .groups import (Group, cyclic, direct_product, dihedral, quaternion8,
                      groups_up_to_order, group_by_label, small_group_isomorphic)
-from .algebra import Algebra, AlgebraElement, enumerate_units, p_power_collapse_check
+from .algebra import Algebra, AlgebraElement, enumerate_units
 from .units import UnitGroup, AbelianType, structure_string
 from .presentations import (FpGroup, Certificate, Refutation, parse_presentation,
                             coset_enumeration, certify_unit_group_presentation,
                             certify_from_source)
 from .decompose import (FieldBlock, ModularBlock, SummandList, decompose_abelian,
-                        predicted_unit_structure, primitive_idempotents,
-                        is_semisimple, cyclic_decomposition_certificate)
+                        predicted_unit_structure)
 from .isoprobe import (InvariantBundle, IsoWitness, Isomorphic, NotIsomorphic,
                        Inconclusive, bundle, decide, explicit_isomorphism,
                        compare_unit_groups, scan_minimum_counterexample)
@@ -25,12 +24,11 @@ __all__ = [
     "monic_irreducibles", "Group", "cyclic", "direct_product", "dihedral",
     "quaternion8", "groups_up_to_order", "group_by_label",
     "small_group_isomorphic", "Algebra", "AlgebraElement",
-    "enumerate_units", "p_power_collapse_check", "UnitGroup", "AbelianType",
+    "enumerate_units", "UnitGroup", "AbelianType",
     "structure_string", "FpGroup", "Certificate", "Refutation",
     "parse_presentation", "coset_enumeration", "certify_unit_group_presentation",
     "certify_from_source", "FieldBlock", "ModularBlock", "SummandList",
-    "decompose_abelian", "predicted_unit_structure", "primitive_idempotents",
-    "is_semisimple", "cyclic_decomposition_certificate", "InvariantBundle",
+    "decompose_abelian", "predicted_unit_structure", "InvariantBundle",
     "IsoWitness", "Isomorphic", "NotIsomorphic", "Inconclusive", "bundle",
     "decide", "explicit_isomorphism", "compare_unit_groups",
     "scan_minimum_counterexample", "CatalogRow", "Catalog", "build_row",

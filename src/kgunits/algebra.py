@@ -74,10 +74,6 @@ class Algebra:
         """The basis element for the group element with this display name."""
         return self.basis_element(self.group.name_to_index[name])
 
-    def scalar(self, c: FieldElement) -> "AlgebraElement":
-        """The scalar c embedded as c * identity."""
-        return self.one().scale(c)
-
     def from_key(self, key) -> "AlgebraElement":
         """The element whose coefficient codes are key."""
         return AlgebraElement(self, tuple(key))
@@ -188,11 +184,6 @@ class AlgebraElement:
             return NotImplemented
         self.algebra._check(other)
         return AlgebraElement(self.algebra, self.algebra.mul_codes(self._key, other._key))
-
-    def scale(self, c: FieldElement) -> "AlgebraElement":
-        field = self.algebra.field
-        field._check(c)
-        return AlgebraElement(self.algebra, tuple([field.mul(c.code, a) for a in self._key]))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -334,26 +325,3 @@ def _power_walk(algebra: Algebra, x, known: dict) -> None:
             return
         powers.append(acc)
 
-
-def p_power_collapse_check(algebra: Algebra) -> bool:
-    """Local-ring criterion for modular p-group algebras, checked exhaustively.
-
-    Requires |G| = p^m with p the field characteristic.  Verifies that units
-    are exactly the elements of nonzero augmentation, and for abelian G that
-    a^|G| collapses to augmentation(a)^|G|.
-    """
-    p = algebra.field.p
-    n = algebra.group.order
-    m = n
-    while m % p == 0:
-        m //= p
-    if m != 1:
-        raise ValueError(f"group order {n} is not a power of the characteristic {p}")
-    abelian = algebra.group.is_abelian()
-    for a in algebra.elements():
-        aug = a.augmentation()
-        if (a.try_inverse() is not None) != bool(aug):
-            return False
-        if abelian and a ** n != algebra.scalar(aug ** n):
-            return False
-    return True

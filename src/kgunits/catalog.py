@@ -187,9 +187,10 @@ class Catalog:
 
 def build_catalog(bound: int = 1024, jobs: int = 1) -> Catalog:
     specs = catalog_specs(bound)
-    if jobs > 1:
+    workers = min(jobs, len(specs))  # a pool starts all its workers at once
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = tuple(pool.map(_build_row_spec, specs))
     else:
         rows = tuple(_build_row_spec(s) for s in specs)

@@ -13,15 +13,10 @@ blocks grouped with "^m", summands joined with " + ", e.g. "F2 + F4^4".
 from dataclasses import dataclass
 from functools import reduce
 
-from .algebra import Algebra, AlgebraElement
-from .fields import (factor_monic, make_field, poly_divmod, poly_ext_gcd,
-                     poly_mul, prime_power_split, x_power_minus_one)
+from .algebra import Algebra
+from .fields import factor_monic, make_field, prime_power_split, x_power_minus_one
 from .groups import Group
 from .units import AbelianType, primary_partitions
-
-
-def is_semisimple(algebra: Algebra) -> bool:
-    return algebra.group.order % algebra.field.p != 0
 
 
 def primary_cyclic_orders(group: Group) -> dict[int, tuple[int, ...]]:
@@ -191,75 +186,3 @@ def predicted_unit_structure(summands: SummandList) -> AbelianType | None:
             orders.extend([p] * (m * (p ** n - 1)))
     return AbelianType.from_cyclic_orders(o for o in orders if o > 1)
 
-
-def primitive_idempotents(algebra: Algebra) -> tuple[AlgebraElement, ...]:
-    """CRT idempotents of K[x]/(x^n - 1) for a cyclic group of coprime order.
-
-    For each irreducible factor f of x^n - 1 with cofactor c, the image of
-    u*c is the identity of the f-block, where u inverts c modulo f.
-    """
-    group = algebra.group
-    field = algebra.field
-    if not group.is_abelian() or group.exponent() != group.order:
-        raise ValueError(f"{group.label} is not cyclic")
-    if group.order % field.p == 0:
-        raise ValueError(f"{algebra.label()} is not semisimple")
-    n = group.order
-    power_index = [0] * n
-    for j in range(1, n):  # C1 has no generator and needs none
-        power_index[j] = group.mul(power_index[j - 1], group.generators[0][1])
-
-    modulus = x_power_minus_one(field, n)
-    out = []
-    for f, _ in factor_monic(field, modulus):
-        cof = poly_divmod(field, modulus, f)[0]
-        g, u, _ = poly_ext_gcd(field, cof, f)
-        if len(g) != 1:
-            raise RuntimeError("cofactor shares a factor with its complement")
-        e_poly = poly_divmod(field, poly_mul(field, u, cof), modulus)[1]
-        key = [0] * n
-        for j, c in enumerate(e_poly):
-            key[power_index[j]] = c
-        out.append(algebra.from_key(key))
-
-    total = algebra.zero()
-    for i, e in enumerate(out):
-        if e * e != e:
-            raise RuntimeError("CRT idempotent is not idempotent")
-        for e2 in out[i + 1:]:
-            if e * e2:
-                raise RuntimeError("CRT idempotents are not orthogonal")
-        total = total + e
-    if total != algebra.one():
-        raise RuntimeError("CRT idempotents do not sum to 1")
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class DecompositionCertificate:
-    """A cyclic semisimple splitting together with its block identities."""
-
-    algebra: Algebra
-    summands: SummandList
-    idempotents: tuple[AlgebraElement, ...]
-
-    def validate(self) -> None:
-        field = self.algebra.field
-        degrees = sorted(b.degree for b in self.summands.blocks)
-        factored = sorted(len(f) - 1 for f, _ in factor_monic(
-            field, x_power_minus_one(field, self.algebra.group.order)))
-        if degrees != factored or len(self.idempotents) != len(degrees):
-            raise RuntimeError("blocks do not match the factorization")
-        basis = [self.algebra.basis_element(i)
-                 for i in range(self.algebra.group.order)]
-        for e in self.idempotents:
-            for b in basis:
-                if e * b != b * e:
-                    raise RuntimeError("idempotent is not central")
-
-
-def cyclic_decomposition_certificate(algebra: Algebra) -> DecompositionCertificate:
-    cert = DecompositionCertificate(algebra, decompose_abelian(algebra),
-                                    primitive_idempotents(algebra))
-    cert.validate()
-    return cert

@@ -27,7 +27,7 @@ view of one code for display and the public API; its operators call the
 Polynomials are tuples of codes over a given FieldSpec, index = degree.  The
 one polynomial layer (``poly_*``, ``monic_irreducibles``, ``factor_monic``)
 serves both the prime field, for moduli and code tables, and F_q, for the
-factors of x^n - 1 and the CRT idempotents of cyclic group algebras.
+factors of x^n - 1 that split an abelian group algebra into field blocks.
 """
 
 from __future__ import annotations
@@ -284,11 +284,6 @@ class FieldElement:
     def __mul__(self, other):
         return self._lift(self.spec.mul, other)
 
-    def __truediv__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self * other.inverse()
-
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
@@ -358,14 +353,6 @@ def poly_strip(c) -> tuple[int, ...]:
     return tuple(c[:n])
 
 
-def poly_add(spec: FieldSpec, a, b) -> tuple[int, ...]:
-    return poly_strip([spec.add(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=0)])
-
-
-def poly_sub(spec: FieldSpec, a, b) -> tuple[int, ...]:
-    return poly_strip([spec.sub(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=0)])
-
-
 def poly_mul(spec: FieldSpec, a, b) -> tuple[int, ...]:
     if not a or not b:
         return ()
@@ -399,21 +386,6 @@ def poly_divmod(spec: FieldSpec, a, b):
             for j, bj in enumerate(b):
                 rem[i - db + j] = sub(rem[i - db + j], mul(f, bj))
     return poly_strip(quo), poly_strip(rem)
-
-
-def poly_ext_gcd(spec: FieldSpec, a, b):
-    """(g, u, v) with u*a + v*b = g and g monic (or zero)."""
-    r0, s0, t0 = poly_strip(a), (1,), ()
-    r1, s1, t1 = poly_strip(b), (), (1,)
-    while r1:
-        quo, rem = poly_divmod(spec, r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, poly_sub(spec, s0, poly_mul(spec, quo, s1))
-        t0, t1 = t1, poly_sub(spec, t0, poly_mul(spec, quo, t1))
-    if r0:
-        scale = (spec.inv(r0[-1]),)
-        r0, s0, t0 = (poly_mul(spec, c, scale) for c in (r0, s0, t0))
-    return r0, s0, t0
 
 
 def x_power_minus_one(spec: FieldSpec, n: int) -> tuple[int, ...]:

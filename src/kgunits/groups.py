@@ -209,7 +209,8 @@ def small_group_isomorphic(a: Group, b: Group) -> bool:
     """Isomorphism test by order, commutativity, and order spectrum.
 
     Complete for orders up to 9, where those invariants separate all
-    classes; cross-checked against isomorphic_by_search in the tests.
+    classes; cross-checked against a brute-force isomorphism search, the
+    reference in tests/test_groups.py.
     """
     if a.order > 9 or b.order > 9:
         raise ValueError("invariant-based test only supports orders up to 9")
@@ -217,53 +218,3 @@ def small_group_isomorphic(a: Group, b: Group) -> bool:
             and a.is_abelian() == b.is_abelian()
             and a.order_spectrum() == b.order_spectrum())
 
-
-def _generating_words(g: Group):
-    """A small generating tuple plus, for each element, a word over it."""
-    chosen: list[int] = []
-    reached = {0: ()}
-    while len(reached) < g.order:
-        nxt = next(i for i in range(g.order) if i not in reached)
-        chosen.append(nxt)
-        # closure under right multiplication by all chosen generators
-        frontier = list(reached)
-        reached[nxt] = reached.get(nxt, (len(chosen) - 1,))
-        frontier.append(nxt)
-        while frontier:
-            cur = frontier.pop()
-            for gi, gen in enumerate(chosen):
-                nxt2 = g.mul(cur, gen)
-                if nxt2 not in reached:
-                    reached[nxt2] = reached[cur] + (gi,)
-                    frontier.append(nxt2)
-    return chosen, reached
-
-
-def isomorphic_by_search(a: Group, b: Group) -> bool:
-    """Brute-force isomorphism search over generator images."""
-    if a.order != b.order:
-        return False
-    gens, words = _generating_words(a)
-    orders = [a.element_order(g) for g in gens]
-    candidates = [[h for h in range(b.order) if b.element_order(h) == o] for o in orders]
-
-    def build(images):
-        phi = [None] * a.order
-        for elem, word in words.items():
-            acc = 0
-            for gi in word:
-                acc = b.mul(acc, images[gi])
-            phi[elem] = acc
-        if len(set(phi)) != a.order:
-            return None
-        for i in range(a.order):
-            for j in range(a.order):
-                if phi[a.mul(i, j)] != b.mul(phi[i], phi[j]):
-                    return None
-        return phi
-
-    import itertools
-    for images in itertools.product(*candidates):
-        if build(images) is not None:
-            return True
-    return False

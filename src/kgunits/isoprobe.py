@@ -479,9 +479,10 @@ def scan_minimum_counterexample(bound: int = 1024, jobs: int = 1) -> ScanReport:
     counterexample; every earlier pair carries its refuting invariant.
     """
     work = _sizes_with_pairs(bound)
-    if jobs > 1:
+    workers = min(jobs, len(work))  # a pool starts all its workers at once
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_scan_one_size, work))
     else:
         chunks = [_scan_one_size(item) for item in work]

@@ -172,9 +172,6 @@ class UnitGroup:
     def __repr__(self):
         return f"UnitGroup({self.algebra.label()}, order={self.order})"
 
-    def position(self, u: AlgebraElement) -> int:
-        return self.index[u.key()]
-
     def is_abelian(self) -> bool:
         # the group-element basis sits inside U, so U is abelian exactly when
         # the algebra is commutative, i.e. when G is

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from kgunits import algebra as algebra_module
-from kgunits.algebra import (Algebra, enumerate_units, p_power_collapse_check,
-                             row_reduce)
+from kgunits.algebra import Algebra, enumerate_units, row_reduce
 from kgunits.catalog import catalog_specs
 from kgunits.fields import make_field
 from kgunits.groups import group_by_label
@@ -73,12 +72,15 @@ def test_unit_counts_for_small_algebras():
 
 
 def test_local_algebra_units_are_nonzero_augmentation():
-    # for a p-group in characteristic p the units are exactly aug != 0
-    for p, k, label in ((2, 1, "C4"), (2, 2, "C2"), (3, 1, "C3")):
+    # for a p-group in characteristic p the units are exactly aug != 0, and
+    # for abelian G, a^|G| collapses to the scalar aug(a)^|G|
+    for p, k, label in ((2, 1, "C4"), (2, 2, "C2"), (3, 1, "C3"), (3, 2, "C3")):
         a = _alg(p, k, label)
+        n = a.group.order
         for el in a.elements():
-            invertible = el.try_inverse() is not None
-            assert invertible == bool(el.augmentation())
+            aug = el.augmentation()
+            assert (el.try_inverse() is not None) == bool(aug)
+            assert (el ** n).key() == ((aug ** n).code,) + (0,) * (n - 1)
 
 
 def test_try_inverse_agrees_with_multiplication():
@@ -127,12 +129,6 @@ def test_row_reduce_returns_the_rank():
     f4 = make_field(2, 2)  # over F4 the rows (1, t) and (t, t^2) are dependent
     t, t2 = 2, f4.mul(2, 2)
     assert row_reduce([[1, t], [t, t2]], f4, 2) == 1
-
-
-def test_p_power_collapse():
-    assert p_power_collapse_check(_alg(2, 1, "C4"))
-    assert p_power_collapse_check(_alg(3, 1, "C3"))
-    assert p_power_collapse_check(_alg(3, 2, "C3"))
 
 
 def test_pow_matches_repeated_multiplication():

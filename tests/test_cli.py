@@ -123,6 +123,41 @@ def test_table_jobs_equality(capsys):
     assert seq == par
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each max_workers and maps
+    in this process, so no worker process is started."""
+
+    def __init__(self, started, max_workers):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("argv,started", [
+    (("table", "--bound", "3", "--jobs", "8"), []),         # 1 row
+    (("table", "--bound", "100", "--jobs", "500"), [52]),   # 52 rows
+    (("table", "--bound", "100", "--jobs", "2"), [2]),
+    (("scan-iso", "--jobs", "500"), [7]),                   # 7 sizes
+    (("scan-iso", "--bound", "5", "--jobs", "4"), []),      # no sizes
+])
+def test_jobs_start_at_most_one_worker_per_task(capsys, monkeypatch, argv, started):
+    import concurrent.futures
+    _, want, _ = run_cli(capsys, *argv[:-2], "--format", "json")
+    calls = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(calls, max_workers))
+    _, got, _ = run_cli(capsys, *argv, "--format", "json")
+    assert calls == started
+    assert got == want
+
+
 def test_verify_exit_zero(capsys):
     code, out, err = run_cli(capsys, "verify", "--bound", "200")
     assert code == 0

@@ -2,12 +2,11 @@ import pytest
 
 from kgunits.algebra import Algebra
 from kgunits.decompose import (FieldBlock, ModularBlock, SummandList,
-                               cyclic_decomposition_certificate,
-                               decompose_abelian, is_semisimple,
-                               predicted_unit_structure, primary_cyclic_orders,
-                               primitive_idempotents)
+                               decompose_abelian, predicted_unit_structure,
+                               primary_cyclic_orders)
 from kgunits.fields import make_field
 from kgunits.groups import group_by_label
+from kgunits.isoprobe import primitive_idempotents_by_search
 from kgunits.units import UnitGroup
 
 
@@ -71,33 +70,19 @@ def test_predicted_unit_structure():
 
 
 def test_primitive_idempotents():
-    es = primitive_idempotents(_alg(2, 1, "C3"))
+    es = primitive_idempotents_by_search(_alg(2, 1, "C3"))
     assert sorted(str(e) for e in es) == ["1 + x + x^2", "x + x^2"]
-    assert len(primitive_idempotents(_alg(5, 1, "C4"))) == 4
-    assert len(primitive_idempotents(_alg(3, 1, "C4"))) == 3
-    a = _alg(2, 1, "C3")
-    one = a.one()
-    es = primitive_idempotents(a)
-    assert sum(es[1:], es[0]) == one
-    for e in es:
-        assert e * e == e
-    with pytest.raises(ValueError, match="is not cyclic"):
-        primitive_idempotents(_alg(2, 1, "C2xC2"))
-    with pytest.raises(ValueError, match="is not semisimple"):
-        primitive_idempotents(_alg(2, 1, "C4"))
-
-
-def test_cyclic_decomposition_certificates_validate():
-    for p, k, label in ((2, 1, "C3"), (3, 1, "C4"), (5, 1, "C4"), (2, 1, "C9")):
-        cyclic_decomposition_certificate(_alg(p, k, label)).validate()
-
-
-def test_is_semisimple():
-    assert is_semisimple(_alg(2, 1, "C3"))
-    assert is_semisimple(_alg(5, 1, "C4"))
-    assert is_semisimple(_alg(2, 1, "D6")) is False  # |D6| = 6 is even
-    assert is_semisimple(_alg(2, 1, "C4")) is False
-    assert is_semisimple(_alg(3, 1, "C6")) is False
+    # one idempotent per field block; the local F2[C4] has only 1
+    for key, count in (((2, 1, "C3"), 2), ((5, 1, "C4"), 4), ((3, 1, "C4"), 3),
+                       ((5, 1, "C2xC2"), 4), ((2, 1, "C4"), 1)):
+        a = _alg(*key)
+        es = primitive_idempotents_by_search(a)
+        assert len(es) == count, key
+        assert sum(es[1:], es[0]) == a.one()
+        for i, e in enumerate(es):
+            assert e * e == e
+            for f in es[i + 1:]:
+                assert not e * f
 
 
 def test_primary_cyclic_orders():

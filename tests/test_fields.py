@@ -8,9 +8,8 @@ from kgunits.algebra import Algebra
 from kgunits.catalog import catalog_specs
 from kgunits.fields import (SIZE_LIMIT, FieldElement, FieldSpec,
                             factor_monic, is_prime, make_field,
-                            monic_irreducibles, poly_add, poly_divmod,
-                            poly_ext_gcd, poly_mul, poly_sub, prime_factors,
-                            prime_power_split, x_power_minus_one)
+                            monic_irreducibles, poly_divmod, poly_mul,
+                            prime_factors, prime_power_split, x_power_minus_one)
 from kgunits.groups import group_by_label
 from kgunits.units import UnitGroup
 
@@ -113,26 +112,6 @@ def test_inverses_and_orders():
             assert n % o == 0
             orders.add(o)
         assert n in orders  # the multiplicative group is cyclic
-
-
-def test_poly_add_sub_empty_operands():
-    spec = make_field(3, 1)
-    assert poly_add(spec, (), ()) == ()
-    assert poly_sub(spec, (), ()) == ()
-    assert poly_add(spec, (), (1,)) == (1,)
-    assert poly_sub(spec, (), (1,)) == (2,)
-    assert poly_sub(spec, (1,), ()) == (1,)
-    assert poly_sub(spec, (1, 2), (1, 2)) == ()
-
-
-def test_poly_ext_gcd_bezout():
-    spec = make_field(3, 1)
-    a = (1, 2, 0, 1)       # 1 + 2x + x^3
-    b = (2, 1, 1)          # 2 + x + x^2
-    g, u, v = poly_ext_gcd(spec, a, b)
-    lhs = poly_add(spec, poly_mul(spec, a, u), poly_mul(spec, b, v))
-    assert lhs == g
-    assert g[-1] == 1  # monic
 
 
 def test_factorization_degree_patterns():
@@ -493,7 +472,8 @@ def test_code_factorization_matches_the_field_element_layer_on_the_catalog(monke
         alg = Algebra(make_field(p, k), group)
         decompose_module.decompose_abelian(alg)
         if group.exponent() == group.order and group.order % p:
-            decompose_module.primitive_idempotents(alg)
+            # x^|G| - 1 over K itself: the splitting of a cyclic semisimple K[G]
+            calls.append((alg.field, x_power_minus_one(alg.field, group.order)))
             cyclic_semisimple += 1
     assert cyclic_semisimple == 221
     seen = set(calls)

@@ -1,8 +1,9 @@
+import itertools
+
 import pytest
 
-from kgunits.groups import (cyclic, dihedral, direct_product, group_by_label,
-                            groups_of_order, groups_up_to_order,
-                            isomorphic_by_search, quaternion8,
+from kgunits.groups import (Group, cyclic, dihedral, direct_product, group_by_label,
+                            groups_of_order, groups_up_to_order, quaternion8,
                             small_group_isomorphic)
 
 CANONICAL_LABELS = [
@@ -65,6 +66,56 @@ def test_dihedral_and_quaternion():
     assert sum(1 for a in range(8) if q.element_order(a) == 2) == 1
     with pytest.raises(ValueError):
         dihedral(5)
+
+
+def _generating_words(g: Group):
+    """A small generating tuple plus, for each element, a word over it."""
+    chosen: list[int] = []
+    reached = {0: ()}
+    while len(reached) < g.order:
+        nxt = next(i for i in range(g.order) if i not in reached)
+        chosen.append(nxt)
+        # closure under right multiplication by all chosen generators
+        frontier = list(reached)
+        reached[nxt] = reached.get(nxt, (len(chosen) - 1,))
+        frontier.append(nxt)
+        while frontier:
+            cur = frontier.pop()
+            for gi, gen in enumerate(chosen):
+                nxt2 = g.mul(cur, gen)
+                if nxt2 not in reached:
+                    reached[nxt2] = reached[cur] + (gi,)
+                    frontier.append(nxt2)
+    return chosen, reached
+
+
+def isomorphic_by_search(a: Group, b: Group) -> bool:
+    """Brute-force isomorphism search over generator images."""
+    if a.order != b.order:
+        return False
+    gens, words = _generating_words(a)
+    orders = [a.element_order(g) for g in gens]
+    candidates = [[h for h in range(b.order) if b.element_order(h) == o] for o in orders]
+
+    def build(images):
+        phi = [None] * a.order
+        for elem, word in words.items():
+            acc = 0
+            for gi in word:
+                acc = b.mul(acc, images[gi])
+            phi[elem] = acc
+        if len(set(phi)) != a.order:
+            return None
+        for i in range(a.order):
+            for j in range(a.order):
+                if phi[a.mul(i, j)] != b.mul(phi[i], phi[j]):
+                    return None
+        return phi
+
+    for images in itertools.product(*candidates):
+        if build(images) is not None:
+            return True
+    return False
 
 
 def test_isomorphism_test_is_complete_up_to_nine():

@@ -20,3 +20,13 @@ def test_package_imports_only_the_standard_library():
             outside += [(path.name, m) for m in modules
                         if m.split(".")[0] not in sys.stdlib_module_names | {"kgunits"}]
     assert outside == []
+
+
+def test_all_names_exactly_what_the_package_imports():
+    import kgunits
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(set(kgunits.__all__)) == len(kgunits.__all__)
+    assert set(kgunits.__all__) == set(imported)
+    assert [name for name in kgunits.__all__ if not hasattr(kgunits, name)] == []
