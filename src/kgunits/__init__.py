@@ -14,8 +14,7 @@ from .presentations import (FpGroup, Certificate, Refutation, parse_presentation
                             certify_from_source)
 from .decompose import (FieldBlock, ModularBlock, SummandList, decompose_abelian,
                         predicted_unit_structure)
-from .isoprobe import (InvariantBundle, IsoWitness, Isomorphic, NotIsomorphic,
-                       Inconclusive, bundle, decide, explicit_isomorphism,
+from .isoprobe import (InvariantBundle, IsoWitness, bundle, explicit_isomorphism,
                        compare_unit_groups, scan_minimum_counterexample)
 from .catalog import CatalogRow, Catalog, build_row, build_catalog, verify_catalog
 
@@ -29,8 +28,7 @@ __all__ = [
     "parse_presentation", "coset_enumeration", "certify_unit_group_presentation",
     "certify_from_source", "FieldBlock", "ModularBlock", "SummandList",
     "decompose_abelian", "predicted_unit_structure", "InvariantBundle",
-    "IsoWitness", "Isomorphic", "NotIsomorphic", "Inconclusive", "bundle",
-    "decide", "explicit_isomorphism", "compare_unit_groups",
+    "IsoWitness", "bundle", "explicit_isomorphism", "compare_unit_groups",
     "scan_minimum_counterexample", "CatalogRow", "Catalog", "build_row",
     "build_catalog", "verify_catalog",
 ]

@@ -131,25 +131,11 @@ def build_row(p: int, k: int, label: str) -> CatalogRow:
                       f"group, coset enumeration gives {cert.order} "
                       f"({cert.convention} commutators)")
 
-    expectation = expectation_for(p, k, label)
-    published = None
-    if expectation is not None:
-        published = {
-            "source": expectation.source,
-            "unit_count": expectation.unit_count,
-            "structure": expectation.structure,
-            "decomposition": expectation.decomposition,
-            "note": expectation.note,
-            "typos": [
-                {"kind": m.kind, "printed": m.printed, "corrected": m.corrected}
-                for m in MISPRINTS if m.key == (field.label(), label)
-            ],
-        }
-
     return CatalogRow(field=field.label(), p=p, k=k, group=label,
                       size=algebra.size, decomposition=decomposition,
                       unit_count=units.order, structure=structure,
-                      method=method, method_detail=detail, published=published,
+                      method=method, method_detail=detail,
+                      published=expectation_for(p, k, label),
                       spectrum=tuple(sorted(units.unit_order_spectrum().items())))
 
 
@@ -185,16 +171,21 @@ class Catalog:
         return {"bound": self.bound, "rows": [r.as_dict() for r in self.rows]}
 
 
+def map_jobs(fn, items: list, jobs: int) -> list:
+    """[fn(x) for x in items] over min(jobs, len(items)) worker processes,
+    or in this process when that is at most one.  A pool starts all its
+    workers at once, so it never gets more workers than items."""
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def build_catalog(bound: int = 1024, jobs: int = 1) -> Catalog:
-    specs = catalog_specs(bound)
-    workers = min(jobs, len(specs))  # a pool starts all its workers at once
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(_build_row_spec, specs))
-    else:
-        rows = tuple(_build_row_spec(s) for s in specs)
-    return Catalog(bound=bound, rows=rows)
+    rows = map_jobs(_build_row_spec, catalog_specs(bound), jobs)
+    return Catalog(bound=bound, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ closed-form families for the smallest groups over arbitrary coefficient
 fields; prose_unit_structure and prose_decomposition reproduce those.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 from .algebra import Algebra, AlgebraElement
@@ -174,22 +174,15 @@ def prose_decomposition(p: int, k: int, label: str) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class Expectation:
-    field: str
-    group: str
-    source: str                  # table | prose | both
-    unit_count: int
-    structure: str | None        # canonical render; None for presented rows
-    decomposition: str | None
-    note: str = ""
-
-
-def expectation_for(p: int, k: int, label: str) -> Expectation | None:
+def expectation_for(p: int, k: int, label: str) -> dict | None:
     """Published expectation for U(F_{p^k} G), merging table and prose.
 
-    Rows covered by both sources must agree; a conflict raises, because it
-    would mean the transcription itself is inconsistent.
+    The dict a catalog row carries as ``published``: source (table, prose
+    or both), unit_count, structure (None for presented rows),
+    decomposition, note, and the row's typos from MISPRINTS.  None where
+    neither source covers the row.  Rows covered by both sources must
+    agree; a conflict raises, because it would mean the transcription
+    itself is inconsistent.
     """
     field_label = f"F{p ** k}"
     row = ROW_INDEX.get((field_label, label))
@@ -210,11 +203,18 @@ def expectation_for(p: int, k: int, label: str) -> Expectation | None:
             raise RuntimeError(
                 f"table and prose decompositions disagree for {field_label} {label}")
     if row is not None:
-        source = "both" if prose is not None else "table"
-        return Expectation(field_label, label, source, row.unit_count,
-                           row.structure, row.decomposition or prose_dec, row.note)
-    return Expectation(field_label, label, "prose", prose.order(),
-                       prose.render(), prose_dec)
+        published = {"source": "both" if prose is not None else "table",
+                     "unit_count": row.unit_count, "structure": row.structure,
+                     "decomposition": row.decomposition or prose_dec,
+                     "note": row.note}
+    else:
+        published = {"source": "prose", "unit_count": prose.order(),
+                     "structure": prose.render(), "decomposition": prose_dec,
+                     "note": ""}
+    published["typos"] = [
+        {"kind": m.kind, "printed": m.printed, "corrected": m.corrected}
+        for m in MISPRINTS if m.key == (field_label, label)]
+    return published
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +289,11 @@ def validate_reference_data() -> None:
     if len(ROW_INDEX) != len(ROWS):
         raise RuntimeError("duplicate (field, group) keys in ROWS")
     for row in ROWS:
-        if row.structure is not None and row.structure not in ("C1",) \
-                and not row.structure.startswith("D") \
-                and not row.structure.startswith("presented"):
-            parsed = AbelianType.parse(row.structure)
-            if parsed.render() != row.structure:
-                raise RuntimeError(f"structure {row.structure!r} is not canonical")
-            if parsed.order() != row.unit_count:
-                raise RuntimeError(
-                    f"structure and count disagree on {row.field} {row.group}")
+        # parse raises ValueError on a structure not in the canonical render
+        if row.structure is not None and not row.structure.startswith("D") \
+                and AbelianType.parse(row.structure).order() != row.unit_count:
+            raise RuntimeError(
+                f"structure and count disagree on {row.field} {row.group}")
         if row.structure is None and (row.field, row.group) not in PRESENTATION_SOURCES:
             raise RuntimeError(
                 f"row {row.field} {row.group} has neither structure nor presentation")

@@ -3,7 +3,8 @@
 Refutation works through a bundle of ring-theoretic invariants compared in
 a fixed order.  Certification only ever happens through matching all-field
 decompositions plus an explicitly constructed and exhaustively verified
-isomorphism; invariant equality alone never certifies.
+isomorphism; invariant equality alone never certifies.  ``_pair_row`` reads
+one pair's scan row, its verdict and detail, straight off the two bundles.
 """
 
 import hashlib
@@ -11,9 +12,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import Algebra, AlgebraElement, row_reduce
+from .catalog import catalog_specs, map_jobs
 from .decompose import decompose_abelian
-from .fields import prime_power_split
-from .groups import groups_of_order, small_group_isomorphic
+from .fields import make_field
+from .groups import group_by_label, groups_of_order, small_group_isomorphic
 from .units import UnitGroup
 
 # comparison order is part of the output contract: the first differing
@@ -25,8 +27,6 @@ BUNDLE_COMPARE_FIELDS = ("commutative", "unit_count", "unit_order_spectrum",
 
 @dataclass(frozen=True)
 class InvariantBundle:
-    size: int
-    field: tuple[int, int]  # (p, k), metadata only, never compared
     commutative: bool
     unit_count: int
     unit_order_spectrum: tuple[tuple[int, int], ...]
@@ -35,26 +35,11 @@ class InvariantBundle:
     square_zero_count: int
     center_dimension: int
 
-    def as_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "field": list(self.field),
-            "commutative": self.commutative,
-            "unit_count": self.unit_count,
-            "unit_order_spectrum": [list(pair) for pair in self.unit_order_spectrum],
-            "idempotent_count": self.idempotent_count,
-            "nilpotent_count": self.nilpotent_count,
-            "square_zero_count": self.square_zero_count,
-            "center_dimension": self.center_dimension,
-        }
 
-
-def bundle(algebra: Algebra, units: UnitGroup | None = None) -> InvariantBundle:
+def bundle(algebra: Algebra, units: UnitGroup) -> InvariantBundle:
     """All invariants by exhaustive enumeration over the algebra's code tuples."""
     group = algebra.group
     n = group.order
-    if units is None:
-        units = UnitGroup(algebra)
     mul = algebra.mul_codes
     idem = nil = sq0 = 0
     squarings = max(0, (n - 1).bit_length())  # a nilpotent has a^(2^t) = 0 once 2^t >= dim
@@ -82,8 +67,6 @@ def bundle(algebra: Algebra, units: UnitGroup | None = None) -> InvariantBundle:
         center_dim = n - row_reduce(rows, algebra.field, len(rows[0]))
 
     return InvariantBundle(
-        size=algebra.size,
-        field=(algebra.field.p, algebra.field.k),
         commutative=group.is_abelian(),
         unit_count=units.order,
         unit_order_spectrum=tuple(sorted(units.unit_order_spectrum().items())),
@@ -95,7 +78,7 @@ def bundle(algebra: Algebra, units: UnitGroup | None = None) -> InvariantBundle:
 
 
 # ---------------------------------------------------------------------------
-# verdicts
+# the isomorphism witness
 
 @dataclass(frozen=True)
 class IsoWitness:
@@ -112,24 +95,6 @@ class IsoWitness:
         text = f"{self.source_label}->{self.target_label}|" + "|".join(
             ",".join(str(c) for c in img.key()) for img in self.images)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class Isomorphic:
-    witness: IsoWitness
-    kind = "isomorphic"
-
-
-@dataclass(frozen=True)
-class NotIsomorphic:
-    invariant: str
-    values: tuple
-    kind = "not_isomorphic"
-
-
-@dataclass(frozen=True)
-class Inconclusive:
-    kind = "inconclusive"
 
 
 # ---------------------------------------------------------------------------
@@ -288,31 +253,6 @@ def _verify_witness(a: Algebra, b: Algebra, w: IsoWitness) -> None:
 
 
 # ---------------------------------------------------------------------------
-# decision procedure
-
-def _verdict_from_bundles(a: Algebra, b: Algebra,
-                          ba: InvariantBundle, bb: InvariantBundle):
-    for name in BUNDLE_COMPARE_FIELDS:
-        va, vb = getattr(ba, name), getattr(bb, name)
-        if va != vb:
-            return NotIsomorphic(name, (va, vb))
-    if ba.commutative:
-        sa, sb = decompose_abelian(a), decompose_abelian(b)
-        if sa.blocks == sb.blocks and sa.all_fields():
-            return Isomorphic(explicit_isomorphism(a, b))
-    return Inconclusive()
-
-
-def decide(a: Algebra, b: Algebra):
-    """Isomorphism verdict for two algebras over one field, same group order."""
-    if a.field != b.field:
-        raise ValueError("decide() compares algebras over one coefficient field")
-    if a.group.order != b.group.order:
-        raise ValueError("decide() compares algebras of equal size")
-    return _verdict_from_bundles(a, b, bundle(a), bundle(b))
-
-
-# ---------------------------------------------------------------------------
 # unit group comparison (abstract groups, not rings)
 
 @dataclass(frozen=True)
@@ -416,45 +356,48 @@ def _spectrum_text(spec: tuple[tuple[int, int], ...]) -> str:
     return "{" + ", ".join(f"{o}: {c}" for o, c in spec) + "}"
 
 
-def _verdict_row(size, field_label, ga, gb, verdict) -> ScanRow:
-    if isinstance(verdict, NotIsomorphic):
-        va, vb = verdict.values
-        if verdict.invariant == "unit_order_spectrum":
-            va, vb = _spectrum_text(va), _spectrum_text(vb)
-        return ScanRow(size, field_label, ga, gb, "not_isomorphic",
-                       f"{verdict.invariant}: {va} vs {vb}")
-    if isinstance(verdict, Isomorphic):
-        return ScanRow(size, field_label, ga, gb, "isomorphic",
-                       f"verified witness, checksum {verdict.witness.checksum()}")
-    return ScanRow(size, field_label, ga, gb, "inconclusive",
-                   "invariant bundle ties and no certified decomposition match")
+def _pair_row(a: Algebra, b: Algebra,
+              ba: InvariantBundle, bb: InvariantBundle) -> ScanRow:
+    """The scan row of one pair of algebras over one field, from their bundles.
+
+    The first invariant in BUNDLE_COMPARE_FIELDS that differs refutes the
+    pair.  A commutative tie with matching all-field decompositions is
+    certified by a verified witness; any other tie is inconclusive.
+    """
+    def row(verdict: str, detail: str) -> ScanRow:
+        return ScanRow(a.size, a.field.label(), a.group.label, b.group.label,
+                       verdict, detail)
+
+    for name in BUNDLE_COMPARE_FIELDS:
+        va, vb = getattr(ba, name), getattr(bb, name)
+        if va != vb:
+            if name == "unit_order_spectrum":
+                va, vb = _spectrum_text(va), _spectrum_text(vb)
+            return row("not_isomorphic", f"{name}: {va} vs {vb}")
+    if ba.commutative:
+        sa, sb = decompose_abelian(a), decompose_abelian(b)
+        if sa.blocks == sb.blocks and sa.all_fields():
+            witness = explicit_isomorphism(a, b)
+            return row("isomorphic", f"verified witness, checksum {witness.checksum()}")
+    return row("inconclusive",
+               "invariant bundle ties and no certified decomposition match")
 
 
-def _sizes_with_pairs(bound: int):
-    """(size, ((q, n), ...)) for every size q^n < bound with n >= 2 and at
-    least two groups of order n, sizes ascending; exact integer powers."""
-    combos: dict[int, list[tuple[int, int]]] = {}
-    q = 2
-    while q * q < bound:
-        if prime_power_split(q):
-            size = q * q
-            for n in range(2, 10):
-                if size >= bound:
-                    break
-                if len(groups_of_order(n)) >= 2:
-                    combos.setdefault(size, []).append((q, n))
-                size *= q
-        q += 1
-    return [(size, tuple(combos[size])) for size in sorted(combos)]
+def _sizes_with_pairs(bound: int) -> list[tuple[tuple[int, int, int], ...]]:
+    """((p, k, n), ...) for each catalog size q^n < bound, holding the n >= 2
+    with at least two groups of order n; sizes ascend, and q within a size."""
+    combos: dict[int, dict[tuple[int, int, int], None]] = {}
+    for p, k, label in catalog_specs(bound):
+        n = group_by_label(label).order
+        if n >= 2 and len(groups_of_order(n)) >= 2:
+            combos.setdefault((p ** k) ** n, {})[p, k, n] = None
+    return [tuple(keys) for keys in combos.values()]
 
 
-def _scan_one_size(args) -> tuple:
+def _scan_one_size(combos) -> tuple:
     """(rows, notes) for one size; each algebra's units are built once."""
-    size, combos = args
-    from .fields import make_field  # local import keeps workers lightweight
     rows, notes = [], []
-    for q, n in combos:
-        p, k = prime_power_split(q)
+    for p, k, n in combos:
         field = make_field(p, k)
         groups = groups_of_order(n)
         algebras = {g.label: Algebra(field, g) for g in groups}
@@ -463,10 +406,8 @@ def _scan_one_size(args) -> tuple:
         for ga, gb in combinations(groups, 2):
             if small_group_isomorphic(ga, gb):
                 continue
-            verdict = _verdict_from_bundles(algebras[ga.label], algebras[gb.label],
-                                            bundles[ga.label], bundles[gb.label])
-            rows.append(_verdict_row(size, field.label(), ga.label, gb.label,
-                                     verdict))
+            rows.append(_pair_row(algebras[ga.label], algebras[gb.label],
+                                  bundles[ga.label], bundles[gb.label]))
             if not (ga.is_abelian() or gb.is_abelian()):
                 notes.append(compare_unit_groups(units[ga.label], units[gb.label]))
     return tuple(rows), tuple(notes)
@@ -479,24 +420,12 @@ def scan_minimum_counterexample(bound: int = 1024, jobs: int = 1) -> ScanReport:
     counterexample; every earlier pair carries its refuting invariant.
     """
     work = _sizes_with_pairs(bound)
-    workers = min(jobs, len(work))  # a pool starts all its workers at once
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_scan_one_size, work))
-    else:
-        chunks = [_scan_one_size(item) for item in work]
+    chunks = map_jobs(_scan_one_size, work, jobs)
     rows = tuple(r for chunk_rows, _ in chunks for r in chunk_rows)
-
-    expected = 0
-    for _, combos in work:
-        for _, n in combos:
-            g = len(groups_of_order(n))
-            expected += g * (g - 1) // 2
-
+    counts = [len(groups_of_order(n)) for combos in work for _, _, n in combos]
     minimum = next((r for r in rows if r.verdict == "isomorphic"), None)
     inconclusive = tuple(r for r in rows if r.verdict == "inconclusive")
     return ScanReport(bound=bound, rows=rows, minimum=minimum,
                       inconclusive=inconclusive, pair_count=len(rows),
-                      expected_pair_count=expected,
+                      expected_pair_count=sum(g * (g - 1) // 2 for g in counts),
                       notes=tuple(n for _, chunk_notes in chunks for n in chunk_notes))

@@ -148,7 +148,10 @@ class AbelianType:
             if not base.startswith("C"):
                 raise ValueError(f"not an abelian structure string: {text!r}")
             orders += [int(base[1:])] * int(mult or 1)
-        return cls.from_cyclic_orders(orders)
+        parsed = cls.from_cyclic_orders(orders)
+        if parsed.render() != text:
+            raise ValueError(f"not a canonical structure string: {text!r}")
+        return parsed
 
     def __str__(self):
         return self.render()

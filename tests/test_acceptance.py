@@ -13,7 +13,7 @@ from kgunits.decompose import decompose_abelian, predicted_unit_structure
 from kgunits.expected import MISPRINTS, PRESENTATION_SOURCES, ROWS
 from kgunits.fields import make_field
 from kgunits.groups import group_by_label
-from kgunits.isoprobe import Isomorphic, decide
+from kgunits.isoprobe import explicit_isomorphism
 from kgunits.presentations import (Certificate, Refutation,
                                    certify_from_source,
                                    certify_unit_group_presentation)
@@ -145,18 +145,21 @@ def test_criterion_5_minimum_counterexample_certified(scan_report):
         problems.append(("inconclusive", r.inconclusive))
     a = Algebra(make_field(5, 1), group_by_label("C4"))
     b = Algebra(make_field(5, 1), group_by_label("C2xC2"))
-    verdict = decide(a, b)
-    if not isinstance(verdict, Isomorphic):
-        problems.append(("decide", verdict))
-    else:
-        w = verdict.witness
-        basis = [a.basis_element(i) for i in range(a.group.order)]
-        for x in basis:
-            for y in basis:
-                if w.apply(x * y) != w.apply(x) * w.apply(y):
-                    problems.append(("witness product", str(x), str(y)))
-        if len({w.apply(x).key() for x in basis}) != len(basis):
-            problems.append(("witness not injective on basis",))
+    w = explicit_isomorphism(a, b)
+    if (w.source_label, w.target_label) != ("F5C4", "F5C2xC2"):
+        problems.append(("witness labels", w.source_label, w.target_label))
+    if r.minimum.detail != f"verified witness, checksum {w.checksum()}" \
+            or w.checksum() != "ce8efdaedf605a72":
+        problems.append(("witness checksum", w.checksum(), r.minimum.detail))
+    basis = [a.basis_element(i) for i in range(a.group.order)]
+    for x in basis:
+        for y in basis:
+            if w.apply(x * y) != w.apply(x) * w.apply(y):
+                problems.append(("witness product", str(x), str(y)))
+    if w.apply(a.one()) != b.one():
+        problems.append(("witness does not fix the identity",))
+    if len({w.apply(x).key() for x in basis}) != len(basis):
+        problems.append(("witness not injective on basis",))
     _criterion(problems, "F5[C4] ~ F5[C2xC2] at 625 is the unique minimum, "
                          "witnessed on all basis products")
 

@@ -87,6 +87,14 @@ def test_parse_structure_order():
     assert parse_structure_order("what") is None
 
 
+@pytest.mark.parametrize("text", ["C4^0", "C6", "C2 x C2"])
+def test_structure_text_render_never_writes_is_rejected(text):
+    # each names a group, but not in the canonical render: C1, C2 x C3, C2^2
+    with pytest.raises(ValueError):
+        AbelianType.parse(text)
+    assert parse_structure_order(text) is None
+
+
 def test_catalog_specs_small_bound():
     assert catalog_specs(16) == [
         (2, 1, "C1"), (3, 1, "C1"), (2, 1, "C2"), (2, 2, "C1"),

@@ -59,21 +59,21 @@ def test_misprint_registry():
 
 def test_expectation_merging():
     both = expectation_for(3, 1, "C2")
-    assert both.source == "both"
+    assert both["source"] == "both"
     table_only = expectation_for(2, 1, "C5")
-    assert table_only.source == "table"
-    assert table_only.decomposition == "F2 + F16"
+    assert table_only["source"] == "table"
+    assert table_only["decomposition"] == "F2 + F16"
     prose_only = expectation_for(2, 3, "C2")
-    assert prose_only.source == "prose"
+    assert prose_only["source"] == "prose"
     assert expectation_for(7, 1, "D6") is None
 
 
 def test_prose_rules_spot_checks():
-    assert expectation_for(2, 3, "C2").structure == "C2^3 x C7"
-    assert expectation_for(2, 3, "C2").unit_count == 56
-    assert expectation_for(7, 1, "C3").unit_count == 216
-    assert expectation_for(5, 2, "C2").structure == "C8^2 x C3^2"
-    assert expectation_for(5, 2, "C2").unit_count == 576
+    assert expectation_for(2, 3, "C2")["structure"] == "C2^3 x C7"
+    assert expectation_for(2, 3, "C2")["unit_count"] == 56
+    assert expectation_for(7, 1, "C3")["unit_count"] == 216
+    assert expectation_for(5, 2, "C2")["structure"] == "C8^2 x C3^2"
+    assert expectation_for(5, 2, "C2")["unit_count"] == 576
     # trivial group: U = K^*
     assert prose_unit_structure(2, 4, "C1").render() == "C3 x C5"
     assert prose_unit_structure(3, 1, "C1").render() == "C2"

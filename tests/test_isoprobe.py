@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,9 +6,8 @@ import pytest
 from kgunits.algebra import Algebra
 from kgunits.fields import make_field
 from kgunits.groups import group_by_label
-from kgunits.isoprobe import (Inconclusive, InvariantBundle, Isomorphic,
-                              NotIsomorphic, bundle, compare_unit_groups,
-                              decide, explicit_isomorphism,
+from kgunits.isoprobe import (BUNDLE_COMPARE_FIELDS, InvariantBundle, _pair_row,
+                              bundle, compare_unit_groups, explicit_isomorphism,
                               scan_minimum_counterexample)
 from kgunits.units import UnitGroup
 
@@ -16,73 +16,62 @@ def _alg(p, k, label):
     return Algebra(make_field(p, k), group_by_label(label))
 
 
+def _bundle(alg):
+    return bundle(alg, UnitGroup(alg))
+
+
+def _row(p, label_a, label_b):
+    a, b = _alg(p, 1, label_a), _alg(p, 1, label_b)
+    return _pair_row(a, b, _bundle(a), _bundle(b))
+
+
 def test_frozen_bundles_for_the_order_256_rivals():
-    assert bundle(_alg(2, 1, "D8")) == InvariantBundle(
-        size=256, field=(2, 1), commutative=False, unit_count=128,
+    assert _bundle(_alg(2, 1, "D8")) == InvariantBundle(
+        commutative=False, unit_count=128,
         unit_order_spectrum=((1, 1), (2, 47), (4, 80)),
         idempotent_count=2, nilpotent_count=128, square_zero_count=48,
         center_dimension=5)
-    assert bundle(_alg(2, 1, "Q8")) == InvariantBundle(
-        size=256, field=(2, 1), commutative=False, unit_count=128,
+    assert _bundle(_alg(2, 1, "Q8")) == InvariantBundle(
+        commutative=False, unit_count=128,
         unit_order_spectrum=((1, 1), (2, 15), (4, 112)),
         idempotent_count=2, nilpotent_count=128, square_zero_count=16,
         center_dimension=5)
 
 
-def test_bundle_is_deterministic_and_serializable():
-    b1 = bundle(_alg(3, 1, "C4"))
-    b2 = bundle(_alg(3, 1, "C4"))
-    assert b1 == b2
-    json.dumps(b1.as_dict())
+def test_bundle_is_deterministic():
+    assert _bundle(_alg(3, 1, "C4")) == _bundle(_alg(3, 1, "C4"))
 
 
-def test_decide_preconditions():
-    with pytest.raises(ValueError):
-        decide(_alg(2, 1, "C4"), _alg(3, 1, "C4"))
-    with pytest.raises(ValueError):
-        decide(_alg(2, 1, "C4"), _alg(2, 1, "C8"))
+def test_bundle_holds_exactly_the_compared_invariants_in_order():
+    names = tuple(f.name for f in dataclasses.fields(InvariantBundle))
+    assert names == BUNDLE_COMPARE_FIELDS
 
 
-def test_decide_distinguishes_by_invariants():
-    v = decide(_alg(2, 1, "C8"), _alg(2, 1, "C4xC2"))
-    assert isinstance(v, NotIsomorphic)
-    assert v.invariant == "unit_order_spectrum"
-    v = decide(_alg(3, 1, "C4"), _alg(3, 1, "C2xC2"))
-    assert isinstance(v, NotIsomorphic)
-    assert v.invariant == "unit_count"
-    assert v.values == (32, 16)
-    v = decide(_alg(2, 1, "D8"), _alg(2, 1, "Q8"))
-    assert isinstance(v, NotIsomorphic)
-    assert v.invariant == "unit_order_spectrum"
+def test_pair_row_refutes_by_the_first_differing_invariant():
+    r = _row(2, "C8", "C4xC2")
+    assert (r.size, r.field, r.group_a, r.group_b, r.verdict) == \
+        (256, "F2", "C8", "C4xC2", "not_isomorphic")
+    assert r.detail.startswith("unit_order_spectrum: {")
+    r = _row(3, "C4", "C2xC2")
+    assert (r.verdict, r.detail) == ("not_isomorphic", "unit_count: 32 vs 16")
+    r = _row(2, "D8", "Q8")
+    assert (r.verdict, r.detail) == (
+        "not_isomorphic", "unit_order_spectrum: {1: 1, 2: 47, 4: 80} "
+                          "vs {1: 1, 2: 15, 4: 112}")
 
 
-def test_decide_certifies_the_order_625_pair():
-    a = _alg(5, 1, "C4")
-    b = _alg(5, 1, "C2xC2")
-    v = decide(a, b)
-    assert isinstance(v, Isomorphic)
-    w = v.witness
-    assert (w.source_label, w.target_label) == ("F5C4", "F5C2xC2")
-    assert w.checksum() == "ce8efdaedf605a72"
-    # independently re-verify multiplicativity on every basis product
-    basis = [a.basis_element(i) for i in range(a.group.order)]
-    for x in basis:
-        for y in basis:
-            assert w.apply(x * y) == w.apply(x) * w.apply(y)
-    assert w.apply(a.one()) == b.one()
-    # and it is injective on the basis
-    assert len({w.apply(x).key() for x in basis}) == 4
+def test_pair_row_certifies_the_order_625_pair():
+    r = _row(5, "C4", "C2xC2")
+    assert (r.size, r.field, r.verdict, r.detail) == (
+        625, "F5", "isomorphic", "verified witness, checksum ce8efdaedf605a72")
 
 
-def test_decide_is_symmetric_in_verdict():
-    a = _alg(5, 1, "C4")
-    b = _alg(5, 1, "C2xC2")
-    forward = decide(a, b)
-    backward = decide(b, a)
-    assert isinstance(forward, Isomorphic) and isinstance(backward, Isomorphic)
-    assert backward.witness.source_label == "F5C2xC2"
-    assert decide(_alg(2, 1, "C8"), _alg(2, 1, "C4xC2")).kind == \
-        decide(_alg(2, 1, "C4xC2"), _alg(2, 1, "C8")).kind == "not_isomorphic"
+def test_pair_row_is_symmetric_in_verdict():
+    backward = _row(5, "C2xC2", "C4")
+    assert backward.verdict == "isomorphic"
+    assert (backward.group_a, backward.group_b) == ("C2xC2", "C4")
+    assert _row(2, "C8", "C4xC2").verdict == _row(2, "C4xC2", "C8").verdict \
+        == "not_isomorphic"
 
 
 def test_explicit_isomorphism_requires_matching_decompositions():
