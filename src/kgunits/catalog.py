@@ -19,7 +19,7 @@ from .fields import make_field, prime_power_split
 from .groups import group_by_label, groups_of_order
 from .presentations import Certificate, certify_from_source, coset_enumeration, \
     parse_presentation
-from .units import AbelianType, UnitGroup, structure_string
+from .units import UnitGroup, parse_structure_order, structure_string
 
 
 @dataclass(frozen=True)
@@ -52,20 +52,6 @@ class CatalogRow:
             "method_detail": self.method_detail,
             "published": self.published,
         }
-
-
-def parse_structure_order(text: str) -> int | None:
-    """Group order implied by a structure string, None if not parseable."""
-    if text.startswith("presented(order "):
-        return int(text[len("presented(order "):].split(",")[0].rstrip(")"))
-    if text.startswith("unclassified(order="):
-        return int(text[len("unclassified(order="):].rstrip(")"))
-    if text.startswith("D") and text[1:].isdigit():
-        return int(text[1:])
-    try:
-        return AbelianType.parse(text).order()
-    except ValueError:
-        return None
 
 
 def _is_elementary_abelian(group, p: int) -> bool:
@@ -124,8 +110,7 @@ def build_row(p: int, k: int, label: str) -> CatalogRow:
             else:
                 structure = structure_string(
                     "presented",
-                    f"order {cert.order}, "
-                    f"{len(cert.presentation.generator_names)} generators")
+                    (cert.order, len(cert.presentation.generator_names)))
             method = "presentation"
             detail = (f"relators verified in U, generators close over the full "
                       f"group, coset enumeration gives {cert.order} "
@@ -136,7 +121,7 @@ def build_row(p: int, k: int, label: str) -> CatalogRow:
                       unit_count=units.order, structure=structure,
                       method=method, method_detail=detail,
                       published=expectation_for(p, k, label),
-                      spectrum=tuple(sorted(units.unit_order_spectrum().items())))
+                      spectrum=units.unit_order_spectrum())
 
 
 def _build_row_spec(spec: tuple[int, int, str]) -> CatalogRow:

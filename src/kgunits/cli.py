@@ -98,11 +98,8 @@ def cmd_verify(args) -> int:
 
 def cmd_scan_iso(args) -> int:
     report = scan_minimum_counterexample(args.bound, args.jobs)
-    notes = report.notes
     if args.format == "json":
-        payload = report.as_dict()
-        payload["notes"] = [n.as_dict() for n in notes]
-        _emit_json(payload)
+        _emit_json(report.as_dict())
         return 0
     print(report.headline())
     print(f"pairs examined: {report.pair_count} "
@@ -113,27 +110,25 @@ def cmd_scan_iso(args) -> int:
              r.detail] for r in report.rows]
     for line in _aligned(headers, body, right={0}):
         print(line)
-    if notes:
+    if report.notes:
         print("notes on unit groups of the nonabelian pairs:")
-        for n in notes:
-            print(f"  {n.label_a} vs {n.label_b}: {n.verdict} "
-                  f"(orders {n.order_a} and {n.order_b})")
+        for n in report.notes:
+            (label_a, label_b), (order_a, order_b) = n["pair"], n["orders"]
+            print(f"  {label_a} vs {label_b}: {n['verdict']} "
+                  f"(orders {order_a} and {order_b})")
     return 0
 
 
 def cmd_unit_group(args) -> int:
     algebra = _algebra_for(args.field, args.group)
     row = build_row(algebra.field.p, algebra.field.k, args.group)
-    spectrum = row.spectrum
     if args.format == "json":
-        payload = row.as_dict()
-        payload["spectrum"] = [list(pair) for pair in spectrum]
-        _emit_json(payload)
+        _emit_json(row.as_dict() | {"spectrum": row.spectrum})
         return 0
     print(f"U({row.field}{row.group}): order {row.unit_count}")
     print(f"structure: {row.structure}")
     print(f"method: {row.method} ({row.method_detail})")
-    print("spectrum: " + " ".join(f"{o}:{c}" for o, c in spectrum))
+    print("spectrum: " + " ".join(f"{o}:{c}" for o, c in row.spectrum))
     return 0
 
 

@@ -8,6 +8,7 @@ for group-algebra elements.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from math import lcm
 
@@ -73,13 +74,9 @@ class Group:
             self._orders = tuple(orders)
         return self._orders[a]
 
-    def order_spectrum(self) -> dict[int, int]:
-        """Map element order -> count of elements with that order."""
-        spec: dict[int, int] = {}
-        for g in range(self.order):
-            o = self.element_order(g)
-            spec[o] = spec.get(o, 0) + 1
-        return spec
+    def order_spectrum(self) -> tuple[tuple[int, int], ...]:
+        """Sorted (element order, number of elements) pairs."""
+        return tuple(sorted(Counter(map(self.element_order, range(self.order))).items()))
 
     def exponent(self) -> int:
         return lcm(*(self.element_order(g) for g in range(self.order)))

@@ -4,7 +4,8 @@ Refutation works through a bundle of ring-theoretic invariants compared in
 a fixed order.  Certification only ever happens through matching all-field
 decompositions plus an explicitly constructed and exhaustively verified
 isomorphism; invariant equality alone never certifies.  ``_pair_row`` reads
-one pair's scan row, its verdict and detail, straight off the two bundles.
+one pair's scan row, its verdict and detail, straight off the two bundles,
+and ``compare_unit_groups`` the note on a pair of nonabelian groups.
 """
 
 import hashlib
@@ -69,7 +70,7 @@ def bundle(algebra: Algebra, units: UnitGroup) -> InvariantBundle:
     return InvariantBundle(
         commutative=group.is_abelian(),
         unit_count=units.order,
-        unit_order_spectrum=tuple(sorted(units.unit_order_spectrum().items())),
+        unit_order_spectrum=units.unit_order_spectrum(),
         idempotent_count=idem,
         nilpotent_count=nil,
         square_zero_count=sq0,
@@ -253,57 +254,6 @@ def _verify_witness(a: Algebra, b: Algebra, w: IsoWitness) -> None:
 
 
 # ---------------------------------------------------------------------------
-# unit group comparison (abstract groups, not rings)
-
-@dataclass(frozen=True)
-class UnitGroupComparison:
-    label_a: str
-    label_b: str
-    order_a: int
-    order_b: int
-    spectrum_a: tuple[tuple[int, int], ...]
-    spectrum_b: tuple[tuple[int, int], ...]
-    abelian_a: bool
-    abelian_b: bool
-
-    @property
-    def verdict(self) -> str:
-        if self.order_a != self.order_b:
-            return "not isomorphic (orders differ)"
-        if self.spectrum_a != self.spectrum_b:
-            return "not isomorphic (element order spectra differ)"
-        if self.abelian_a != self.abelian_b:
-            return "not isomorphic (one is abelian)"
-        if self.abelian_a:
-            # equal spectra pin down equal abelian invariants
-            return "isomorphic (equal abelian invariants)"
-        return "inconclusive (equal orders and spectra, both nonabelian)"
-
-    def as_dict(self) -> dict:
-        return {
-            "pair": [self.label_a, self.label_b],
-            "orders": [self.order_a, self.order_b],
-            "spectra": [[list(p) for p in self.spectrum_a],
-                        [list(p) for p in self.spectrum_b]],
-            "abelian": [self.abelian_a, self.abelian_b],
-            "verdict": self.verdict,
-        }
-
-
-def compare_unit_groups(ua: UnitGroup, ub: UnitGroup) -> UnitGroupComparison:
-    return UnitGroupComparison(
-        label_a=f"U({ua.algebra.label()})",
-        label_b=f"U({ub.algebra.label()})",
-        order_a=ua.order,
-        order_b=ub.order,
-        spectrum_a=tuple(sorted(ua.unit_order_spectrum().items())),
-        spectrum_b=tuple(sorted(ub.unit_order_spectrum().items())),
-        abelian_a=ua.is_abelian(),
-        abelian_b=ub.is_abelian(),
-    )
-
-
-# ---------------------------------------------------------------------------
 # the minimality scan
 
 @dataclass(frozen=True)
@@ -329,9 +279,8 @@ class ScanReport:
     inconclusive: tuple[ScanRow, ...]
     pair_count: int
     expected_pair_count: int
-    # unit-group comparisons of the pairs of nonabelian groups, in row
-    # order; the CLI prints them, as_dict leaves them out
-    notes: tuple[UnitGroupComparison, ...] = ()
+    # compare_unit_groups notes on the pairs of nonabelian groups, in row order
+    notes: tuple[dict, ...] = ()
 
     def headline(self) -> str:
         if self.minimum is None:
@@ -349,6 +298,7 @@ class ScanReport:
             "expected_pair_count": self.expected_pair_count,
             "inconclusive": [r.as_dict() for r in self.inconclusive],
             "rows": [r.as_dict() for r in self.rows],
+            "notes": list(self.notes),
         }
 
 
@@ -375,12 +325,32 @@ def _pair_row(a: Algebra, b: Algebra,
                 va, vb = _spectrum_text(va), _spectrum_text(vb)
             return row("not_isomorphic", f"{name}: {va} vs {vb}")
     if ba.commutative:
-        sa, sb = decompose_abelian(a), decompose_abelian(b)
-        if sa.blocks == sb.blocks and sa.all_fields():
+        try:
+            # raises ValueError unless the decompositions match as field sums
             witness = explicit_isomorphism(a, b)
+        except ValueError:
+            pass
+        else:
             return row("isomorphic", f"verified witness, checksum {witness.checksum()}")
     return row("inconclusive",
                "invariant bundle ties and no certified decomposition match")
+
+
+def compare_unit_groups(a: Algebra, b: Algebra,
+                        ba: InvariantBundle, bb: InvariantBundle) -> dict:
+    """The scan's note on the unit groups of two algebras of nonabelian
+    groups, read off their bundles, as its JSON dict."""
+    if ba.unit_count != bb.unit_count:
+        verdict = "not isomorphic (orders differ)"
+    elif ba.unit_order_spectrum != bb.unit_order_spectrum:
+        verdict = "not isomorphic (element order spectra differ)"
+    else:
+        verdict = "inconclusive (equal orders and spectra, both nonabelian)"
+    return {"pair": [f"U({a.label()})", f"U({b.label()})"],
+            "orders": [ba.unit_count, bb.unit_count],
+            "spectra": [ba.unit_order_spectrum, bb.unit_order_spectrum],
+            "abelian": [ba.commutative, bb.commutative],
+            "verdict": verdict}
 
 
 def _sizes_with_pairs(bound: int) -> list[tuple[tuple[int, int, int], ...]]:
@@ -401,15 +371,15 @@ def _scan_one_size(combos) -> tuple:
         field = make_field(p, k)
         groups = groups_of_order(n)
         algebras = {g.label: Algebra(field, g) for g in groups}
-        units = {lbl: UnitGroup(alg) for lbl, alg in algebras.items()}
-        bundles = {lbl: bundle(alg, units[lbl]) for lbl, alg in algebras.items()}
+        bundles = {lbl: bundle(alg, UnitGroup(alg)) for lbl, alg in algebras.items()}
         for ga, gb in combinations(groups, 2):
             if small_group_isomorphic(ga, gb):
                 continue
             rows.append(_pair_row(algebras[ga.label], algebras[gb.label],
                                   bundles[ga.label], bundles[gb.label]))
             if not (ga.is_abelian() or gb.is_abelian()):
-                notes.append(compare_unit_groups(units[ga.label], units[gb.label]))
+                notes.append(compare_unit_groups(algebras[ga.label], algebras[gb.label],
+                                                 bundles[ga.label], bundles[gb.label]))
     return tuple(rows), tuple(notes)
 
 

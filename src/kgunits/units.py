@@ -2,11 +2,11 @@
 
 The units and their multiplicative orders come from one call to
 ``enumerate_units``, the element census of algebra.py: it maps each unit's
-code tuple to its order, in counting order.  ``UnitGroup.index`` maps each
-unit's code tuple to its position, and the order spectrum is counted from
-the census orders, with no second walk.  The census raises ValueError on a
-walk that runs past |K[G]| steps or leaves the units after meeting one, and
-on an order not dividing |U|.
+code tuple to its order, in counting order.  ``UnitGroup.census`` keeps that
+dict as the group's only record, and the order spectrum is counted from it
+once, with no second walk, into one shared tuple of sorted (order, count)
+pairs.  The census raises ValueError on a walk that runs past |K[G]| steps
+or leaves the units after meeting one, and on an order not dividing |U|.
 
 Abelian invariants are recovered purely from order statistics by
 ``primary_partitions``: for each prime r dividing |U|, the counts N_i of
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import lcm
 
-from .algebra import Algebra, AlgebraElement, enumerate_units
+from .algebra import Algebra, enumerate_units
 from .fields import prime_factors
 
 
@@ -57,11 +57,11 @@ def partition_from_power_counts(r: int, counts: list[int]) -> tuple[int, ...]:
     return parts
 
 
-def primary_partitions(order: int, spectrum: dict[int, int]) -> dict[int, tuple[int, ...]]:
+def primary_partitions(order: int, spectrum) -> dict[int, tuple[int, ...]]:
     """Per-prime partitions of an abelian group from its order spectrum.
 
-    spectrum maps element order -> count.  The recovered cyclic orders must
-    multiply up to the group order; otherwise RuntimeError.
+    spectrum holds (element order, count) pairs.  The recovered cyclic
+    orders must multiply up to the group order; otherwise RuntimeError.
     """
     parts: dict[int, tuple[int, ...]] = {}
     total = 1
@@ -71,7 +71,7 @@ def primary_partitions(order: int, spectrum: dict[int, int]) -> dict[int, tuple[
         while o % r == 0:
             o //= r
             max_e += 1
-        counts = [sum(c for d, c in spectrum.items() if r ** i % d == 0)
+        counts = [sum(c for d, c in spectrum if r ** i % d == 0)
                   for i in range(max_e + 1)]
         parts[r] = partition_from_power_counts(r, counts)
         total *= r ** sum(parts[r])
@@ -162,15 +162,9 @@ class UnitGroup:
 
     def __init__(self, algebra: Algebra):
         self.algebra = algebra
-        census = enumerate_units(algebra)
-        self.order = len(census)
-        self.index = {key: i for i, key in enumerate(census)}
-        self._orders = tuple(census.values())
-
-    @cached_property
-    def units(self) -> tuple[AlgebraElement, ...]:
-        """The units as algebra elements, in counting order, built on first use."""
-        return tuple(map(self.algebra.from_key, self.index))
+        # unit code tuple -> multiplicative order, in counting order
+        self.census = enumerate_units(algebra)
+        self.order = len(self.census)
 
     def __repr__(self):
         return f"UnitGroup({self.algebra.label()}, order={self.order})"
@@ -181,21 +175,21 @@ class UnitGroup:
         return self.algebra.group.is_abelian()
 
     def _order_list(self):
-        """Multiplicative order of every unit, aligned with self.units, as
-        the element census of enumerate_units found them."""
-        return self._orders
+        """Multiplicative order of every unit, in counting order, as the
+        element census of enumerate_units found them."""
+        return tuple(self.census.values())
 
-    def unit_order_spectrum(self) -> dict[int, int]:
-        """Element order -> number of units of that order, in a fresh dict."""
-        return dict(self._spectrum)
+    def unit_order_spectrum(self) -> tuple[tuple[int, int], ...]:
+        """Sorted (element order, number of units) pairs, counted once; every
+        call returns the same immutable tuple."""
+        return self._spectrum
 
     @cached_property
     def _spectrum(self) -> tuple[tuple[int, int], ...]:
-        """The order spectrum as sorted (order, count) pairs, counted once."""
         return tuple(sorted(Counter(self._order_list()).items()))
 
     def exponent(self) -> int:
-        return lcm(*self.unit_order_spectrum())
+        return lcm(*(o for o, _ in self.unit_order_spectrum()))
 
     def abelian_invariants(self) -> AbelianType:
         """Primary decomposition of an abelian unit group from order counts."""
@@ -215,18 +209,17 @@ class UnitGroup:
         if self.order % 2 or self.is_abelian():
             return (False, None)
         m = self.order // 2
-        orders = self._order_list()
         mul = self.algebra.mul_codes
-        for i, r in enumerate(self.index):
-            if orders[i] != m:
+        for r, order_r in self.census.items():
+            if order_r != m:
                 continue
             powers = [r]
             while len(powers) < m:
                 powers.append(mul(powers[-1], r))
             r_inv = powers[-2]  # r^(m-1)
             in_r = set(powers)
-            for j, s in enumerate(self.index):
-                if orders[j] != 2 or s in in_r:
+            for s, order_s in self.census.items():
+                if order_s != 2 or s in in_r:
                     continue
                 if mul(mul(s, r), s) == r_inv:
                     return (True, (self.algebra.from_key(r), self.algebra.from_key(s)))
@@ -237,7 +230,7 @@ class UnitGroup:
         gens = list(gens)
         for g in gens:
             self.algebra._check(g)
-            if g.key() not in self.index:
+            if g.key() not in self.census:
                 raise ValueError(f"generator {g} is not a unit of {self.algebra.label()}")
         mul = self.algebra.mul_codes
         keys = [g.key() for g in gens]
@@ -254,13 +247,34 @@ class UnitGroup:
 
 
 def structure_string(kind: str, payload) -> str:
-    """Rendering grammar shared by catalog rows and reports."""
+    """Rendering grammar shared by catalog rows and reports.
+
+    The payload is an AbelianType for "abelian", the group order for
+    "dihedral" and "unclassified", and (order, generator count) for
+    "presented".  parse_structure_order reads the order back.
+    """
     if kind == "abelian":
         return payload.render()
     if kind == "dihedral":
         return f"D{payload}"
     if kind == "presented":
-        return f"presented({payload})"
+        order, generators = payload
+        return f"presented(order {order}, {generators} generators)"
     if kind == "unclassified":
         return f"unclassified(order={payload})"
     raise ValueError(f"unknown structure kind {kind!r}")
+
+
+def parse_structure_order(text: str) -> int | None:
+    """Group order a structure string names, None if not parseable: the
+    inverse of structure_string, up to the order."""
+    try:
+        if text.startswith("presented(order "):
+            return int(text[len("presented(order "):].split(",")[0].rstrip(")"))
+        if text.startswith("unclassified(order="):
+            return int(text[len("unclassified(order="):].rstrip(")"))
+        if text.startswith("D") and text[1:].isdigit():
+            return int(text[1:])
+        return AbelianType.parse(text).order()
+    except ValueError:
+        return None

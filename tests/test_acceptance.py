@@ -168,8 +168,8 @@ def test_criterion_6_involution_counts():
     problems = []
     for p, k, label, want in ((2, 1, "C4xC2", 64), (2, 1, "C8", 16),
                               (2, 2, "C4", 16)):
-        spec = UnitGroup(Algebra(make_field(p, k),
-                                 group_by_label(label))).unit_order_spectrum()
+        spec = dict(UnitGroup(Algebra(make_field(p, k),
+                                      group_by_label(label))).unit_order_spectrum())
         got = spec.get(1, 0) + spec.get(2, 0)
         if got != want:
             problems.append((p, k, label, got, want))

@@ -3,9 +3,8 @@ import json
 
 import pytest
 
-from kgunits.catalog import (build_catalog, build_row, catalog_specs,
-                             parse_structure_order, verify_catalog)
-from kgunits.units import AbelianType, primary_partitions
+from kgunits.catalog import build_catalog, build_row, catalog_specs, verify_catalog
+from kgunits.units import AbelianType, parse_structure_order, primary_partitions
 
 
 def test_row_count_and_order(catalog_rows):
@@ -70,7 +69,7 @@ def test_every_row_is_published_and_self_consistent(catalog_rows):
         assert parse_structure_order(r.structure) == r.unit_count, (r.field, r.group)
         if group.is_abelian():
             # the structure string reads back as the type the spectrum gives
-            t = AbelianType.from_primary(primary_partitions(r.unit_count, dict(r.spectrum)))
+            t = AbelianType.from_primary(primary_partitions(r.unit_count, r.spectrum))
             assert t.render() == r.structure, (r.field, r.group)
             assert AbelianType.parse(t.render()) == t, (r.field, r.group)
         assert r.size == (r.p ** r.k) ** group.order
@@ -85,6 +84,8 @@ def test_parse_structure_order():
     assert parse_structure_order("presented(order 324, 3 generators)") == 324
     assert parse_structure_order("unclassified(order=7)") == 7
     assert parse_structure_order("what") is None
+    assert parse_structure_order("unclassified(order=x)") is None
+    assert parse_structure_order("presented(order x, 3 generators)") is None
 
 
 @pytest.mark.parametrize("text", ["C4^0", "C6", "C2 x C2"])

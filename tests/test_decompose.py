@@ -48,7 +48,7 @@ def test_decomposition_dimension_and_unit_order():
     assert big.dimension() == 6
     small = decompose_abelian(_alg(2, 1, "C6"))
     assert small.dimension() == 6
-    assert small.unit_order() == len(UnitGroup(_alg(2, 1, "C6")).units)
+    assert small.unit_order() == len(UnitGroup(_alg(2, 1, "C6")).census)
 
 
 def test_unit_orders_match_enumeration_everywhere_small():

@@ -38,11 +38,11 @@ def test_group_axioms_hold_everywhere():
 
 
 def test_order_spectra():
-    assert group_by_label("D6").order_spectrum() == {1: 1, 2: 3, 3: 2}
-    assert group_by_label("Q8").order_spectrum() == {1: 1, 2: 1, 4: 6}
-    assert group_by_label("D8").order_spectrum() == {1: 1, 2: 5, 4: 2}
-    assert group_by_label("C2xC2").order_spectrum() == {1: 1, 2: 3}
-    assert group_by_label("C8").order_spectrum() == {1: 1, 2: 1, 4: 2, 8: 4}
+    assert group_by_label("D6").order_spectrum() == ((1, 1), (2, 3), (3, 2))
+    assert group_by_label("Q8").order_spectrum() == ((1, 1), (2, 1), (4, 6))
+    assert group_by_label("D8").order_spectrum() == ((1, 1), (2, 5), (4, 2))
+    assert group_by_label("C2xC2").order_spectrum() == ((1, 1), (2, 3))
+    assert group_by_label("C8").order_spectrum() == ((1, 1), (2, 1), (4, 2), (8, 4))
 
 
 def test_exponent_and_commutativity():

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+import kgunits.isoprobe
 from kgunits.algebra import Algebra
+from kgunits.catalog import build_row
 from kgunits.fields import make_field
 from kgunits.groups import group_by_label
 from kgunits.isoprobe import (BUNDLE_COMPARE_FIELDS, InvariantBundle, _pair_row,
@@ -66,6 +68,27 @@ def test_pair_row_certifies_the_order_625_pair():
         625, "F5", "isomorphic", "verified witness, checksum ce8efdaedf605a72")
 
 
+def test_a_certified_pair_is_decomposed_once_per_algebra(monkeypatch):
+    a, b = _alg(5, 1, "C4"), _alg(5, 1, "C2xC2")
+    ba, bb = _bundle(a), _bundle(b)
+    real = kgunits.isoprobe.decompose_abelian
+    calls = []
+    monkeypatch.setattr(kgunits.isoprobe, "decompose_abelian",
+                        lambda alg: calls.append(alg.label()) or real(alg))
+    assert _pair_row(a, b, ba, bb).verdict == "isomorphic"
+    assert calls == ["F5C4", "F5C2xC2"]
+
+
+def test_a_commutative_tie_without_matching_decompositions_is_inconclusive():
+    # the bundles tie by construction; F3 C4 and C2xC2 decompose differently,
+    # so explicit_isomorphism refuses and the row says so
+    a, b = _alg(3, 1, "C4"), _alg(3, 1, "C2xC2")
+    ba = _bundle(a)
+    r = _pair_row(a, b, ba, ba)
+    assert (r.verdict, r.detail) == (
+        "inconclusive", "invariant bundle ties and no certified decomposition match")
+
+
 def test_pair_row_is_symmetric_in_verdict():
     backward = _row(5, "C2xC2", "C4")
     assert backward.verdict == "isomorphic"
@@ -106,6 +129,8 @@ def test_scan_report(scan_report):
     assert len(below) == 15
     assert all(row.verdict == "not_isomorphic" for row in below)
     assert sum(1 for row in r.rows if row.verdict == "isomorphic") == 1
+    assert [n["pair"] for n in r.notes] == [["U(F2D8)", "U(F2Q8)"]]
+    assert r.as_dict()["notes"] == list(r.notes)
     json.dumps(r.as_dict())
 
 
@@ -120,15 +145,35 @@ def test_scan_below_the_minimum_finds_nothing():
     assert r.headline() == "no isomorphic pair below 600"
 
 
+def _note(a, b):
+    return compare_unit_groups(a, b, _bundle(a), _bundle(b))
+
+
 def test_compare_unit_groups_branches():
-    d8 = UnitGroup(_alg(2, 1, "D8"))
-    q8 = UnitGroup(_alg(2, 1, "Q8"))
-    c = compare_unit_groups(d8, q8)
-    assert c.verdict == "not isomorphic (element order spectra differ)"
-    a = UnitGroup(_alg(5, 1, "C4"))
-    b = UnitGroup(_alg(5, 1, "C2xC2"))
-    assert compare_unit_groups(a, b).verdict == "isomorphic (equal abelian invariants)"
-    small = UnitGroup(_alg(2, 1, "C2"))
-    big = UnitGroup(_alg(2, 1, "C4"))
-    assert compare_unit_groups(small, big).verdict == "not isomorphic (orders differ)"
-    json.dumps(compare_unit_groups(d8, q8).as_dict())
+    d8, q8 = _alg(2, 1, "D8"), _alg(2, 1, "Q8")
+    assert _note(d8, q8) == {
+        "pair": ["U(F2D8)", "U(F2Q8)"], "orders": [128, 128],
+        "spectra": [((1, 1), (2, 47), (4, 80)), ((1, 1), (2, 15), (4, 112))],
+        "abelian": [False, False],
+        "verdict": "not isomorphic (element order spectra differ)"}
+    assert _note(d8, d8)["verdict"] == \
+        "inconclusive (equal orders and spectra, both nonabelian)"
+    assert _note(_alg(2, 1, "D6"), _alg(3, 1, "D6"))["verdict"] == \
+        "not isomorphic (orders differ)"
+    json.dumps(_note(d8, q8))
+
+
+def test_the_spectrum_is_one_object_from_units_to_rows_and_notes(monkeypatch):
+    d8, q8 = _alg(2, 1, "D8"), _alg(2, 1, "Q8")
+    ua, ub = UnitGroup(d8), UnitGroup(q8)
+    ba, bb = bundle(d8, ua), bundle(q8, ub)
+    assert ba.unit_order_spectrum is ua.unit_order_spectrum()
+    note = compare_unit_groups(d8, q8, ba, bb)
+    assert note["spectra"][0] is ua.unit_order_spectrum()
+    assert note["spectra"][1] is ub.unit_order_spectrum()
+    # build_row's own unit group, caught on the way in; past its cache
+    built = []
+    monkeypatch.setattr(kgunits.catalog, "UnitGroup",
+                        lambda alg: built.append(UnitGroup(alg)) or built[-1])
+    row = build_row.__wrapped__(2, 1, "D8")
+    assert row.spectrum is built[0].unit_order_spectrum() == ua.unit_order_spectrum()

@@ -36,7 +36,8 @@ def unit_list_power_walk(u):
     orders = [None] * u.order
     mul = u.algebra.mul_codes
     one = u.algebra.one().key()
-    for i, x in enumerate(u.index):
+    index = {x: i for i, x in enumerate(u.census)}
+    for i, x in enumerate(index):
         if orders[i] is not None:
             continue
         powers = [i]
@@ -44,7 +45,7 @@ def unit_list_power_walk(u):
         while acc != one:
             assert len(powers) < u.order
             acc = mul(acc, x)
-            powers.append(u.index[acc])
+            powers.append(index[acc])
         o = len(powers)
         for k, j in enumerate(powers, 1):
             orders[j] = o // gcd(k, o)
@@ -107,28 +108,27 @@ def test_abelian_type_composite_and_primary_agree():
 
 
 def test_frozen_unit_order_spectra():
-    assert _units(2, 1, "C8").unit_order_spectrum() == {1: 1, 2: 15, 4: 48, 8: 64}
-    assert _units(2, 2, "C4").unit_order_spectrum() == {
-        1: 1, 2: 15, 3: 2, 4: 48, 6: 30, 12: 96}
-    assert _units(2, 1, "C4xC2").unit_order_spectrum() == {1: 1, 2: 63, 4: 64}
+    assert _units(2, 1, "C8").unit_order_spectrum() == ((1, 1), (2, 15), (4, 48), (8, 64))
+    assert _units(2, 2, "C4").unit_order_spectrum() == (
+        (1, 1), (2, 15), (3, 2), (4, 48), (6, 30), (12, 96))
+    assert _units(2, 1, "C4xC2").unit_order_spectrum() == ((1, 1), (2, 63), (4, 64))
 
 
-def test_spectrum_is_counted_once_and_handed_out_fresh(monkeypatch):
+def test_spectrum_is_counted_once_and_shared(monkeypatch):
     u = _units(3, 1, "C4")
     first = u.unit_order_spectrum()
     # later calls do not read the orders again
     monkeypatch.setattr(u, "_order_list", lambda: pytest.fail("orders recounted"))
-    assert u.unit_order_spectrum() == first == {1: 1, 2: 7, 4: 8, 8: 16}
-    first[2] = 0
-    first[99] = 1
-    assert u.unit_order_spectrum() == {1: 1, 2: 7, 4: 8, 8: 16}
-    assert u.unit_order_spectrum() is not u.unit_order_spectrum()
+    assert first == ((1, 1), (2, 7), (4, 8), (8, 16))
+    # one immutable tuple, handed out as it is
+    assert u.unit_order_spectrum() is first
+    assert isinstance(first, tuple) and all(isinstance(pair, tuple) for pair in first)
     assert u.exponent() == 8
 
 
 def test_counts_of_units_of_order_at_most_two():
     def n_le_2(u):
-        spec = u.unit_order_spectrum()
+        spec = dict(u.unit_order_spectrum())
         return spec.get(1, 0) + spec.get(2, 0)
 
     assert n_le_2(_units(2, 1, "C4xC2")) == 64
@@ -160,7 +160,7 @@ def test_recognize_dihedral():
 def test_element_order_brute_cross_check():
     u = _units(5, 1, "C2")
     one = u.algebra.one()
-    for el in u.units:
+    for el in map(u.algebra.from_key, u.census):
         o = 1
         acc = el
         while acc != one:
@@ -175,7 +175,8 @@ def test_order_list_matches_divisor_descent():
     assert len(specs) == 91
     for p, k, label in specs:
         u = _units(p, k, label)
-        assert u._order_list() == tuple(element_order(u, x) for x in u.units), \
+        assert u._order_list() == tuple(element_order(u, x) for x in
+                                        map(u.algebra.from_key, u.census)), \
             (p, k, label)
 
 
@@ -192,7 +193,7 @@ def test_order_list_brute_cross_check(p, k, label):
     u = _units(p, k, label)
     one = u.algebra.one()
     brute = []
-    for el in u.units:
+    for el in map(u.algebra.from_key, u.census):
         o, acc = 1, el
         while acc != one:
             acc = acc * el
@@ -239,13 +240,13 @@ def test_closure_sizes():
 def test_exponent_is_lcm_of_spectrum():
     for p, k, label in ((2, 1, "C6"), (2, 2, "C4"), (3, 1, "D6")):
         u = _units(p, k, label)
-        assert u.exponent() == lcm(*u.unit_order_spectrum())
+        assert u.exponent() == lcm(*dict(u.unit_order_spectrum()))
 
 
 def test_structure_string_grammar():
     assert structure_string("abelian", AbelianType.from_cyclic_orders([4, 2])) == "C2 x C4"
     assert structure_string("dihedral", 12) == "D12"
-    assert structure_string("presented", "order 324, 3 generators") == \
+    assert structure_string("presented", (324, 3)) == \
         "presented(order 324, 3 generators)"
     assert structure_string("unclassified", 7) == "unclassified(order=7)"
     with pytest.raises(ValueError):
