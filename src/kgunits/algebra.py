@@ -3,7 +3,9 @@
 An Algebra is K[G] for a FieldSpec K and a Group G.  An element is the tuple
 of its coefficients' int field codes, one per group element; ``key()``
 returns it.  Every operation runs on those tuples with the FieldSpec code
-operations, and products go through the one convolution ``Algebra.mul_codes``.
+operations.  Products go through ``Algebra.mul_codes``, one function per
+algebra that ``_product`` writes out from the group table on first use: the
+convolution unrolled, each output coefficient one expression.
 ``AlgebraElement.coeffs`` is a read-only FieldElement view for display and
 the public API.
 
@@ -27,7 +29,7 @@ vector) and checks the inverse b on both sides, a*b = b*a = 1, by
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+from functools import cached_property, lru_cache, reduce
 from math import gcd
 
 from .fields import FieldElement, FieldSpec
@@ -41,12 +43,21 @@ class Algebra:
         self.field = field
         self.group = group
         self.size = field.q ** group.order
-        n = group.order
+        self._one_key = tuple(int(i == group.identity) for i in range(group.order))
+
+    @cached_property
+    def mul_codes(self):
+        """The product of two code tuples, as a code tuple: the function
+        ``_product`` generates from the group table on first use."""
+        return _product(self.field, self.group)
+
+    @cached_property
+    def _left(self):
         # left multiplication by a sends basis j to the sum of a[i] * (i j),
         # so its matrix entry (i, j) is a[i j^-1]
-        self._left = tuple(tuple(group.mul(i, group.inv(j)) for j in range(n))
-                           for i in range(n))
-        self._one_key = tuple(int(i == group.identity) for i in range(n))
+        group, n = self.group, self.group.order
+        return tuple(tuple(group.mul(i, group.inv(j)) for j in range(n))
+                     for i in range(n))
 
     def label(self) -> str:
         return f"{self.field.label()}{self.group.label}"
@@ -77,30 +88,6 @@ class Algebra:
     def from_key(self, key) -> "AlgebraElement":
         """The element whose coefficient codes are key."""
         return AlgebraElement(self, tuple(key))
-
-    def mul_codes(self, a, b) -> tuple[int, ...]:
-        """The convolution product of two code tuples, as a code tuple."""
-        table = self.group.table
-        field = self.field
-        out = [0] * len(a)
-        if field.k == 1:
-            for i, ai in enumerate(a):
-                if ai:
-                    row = table[i]
-                    for j, bj in enumerate(b):
-                        if bj:
-                            out[row[j]] += ai * bj
-            p = field.p
-            return tuple([c % p for c in out])
-        add, mul = field.add, field.mul
-        for i, ai in enumerate(a):
-            if ai:
-                row = table[i]
-                for j, bj in enumerate(b):
-                    if bj:
-                        k = row[j]
-                        out[k] = add(out[k], mul(ai, bj))
-        return tuple(out)
 
     def inverse_codes(self, a):
         """The two-sided inverse of the code tuple a, or None if a is no unit.
@@ -230,6 +217,57 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"{self.algebra.label()}<{self}>"
+
+
+def _product(field: FieldSpec, group: Group):
+    """The product of K[G] on code tuples, as one generated function.
+
+    Output coefficient k adds a_i * b_j over the |G| pairs (i, j) with
+    g_i g_j = g_k, written out from ``group.table``.  A prime field reduces
+    one int sum, ``(... + a_i*b_j ...) % p``.  A field with k > 1 and
+    |G| >= 2 has q <= 31, since q^2 < 1024, so it reads the q x q add and
+    mul code tables; over G = C1 it reads the exp/log tables.
+    """
+    if field.k == 1:
+        return _product_maker("prime", group.table)(field.p)
+    if group.order == 1:
+        exp, log, _ = field._tables()
+        return _product_maker("log", group.table)(exp, log)
+    return _product_maker("table", group.table)(*field._square_tables())
+
+
+@lru_cache(maxsize=None)
+def _product_maker(kind: str, table):
+    """make(field tables) -> the product, for one kind of field and one group
+    table, compiled from source once, as collections.namedtuple builds its
+    classes."""
+    n = len(table)
+    terms = [[] for _ in range(n)]  # terms[k]: the (i, j) with g_i g_j = g_k
+    for i, row in enumerate(table):
+        for j, k in enumerate(row):
+            terms[k].append((i, j))
+    a, b, m = ("".join(f"{x}{i}, " for i in range(n)) for x in "abm")
+    lines = [f"{a}= a", f"{b}= b"]
+    if kind == "prime":
+        args = "p"
+        out = ["(" + " + ".join(f"a{i}*b{j}" for i, j in ij) + ") % p" for ij in terms]
+    elif kind == "log":
+        args = "exp, log"
+        out = ["exp[log[a0] + log[b0]] if a0 and b0 else 0"]
+    else:
+        args = "A, M"
+        lines.append(f"{m}= " + "".join(f"M[a{i}], " for i in range(n)))
+        out = []
+        for (i, j), *rest in terms:
+            s = f"m{i}[b{j}]"
+            for i, j in rest:
+                s = f"A[{s}][m{i}[b{j}]]"
+            out.append(s)
+    lines.append("return (" + "".join(f"{s}, " for s in out) + ")")
+    namespace = {}
+    exec(f"def make({args}):\n    def mul(a, b):\n"
+         + "".join(f"        {line}\n" for line in lines) + "    return mul\n", namespace)
+    return namespace["make"]
 
 
 def row_reduce(rows, field: FieldSpec, ncols: int) -> int:

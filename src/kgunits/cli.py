@@ -40,15 +40,17 @@ def _parse_field(text: str) -> tuple[int, int]:
     return split
 
 
-def _algebra_for(field_text: str, group_text: str) -> Algebra:
+def _field_and_group(field_text: str, group_text: str):
+    """The field and group of an algebra within the catalog bound."""
     p, k = _parse_field(field_text)
     group = group_by_label(group_text)
-    algebra = Algebra(make_field(p, k), group)
-    if algebra.size >= DEFAULT_BOUND:
+    field = make_field(p, k)
+    size = field.q ** group.order
+    if size >= DEFAULT_BOUND:
         raise ValueError(
-            f"{algebra.label()} has size {algebra.size}, outside the catalog "
+            f"{field.label()}{group.label} has size {size}, outside the catalog "
             f"bound {DEFAULT_BOUND}")
-    return algebra
+    return field, group
 
 
 def _aligned(headers: list[str], rows: list[list[str]],
@@ -120,8 +122,8 @@ def cmd_scan_iso(args) -> int:
 
 
 def cmd_unit_group(args) -> int:
-    algebra = _algebra_for(args.field, args.group)
-    row = build_row(algebra.field.p, algebra.field.k, args.group)
+    field, _ = _field_and_group(args.field, args.group)
+    row = build_row(field.p, field.k, args.group)
     if args.format == "json":
         _emit_json(row.as_dict() | {"spectrum": row.spectrum})
         return 0
@@ -133,7 +135,7 @@ def cmd_unit_group(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    algebra = _algebra_for(args.field, args.group)
+    algebra = Algebra(*_field_and_group(args.field, args.group))
     summands = decompose_abelian(algebra)
     if args.format == "json":
         _emit_json({

@@ -11,14 +11,16 @@ Every computation runs on that base-p integer, the element's code:
 ``FieldSpec.add``, ``sub``, ``neg``, ``mul`` and ``inv`` take and return codes.
 Prime fields use plain ``% p`` and ``pow(a, p - 2, p)``.  A field with k > 1
 builds, on first use, three code tables of O(q) entries: exp and log to the
-first primitive element in counting order, and the Zech (add-one) logarithm
-Z(n) = log(1 + g^n), so that g^i + g^j = g^(i + Z(j - i)) (Lidl &
+first primitive element g in counting order, and the Zech (add-one)
+logarithm Z(n) = log(1 + g^n), so that g^i + g^j = g^(i + Z(j - i)) (Lidl &
 Niederreiter, Finite Fields).  Its sums, products and inverses read these
 tables, with no extended Euclidean inverse; multiplicative orders read the
 log table in every field, so a prime field builds the tables only when asked
-for an order.  No field builds a q x q table.  The tables are built from
-codes alone: a product while they are built multiplies the base-p digits of
-two codes as polynomials mod the modulus.  ``FieldElement`` is an interned
+for an order.  g is found by the test g^((q-1)/r) != 1 for every prime
+r | q - 1 and walked once, multiplying base-p digits as polynomials mod the
+modulus.  The one q x q table, ``_square_tables`` (sums and products), is for
+the product of a group algebra K[G] with |G| >= 2 and k > 1, so q <= 31
+since q^2 < 1024; no other field builds one.  ``FieldElement`` is an interned
 view of one code for display and the public API; its operators call the
 ``FieldSpec`` code operations.  A field builds its q views on first use
 (``elements``, ``element``, ``zero``, ``one``, ``from_coeffs``,
@@ -84,7 +86,7 @@ def prime_power_split(q: int) -> tuple[int, int] | None:
 class FieldSpec:
     """The finite field F_{p^k} presented as F_p[t] / (modulus)."""
 
-    __slots__ = ("p", "k", "q", "modulus", "_els", "_tabs")
+    __slots__ = ("p", "k", "q", "modulus", "_els", "_tabs", "_sq")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         if not is_prime(p):
@@ -104,6 +106,7 @@ class FieldSpec:
         self.q = p ** k
         self.modulus = modulus
         self._tabs = None
+        self._sq = None
         self._els = None
 
     # -- basics
@@ -169,38 +172,69 @@ class FieldSpec:
     # -- arithmetic on codes
 
     def _tables(self):
-        """(exp, log, zech) code tables, built on first use.
+        """(exp, log, zech) code tables, built on first use from one walk.
 
-        exp[t] = g^t for the first primitive g in counting order, stored
-        twice over (2(q - 1) entries) so a sum of two logs needs no
-        reduction; log[0] and a Zech entry for 1 + g^n = 0 are None.
+        g is the first code in counting order with g^((q-1)/r) != 1 for
+        every prime r | q - 1, so the first primitive element, and its
+        powers are walked once.  exp[t] = g^t is stored twice over
+        (2(q - 1) entries) so a sum of two logs needs no reduction; log[0]
+        and a Zech entry for 1 + g^n = 0 are None.
         """
         if self._tabs is None:
-            n = self.q - 1
-            for g in range(1, self.q):
-                powers = [1]
-                cur = g
-                while cur != 1:
-                    powers.append(cur)
-                    cur = self._poly_mul(cur, g)
-                if len(powers) == n:
+            p, k, q, n = self.p, self.k, self.q, self.q - 1
+            low = [-c for c in self.modulus[:k]]  # t^k = low[0] + ... + low[k-1] t^(k-1)
+
+            def times(a, b):
+                """The product of two digit lists, c0 first, mod the modulus."""
+                out = [0] * (2 * k - 1)
+                for i, ai in enumerate(a):
+                    if ai:
+                        for j, bj in enumerate(b):
+                            out[i + j] += ai * bj
+                for d in range(2 * k - 2, k - 1, -1):
+                    if out[d] % p:
+                        for j, c in enumerate(low):
+                            out[d - k + j] += out[d] * c
+                return [c % p for c in out[:k]]
+
+            def power(a, e):
+                acc = one
+                for bit in bin(e)[2:]:
+                    acc = times(acc, acc)
+                    if bit == "1":
+                        acc = times(acc, a)
+                return acc
+
+            one = [1] + [0] * (k - 1)
+            for code in range(1, q):
+                g = list(self._digits(code))
+                if all(power(g, n // r) != one for r in prime_factors(n)):
                     break
             else:
                 raise RuntimeError("no primitive element found")  # unreachable
-            log: list = [None] * self.q
+            powers, cur = [], one
+            for _ in range(n):
+                powers.append(self._code_of(cur))
+                cur = times(cur, g)
+            log: list = [None] * q
             for t, c in enumerate(powers):
                 log[c] = t
-            p = self.p
             # adding 1 raises the constant digit of the code
             zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in powers]
             self._tabs = (powers + powers, log, zech)
         return self._tabs
 
-    def _poly_mul(self, a: int, b: int) -> int:
-        """Product of two codes by polynomial multiplication mod the modulus."""
-        prime = make_field(self.p, 1)
-        prod = poly_mul(prime, self._digits(a), self._digits(b))
-        return self._code_of(poly_divmod(prime, prod, self.modulus)[1])
+    def _square_tables(self):
+        """(add, mul) as q x q tuples of code tuples, built on first use for
+        the product of a group algebra with |G| >= 2, whose size q^|G| < 1024
+        bounds q by 31."""
+        if self._sq is None:
+            if self.q * self.q >= SIZE_LIMIT:
+                raise ValueError(f"no q x q code tables for {self.label()}")
+            codes = range(self.q)
+            self._sq = tuple(tuple(tuple(op(a, b) for b in codes) for a in codes)
+                             for op in (self.add, self.mul))
+        return self._sq
 
     def add(self, a: int, b: int) -> int:
         if self.k == 1:

@@ -42,17 +42,17 @@ def bundle(algebra: Algebra, units: UnitGroup) -> InvariantBundle:
     group = algebra.group
     n = group.order
     mul = algebra.mul_codes
+    square = {a: mul(a, a) for a in algebra.keys()}
     idem = nil = sq0 = 0
     squarings = max(0, (n - 1).bit_length())  # a nilpotent has a^(2^t) = 0 once 2^t >= dim
-    for a in algebra.keys():
-        a2 = mul(a, a)
+    for a, a2 in square.items():
         if a2 == a:
             idem += 1
         if not any(a2):
             sq0 += 1
         s = a if squarings == 0 else a2
         for _ in range(squarings - 1):
-            s = mul(s, s)
+            s = square[s]
         if not any(s):
             nil += 1
 

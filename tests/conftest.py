@@ -22,9 +22,14 @@ def scan_report():
 @pytest.fixture
 def faulty_mul(monkeypatch):
     """faulty_mul(alg, fault): from then on alg.mul_codes(a, b) returns
-    fault(a, b, the true product), for injecting faults into the unit census."""
+    fault(a, b, the true product), for injecting faults into the unit census.
+    A fault may hand back tuples that are no elements of K[G]; they have no
+    true product, and fault gets None for it."""
     def install(alg, fault):
-        real = alg.mul_codes
-        monkeypatch.setattr(alg, "mul_codes", lambda a, b: fault(a, b, real(a, b)))
+        real, n = alg.mul_codes, alg.group.order
+
+        def mul(a, b):
+            return fault(a, b, real(a, b) if len(a) == len(b) == n else None)
+        monkeypatch.setattr(alg, "mul_codes", mul)
         return alg
     return install

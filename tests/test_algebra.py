@@ -3,10 +3,11 @@ import random
 import pytest
 
 from kgunits import algebra as algebra_module
+from kgunits import cli, isoprobe
 from kgunits.algebra import Algebra, enumerate_units, row_reduce
 from kgunits.catalog import catalog_specs
 from kgunits.fields import make_field
-from kgunits.groups import group_by_label
+from kgunits.groups import group_by_label, groups_of_order
 
 
 def _alg(p, k, label):
@@ -246,3 +247,91 @@ def test_ring_axioms_on_random_elements_of_every_catalog_algebra():
             assert x * one == x and one * x == x, (label, x)
             assert (x * y).coeffs == reference_mul(x, y), (label, x, y)
             assert (y * x).coeffs == reference_mul(y, x), (label, x, y)
+
+
+# ---------------------------------------------------------------------------
+# the generated product against the loop it replaced
+
+def loop_mul(alg, a, b):
+    """The convolution loop that Algebra.mul_codes ran before the product
+    was generated from the group table, on code tuples."""
+    table, field = alg.group.table, alg.field
+    out = [0] * len(a)
+    for i, ai in enumerate(a):
+        if ai:
+            row = table[i]
+            for j, bj in enumerate(b):
+                if bj:
+                    k = row[j]
+                    out[k] = field.add(out[k], field.mul(ai, bj))
+    return tuple(out)
+
+
+def _scan_specs():
+    return [(p, k, g.label) for combos in isoprobe._sizes_with_pairs(1024)
+            for p, k, n in combos for g in groups_of_order(n)]
+
+
+def test_generated_product_matches_the_loop_on_every_catalog_and_scan_algebra():
+    catalog, scan = catalog_specs(1024), _scan_specs()
+    assert len(catalog) == 243 and len(scan) == 19
+    rng = random.Random(1024)
+    for p, k, label in catalog + scan:
+        alg = _alg(p, k, label)
+        q, n = alg.field.q, alg.group.order
+        basis = [alg.basis_element(i).key() for i in range(n)]
+        keys = basis + [(0,) * n] + [tuple(rng.randrange(q) for _ in range(n))
+                                     for _ in range(6)]
+        for a in keys:
+            for b in keys:
+                assert alg.mul_codes(a, b) == loop_mul(alg, a, b), (p, k, label, a, b)
+
+
+@pytest.fixture
+def products_made(monkeypatch):
+    """The labels of the groups whose product is generated from then on."""
+    made = []
+    real = algebra_module._product
+
+    def counting(field, group):
+        made.append(group.label)
+        return real(field, group)
+    monkeypatch.setattr(algebra_module, "_product", counting)
+    return made
+
+
+def test_products_are_generated_on_first_use_and_left_tables_on_first_inverse(products_made):
+    alg = _alg(3, 1, "D6")
+    assert products_made == [] and "_left" not in vars(alg)
+    x = alg.group_element("x")
+    assert (x * x * x).key() == alg.one().key() and products_made == ["D6"]
+    assert x.try_inverse() == x * x and "_left" in vars(alg)
+    assert alg.mul_codes is alg.mul_codes and products_made == ["D6"]
+
+
+def test_decompose_and_a_repeated_unit_group_generate_no_product(products_made, capsys):
+    assert cli.main(["unit-group", "F2", "D8"]) == 0
+    made = list(products_made)  # none if an earlier test built the row
+    assert cli.main(["unit-group", "F2", "D8"]) == 0
+    assert cli.main(["decompose", "F3", "C4"]) == 0
+    assert cli.main(["decompose", "F4", "C2xC2", "--format", "json"]) == 0
+    assert products_made == made
+
+
+def test_square_tables_are_built_only_for_fields_with_q_at_most_31():
+    fresh = make_field.__wrapped__  # fields not shared with other tests
+    fields = {}
+    for p, k, label in catalog_specs(1024):
+        field = fields.setdefault((p, k), fresh(p, k))
+        alg = Algebra(field, group_by_label(label))
+        one = alg.one().key()
+        assert alg.mul_codes(one, one) == one
+        if k == 1 or label == "C1":
+            assert field._sq is None, (p, k, label)
+    built = sorted(f.q for f in fields.values() if f._sq is not None)
+    assert built == [4, 8, 9, 16, 25, 27]
+    for q, tables in ((f.q, f._sq) for f in fields.values() if f._sq is not None):
+        assert all(len(t) == q and all(len(row) == q for row in t) for t in tables)
+    for p, k in ((2, 5), (2, 6), (3, 4), (1021, 1)):
+        with pytest.raises(ValueError, match="no q x q code tables"):
+            fresh(p, k)._square_tables()
