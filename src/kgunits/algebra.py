@@ -225,8 +225,8 @@ def _product(field: FieldSpec, group: Group):
     Output coefficient k adds a_i * b_j over the |G| pairs (i, j) with
     g_i g_j = g_k, written out from ``group.table``.  A prime field reduces
     one int sum, ``(... + a_i*b_j ...) % p``.  A field with k > 1 and
-    |G| >= 2 has q <= 31, since q^2 < 1024, so it reads the q x q add and
-    mul code tables; over G = C1 it reads the exp/log tables.
+    |G| >= 2 reads the q x q add and mul code tables, which have no more
+    entries than K[G] has elements; over G = C1 it reads the exp/log tables.
     """
     if field.k == 1:
         return _product_maker("prime", group.table)(field.p)

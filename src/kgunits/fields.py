@@ -17,10 +17,11 @@ Niederreiter, Finite Fields).  Its sums, products and inverses read these
 tables, with no extended Euclidean inverse; multiplicative orders read the
 log table in every field, so a prime field builds the tables only when asked
 for an order.  g is found by the test g^((q-1)/r) != 1 for every prime
-r | q - 1 and walked once, multiplying base-p digits as polynomials mod the
-modulus.  The one q x q table, ``_square_tables`` (sums and products), is for
-the product of a group algebra K[G] with |G| >= 2 and k > 1, so q <= 31
-since q^2 < 1024; no other field builds one.  ``FieldElement`` is an interned
+r | q - 1 and walked once with ``poly_mul`` and ``poly_divmod`` over the
+prime field.  The one q x q table, ``_square_tables`` (sums and products),
+is for the product of a group algebra K[G] with |G| >= 2 and k > 1, which
+has at least q^2 elements itself (q <= 31 below the published bound 1024);
+no other field builds one.  ``FieldElement`` is an interned
 view of one code for display and the public API; its operators call the
 ``FieldSpec`` code operations.  A field builds its q views on first use
 (``elements``, ``element``, ``zero``, ``one``, ``from_coeffs``,
@@ -181,38 +182,23 @@ class FieldSpec:
         and a Zech entry for 1 + g^n = 0 are None.
         """
         if self._tabs is None:
-            p, k, q, n = self.p, self.k, self.q, self.q - 1
-            low = [-c for c in self.modulus[:k]]  # t^k = low[0] + ... + low[k-1] t^(k-1)
+            p, q, n = self.p, self.q, self.q - 1
+            prime = make_field(p, 1)
 
             def times(a, b):
-                """The product of two digit lists, c0 first, mod the modulus."""
-                out = [0] * (2 * k - 1)
-                for i, ai in enumerate(a):
-                    if ai:
-                        for j, bj in enumerate(b):
-                            out[i + j] += ai * bj
-                for d in range(2 * k - 2, k - 1, -1):
-                    if out[d] % p:
-                        for j, c in enumerate(low):
-                            out[d - k + j] += out[d] * c
-                return [c % p for c in out[:k]]
+                return poly_divmod(prime, poly_mul(prime, a, b), self.modulus)[1]
 
             def power(a, e):
-                acc = one
+                acc = (1,)
                 for bit in bin(e)[2:]:
                     acc = times(acc, acc)
                     if bit == "1":
                         acc = times(acc, a)
                 return acc
 
-            one = [1] + [0] * (k - 1)
-            for code in range(1, q):
-                g = list(self._digits(code))
-                if all(power(g, n // r) != one for r in prime_factors(n)):
-                    break
-            else:
-                raise RuntimeError("no primitive element found")  # unreachable
-            powers, cur = [], one
+            g = next(g for g in map(self._digits, range(1, q))
+                     if all(power(g, n // r) != (1,) for r in prime_factors(n)))
+            powers, cur = [], (1,)
             for _ in range(n):
                 powers.append(self._code_of(cur))
                 cur = times(cur, g)
@@ -226,11 +212,9 @@ class FieldSpec:
 
     def _square_tables(self):
         """(add, mul) as q x q tuples of code tuples, built on first use for
-        the product of a group algebra with |G| >= 2, whose size q^|G| < 1024
-        bounds q by 31."""
+        the product of a group algebra with |G| >= 2, whose q^|G| elements
+        are at least the q^2 entries of each table."""
         if self._sq is None:
-            if self.q * self.q >= SIZE_LIMIT:
-                raise ValueError(f"no q x q code tables for {self.label()}")
             codes = range(self.q)
             self._sq = tuple(tuple(tuple(op(a, b) for b in codes) for a in codes)
                              for op in (self.add, self.mul))

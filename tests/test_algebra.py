@@ -1,9 +1,11 @@
+import functools
+import json
 import random
 
 import pytest
 
 from kgunits import algebra as algebra_module
-from kgunits import cli, isoprobe
+from kgunits import catalog, cli, isoprobe
 from kgunits.algebra import Algebra, enumerate_units, row_reduce
 from kgunits.catalog import catalog_specs
 from kgunits.fields import make_field
@@ -318,7 +320,7 @@ def test_decompose_and_a_repeated_unit_group_generate_no_product(products_made, 
     assert products_made == made
 
 
-def test_square_tables_are_built_only_for_fields_with_q_at_most_31():
+def test_square_tables_are_built_only_for_algebras_with_q_squared_elements():
     fresh = make_field.__wrapped__  # fields not shared with other tests
     fields = {}
     for p, k, label in catalog_specs(1024):
@@ -328,10 +330,22 @@ def test_square_tables_are_built_only_for_fields_with_q_at_most_31():
         assert alg.mul_codes(one, one) == one
         if k == 1 or label == "C1":
             assert field._sq is None, (p, k, label)
+        else:
+            assert alg.size >= field.q ** 2, (p, k, label)
     built = sorted(f.q for f in fields.values() if f._sq is not None)
     assert built == [4, 8, 9, 16, 25, 27]
     for q, tables in ((f.q, f._sq) for f in fields.values() if f._sq is not None):
         assert all(len(t) == q and all(len(row) == q for row in t) for t in tables)
-    for p, k in ((2, 5), (2, 6), (3, 4), (1021, 1)):
-        with pytest.raises(ValueError, match="no q x q code tables"):
-            fresh(p, k)._square_tables()
+
+
+def test_table_above_the_published_bound_multiplies_f32_c2_like_the_loop(
+        monkeypatch, capsys):
+    assert cli.main(["table", "--bound", "1025", "--format", "json"]) == 0
+    rows = {(r["field"], r["group"]): r
+            for r in json.loads(capsys.readouterr().out)["rows"]}
+    assert make_field(2, 5)._sq is not None
+    monkeypatch.setattr(Algebra, "mul_codes",
+                        property(lambda alg: functools.partial(loop_mul, alg)))
+    reference = catalog.build_row.__wrapped__(2, 5, "C2").as_dict()
+    assert rows[("F32", "C2")] == reference
+    assert reference["unit_count"] == 32 * 31
