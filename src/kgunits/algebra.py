@@ -19,10 +19,11 @@ every power in the walk is a non-unit: by cancellation a unit's first repeat
 is 1, a unit's powers are units, and a one-sided inverse is two-sided in a
 finite-dimensional algebra.
 
-One routine, ``row_reduce``, does every elimination, on rows of field codes.
-It backs ``AlgebraElement.try_inverse``, which solves the regular
-representation (the left-multiplication matrix of a against the identity
-vector) and checks the inverse b on both sides, a*b = b*a = 1, by
+One routine, ``row_reduce``, does every elimination, on rows of field codes,
+through the FieldSpec code operations ``mul``, ``inv`` and ``sub`` over every
+field, prime or not.  It backs ``AlgebraElement.try_inverse``, which solves
+the regular representation (the left-multiplication matrix of a against the
+identity vector) and checks the inverse b on both sides, a*b = b*a = 1, by
 ``mul_codes``; and it backs the linear algebra of the isomorphism probe.
 """
 
@@ -277,8 +278,6 @@ def row_reduce(rows, field: FieldSpec, ncols: int) -> int:
     first rank rows get a pivot 1 with zeros above and below it, in
     increasing columns, and the rows after them are zero in those columns.
     """
-    prime = field.k == 1
-    p = field.p
     rank = 0
     for col in range(ncols):
         for pivot in range(rank, len(rows)):
@@ -288,18 +287,12 @@ def row_reduce(rows, field: FieldSpec, ncols: int) -> int:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = field.inv(rows[rank][col])
-        if prime:
-            prow = [inv * v % p for v in rows[rank]]
-        else:
-            prow = [field.mul(inv, v) for v in rows[rank]]
+        prow = [field.mul(inv, v) for v in rows[rank]]
         rows[rank] = prow
         for r, row in enumerate(rows):
             f = row[col]
             if f and r != rank:
-                if prime:
-                    rows[r] = [(a - f * b) % p for a, b in zip(row, prow)]
-                else:
-                    rows[r] = [field.sub(a, field.mul(f, b)) for a, b in zip(row, prow)]
+                rows[r] = [field.sub(a, field.mul(f, b)) for a, b in zip(row, prow)]
         rank += 1
         if rank == len(rows):
             break

@@ -114,7 +114,7 @@ def build_row(p: int, k: int, label: str) -> CatalogRow:
             method = "presentation"
             detail = (f"relators verified in U, generators close over the full "
                       f"group, coset enumeration gives {cert.order} "
-                      f"({cert.convention} commutators)")
+                      "(left commutators)")
 
     return CatalogRow(field=field.label(), p=p, k=k, group=label,
                       size=algebra.size, decomposition=decomposition,

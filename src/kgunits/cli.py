@@ -99,7 +99,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan_iso(args) -> int:
-    report = scan_minimum_counterexample(args.bound, args.jobs)
+    report = scan_minimum_counterexample(args.bound)
     if args.format == "json":
         _emit_json(report.as_dict())
         return 0
@@ -212,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan-iso", help="scan same-field pairs for ring isomorphism")
-    common(p, bound=extensible_bound, jobs=True)
+    common(p, bound=extensible_bound)
     p.set_defaults(func=cmd_scan_iso)
 
     p = sub.add_parser("unit-group", help="one unit group, e.g. unit-group F4 C4")

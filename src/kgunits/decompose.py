@@ -31,35 +31,13 @@ def primary_cyclic_orders(group: Group) -> dict[int, tuple[int, ...]]:
 
 
 @dataclass(frozen=True)
-class FieldBlock:
-    """One field summand F_{q_base^degree}."""
+class Block:
+    """One summand F[P], F = F_{q_base^degree} and P a p-group for the
+    characteristic; a field block F when P is trivial (p_part empty)."""
 
     q_base: int
     degree: int
-
-    def field_size(self) -> int:
-        return self.q_base ** self.degree
-
-    def dimension(self) -> int:
-        return self.degree
-
-    def unit_order(self) -> int:
-        return self.field_size() - 1
-
-    def sort_key(self):
-        return (0, self.degree, ())
-
-    def render(self) -> str:
-        return f"F{self.field_size()}"
-
-
-@dataclass(frozen=True)
-class ModularBlock:
-    """A local block F_{q_base^degree}[P] with P a p-group for the characteristic."""
-
-    q_base: int
-    degree: int
-    p_part: tuple[int, ...]  # cyclic orders of P, descending prime powers
+    p_part: tuple[int, ...] = ()  # cyclic orders of P, descending prime powers
 
     def __post_init__(self):
         p = prime_power_split(self.q_base)[0]
@@ -85,9 +63,11 @@ class ModularBlock:
         return (s - 1) * s ** (self.group_size() - 1)
 
     def sort_key(self):
-        return (1, self.degree, self.p_part)
+        return (bool(self.p_part), self.degree, self.p_part)
 
     def render(self) -> str:
+        if not self.p_part:
+            return f"F{self.field_size()}"
         ptype = AbelianType.from_cyclic_orders(self.p_part).render().replace(" ", "")
         return f"F{self.field_size()}[{ptype}]"
 
@@ -112,7 +92,7 @@ class SummandList:
         return n
 
     def all_fields(self) -> bool:
-        return all(isinstance(b, FieldBlock) for b in self.blocks)
+        return not any(b.p_part for b in self.blocks)
 
     def render(self) -> str:
         out = []
@@ -156,11 +136,7 @@ def decompose_abelian(algebra: Algebra) -> SummandList:
                     raise RuntimeError("repeated factor in a coprime cyclotomic split")
                 refined.append(d * (len(f) - 1))
         degrees = refined
-    if p_part:
-        blocks = tuple(ModularBlock(field.q, d, p_part) for d in degrees)
-    else:
-        blocks = tuple(FieldBlock(field.q, d) for d in degrees)
-    out = SummandList(blocks)
+    out = SummandList(tuple(Block(field.q, d, p_part) for d in degrees))
     if out.dimension() != group.order:
         raise RuntimeError("block dimensions do not sum to |G|")
     return out
@@ -177,7 +153,7 @@ def predicted_unit_structure(summands: SummandList) -> AbelianType | None:
     for block in summands.blocks:
         s = block.field_size()
         orders.append(s - 1)
-        if isinstance(block, ModularBlock):
+        if block.p_part:
             p, k_base = prime_power_split(block.q_base)
             if any(o != p for o in block.p_part):
                 return None

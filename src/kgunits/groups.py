@@ -166,7 +166,10 @@ def quaternion8() -> Group:
 
 @lru_cache(maxsize=None)
 def groups_up_to_order(n: int) -> tuple[Group, ...]:
-    """One representative per isomorphism class of order <= n (n <= 9)."""
+    """One representative per isomorphism class of order <= n (n <= 9).
+
+    tests/test_groups.py checks the classes by brute-force isomorphism search.
+    """
     if not (1 <= n <= 9):
         raise ValueError(f"supported orders are 1..9, got {n}")
     c2, c3, c4 = cyclic(2), cyclic(3), cyclic(4)
@@ -200,18 +203,4 @@ def group_by_label(label: str) -> Group:
         if g.label == label:
             return g
     raise KeyError(f"unknown group label {label!r}")
-
-
-def small_group_isomorphic(a: Group, b: Group) -> bool:
-    """Isomorphism test by order, commutativity, and order spectrum.
-
-    Complete for orders up to 9, where those invariants separate all
-    classes; cross-checked against a brute-force isomorphism search, the
-    reference in tests/test_groups.py.
-    """
-    if a.order > 9 or b.order > 9:
-        raise ValueError("invariant-based test only supports orders up to 9")
-    return (a.order == b.order
-            and a.is_abelian() == b.is_abelian()
-            and a.order_spectrum() == b.order_spectrum())
 

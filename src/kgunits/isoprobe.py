@@ -6,6 +6,10 @@ decompositions plus an explicitly constructed and exhaustively verified
 isomorphism; invariant equality alone never certifies.  ``_pair_row`` reads
 one pair's scan row, its verdict and detail, straight off the two bundles,
 and ``compare_unit_groups`` the note on a pair of nonabelian groups.
+
+``scan_minimum_counterexample`` walks the pairs in one sequential loop, in
+ascending size: the whole scan is a fraction of a second, so a process pool
+would cost more to start than it could save.
 """
 
 import hashlib
@@ -13,10 +17,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import Algebra, AlgebraElement, row_reduce
-from .catalog import catalog_specs, map_jobs
+from .catalog import catalog_specs
 from .decompose import decompose_abelian
 from .fields import make_field
-from .groups import group_by_label, groups_of_order, small_group_isomorphic
+from .groups import group_by_label, groups_of_order
 from .units import UnitGroup
 
 # comparison order is part of the output contract: the first differing
@@ -353,49 +357,41 @@ def compare_unit_groups(a: Algebra, b: Algebra,
             "verdict": verdict}
 
 
-def _sizes_with_pairs(bound: int) -> list[tuple[tuple[int, int, int], ...]]:
-    """((p, k, n), ...) for each catalog size q^n < bound, holding the n >= 2
-    with at least two groups of order n; sizes ascend, and q within a size."""
-    combos: dict[int, dict[tuple[int, int, int], None]] = {}
+def _scan_algebras(bound: int) -> list[tuple[int, int, int]]:
+    """(p, k, n) for each catalog algebra size q^n < bound with n >= 2 and at
+    least two groups of order n; sizes ascend, and q within a size."""
+    combos: dict[tuple[int, int, int], None] = {}
     for p, k, label in catalog_specs(bound):
         n = group_by_label(label).order
         if n >= 2 and len(groups_of_order(n)) >= 2:
-            combos.setdefault((p ** k) ** n, {})[p, k, n] = None
-    return [tuple(keys) for keys in combos.values()]
+            combos[p, k, n] = None
+    return list(combos)
 
 
-def _scan_one_size(combos) -> tuple:
-    """(rows, notes) for one size; each algebra's units are built once."""
-    rows, notes = [], []
-    for p, k, n in combos:
+def scan_minimum_counterexample(bound: int = 1024) -> ScanReport:
+    """Examine every same-field pair of non-isomorphic groups below the bound.
+
+    groups_of_order holds one group per isomorphism class, so every pair of
+    its groups is a pair of non-isomorphic groups.  Sizes ascend, so the
+    first isomorphic verdict is the minimum counterexample; every earlier
+    pair carries its refuting invariant.  Each algebra's units are built once.
+    """
+    rows, notes, counts = [], [], []
+    for p, k, n in _scan_algebras(bound):
         field = make_field(p, k)
         groups = groups_of_order(n)
+        counts.append(len(groups))
         algebras = {g.label: Algebra(field, g) for g in groups}
         bundles = {lbl: bundle(alg, UnitGroup(alg)) for lbl, alg in algebras.items()}
         for ga, gb in combinations(groups, 2):
-            if small_group_isomorphic(ga, gb):
-                continue
-            rows.append(_pair_row(algebras[ga.label], algebras[gb.label],
-                                  bundles[ga.label], bundles[gb.label]))
+            pair = (algebras[ga.label], algebras[gb.label],
+                    bundles[ga.label], bundles[gb.label])
+            rows.append(_pair_row(*pair))
             if not (ga.is_abelian() or gb.is_abelian()):
-                notes.append(compare_unit_groups(algebras[ga.label], algebras[gb.label],
-                                                 bundles[ga.label], bundles[gb.label]))
-    return tuple(rows), tuple(notes)
-
-
-def scan_minimum_counterexample(bound: int = 1024, jobs: int = 1) -> ScanReport:
-    """Examine every same-field pair of non-isomorphic groups below the bound.
-
-    Sizes ascend, so the first isomorphic verdict is the minimum
-    counterexample; every earlier pair carries its refuting invariant.
-    """
-    work = _sizes_with_pairs(bound)
-    chunks = map_jobs(_scan_one_size, work, jobs)
-    rows = tuple(r for chunk_rows, _ in chunks for r in chunk_rows)
-    counts = [len(groups_of_order(n)) for combos in work for _, _, n in combos]
+                notes.append(compare_unit_groups(*pair))
     minimum = next((r for r in rows if r.verdict == "isomorphic"), None)
     inconclusive = tuple(r for r in rows if r.verdict == "inconclusive")
-    return ScanReport(bound=bound, rows=rows, minimum=minimum,
+    return ScanReport(bound=bound, rows=tuple(rows), minimum=minimum,
                       inconclusive=inconclusive, pair_count=len(rows),
                       expected_pair_count=sum(g * (g - 1) // 2 for g in counts),
-                      notes=tuple(n for _, chunk_notes in chunks for n in chunk_notes))
+                      notes=tuple(notes))

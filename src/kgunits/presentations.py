@@ -5,9 +5,10 @@ freely reduced, so two neighbouring runs never share a generator.  A power
 of one run is one run, so a^n costs the same whatever n is, and a power of
 a conjugate u c u^-1 is u c^n u^-1, so (x y x^-1)^n is three runs.  Commutators
 default to the convention [a, b] = a^-1 b^-1 a b, nested left-normed, so
-[a, b, c] = [[a, b], c]; the right-handed convention a b a^-1 b^-1 is
-available because published relator lists do not always say which one they
-mean.
+[a, b, c] = [[a, b], c].  Certification reads a presentation in that left
+convention only: the published presentations use it, and the D6 commutator
+form in expected.py pins it.  The right-handed convention a b a^-1 b^-1
+remains a parser option.
 
 Coset enumeration is the HLT strategy over the trivial subgroup (Holt, Eick
 & O'Brien, Handbook of Computational Group Theory, 2005, ch. 5): scan and
@@ -48,7 +49,6 @@ from .units import UnitGroup
 
 Word = tuple[tuple[int, int], ...]
 
-CONVENTIONS = ("left", "right")
 DEFAULT_COSET_LIMIT = 20000
 
 
@@ -229,8 +229,15 @@ def parse_presentation(text: str, convention: str = "left") -> "FpGroup":
     if "|" not in text:
         raise ValueError("presentation must look like 'gens | relators'")
     gen_part, rel_part = text.split("|", 1)
-    names = [n.strip() for n in gen_part.split(",") if n.strip()]
-    if not names or len(set(names)) != len(names):
+    names = [n.strip() for n in gen_part.split(",")]
+    for name in names:
+        try:
+            tokens = _tokenize(name)
+        except ValueError:
+            tokens = None
+        if tokens != [("name", name), ("end", None)]:
+            raise ValueError(f"bad generator name {name!r}")
+    if len(set(names)) != len(names):
         raise ValueError(f"bad generator list {gen_part!r}")
     parser = _WordParser(_tokenize(rel_part), names, convention)
     relators = []
@@ -578,11 +585,10 @@ class Certificate:
 
     presentation: FpGroup
     order: int
-    convention: str
 
     def summary(self) -> str:
         return (f"certified: relators hold, generators generate, "
-                f"presented order {self.order} matches |U| ({self.convention} commutators)")
+                f"presented order {self.order} matches |U|")
 
 
 @dataclass(frozen=True)
@@ -599,8 +605,7 @@ class Refutation:
 def certify_unit_group_presentation(unit_group: UnitGroup,
                                     pres: FpGroup,
                                     gens: Mapping[str, object],
-                                    limit: int = DEFAULT_COSET_LIMIT,
-                                    convention: str = "left"):
+                                    limit: int = DEFAULT_COSET_LIMIT):
     """Von Dyck certificate that unit_group is presented by pres via gens.
 
     Step 1: every relator evaluates to 1 on the named unit generators, so the
@@ -634,22 +639,14 @@ def certify_unit_group_presentation(unit_group: UnitGroup,
         return Refutation(3, str(e))
     if order != unit_group.order:
         return Refutation(3, f"presented group has order {order}, |U| = {unit_group.order}")
-    return Certificate(pres, order, convention)
+    return Certificate(pres, order)
 
 
 def certify_from_source(unit_group: UnitGroup,
                         source: str,
                         gens: Mapping[str, object],
                         limit: int = DEFAULT_COSET_LIMIT):
-    """Try both commutator conventions on a presentation source string.
-
-    Returns the first Certificate, else the left-convention Refutation.
-    """
-    outcomes = []
-    for convention in CONVENTIONS:
-        pres = parse_presentation(source, convention)
-        res = certify_unit_group_presentation(unit_group, pres, gens, limit, convention)
-        if isinstance(res, Certificate):
-            return res
-        outcomes.append(res)
-    return outcomes[0]
+    """Certify a presentation source string, read in the left convention:
+    a Certificate, or the Refutation that names the failed step."""
+    return certify_unit_group_presentation(unit_group, parse_presentation(source),
+                                           gens, limit)

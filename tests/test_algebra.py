@@ -270,8 +270,8 @@ def loop_mul(alg, a, b):
 
 
 def _scan_specs():
-    return [(p, k, g.label) for combos in isoprobe._sizes_with_pairs(1024)
-            for p, k, n in combos for g in groups_of_order(n)]
+    return [(p, k, g.label) for p, k, n in isoprobe._scan_algebras(1024)
+            for g in groups_of_order(n)]
 
 
 def test_generated_product_matches_the_loop_on_every_catalog_and_scan_algebra():

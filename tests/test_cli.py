@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -144,8 +145,7 @@ class RecordingPool:
     (("table", "--bound", "3", "--jobs", "8"), []),         # 1 row
     (("table", "--bound", "100", "--jobs", "500"), [52]),   # 52 rows
     (("table", "--bound", "100", "--jobs", "2"), [2]),
-    (("scan-iso", "--jobs", "500"), [7]),                   # 7 sizes
-    (("scan-iso", "--bound", "5", "--jobs", "4"), []),      # no sizes
+    (("verify", "--bound", "100", "--jobs", "2"), [2]),     # the catalog workload's pool
 ])
 def test_jobs_start_at_most_one_worker_per_task(capsys, monkeypatch, argv, started):
     import concurrent.futures
@@ -188,6 +188,9 @@ def test_scan_iso_json(capsys):
     ("unit-group", "F5", "C5"),      # size 3125 is past the enumeration cap
     ("decompose", "F2", "D8"),
     ("coset-count", "x | x^"),
+    ("coset-count", "x y | x"),      # each generator is one name token
+    ("coset-count", "1a | a"),
+    ("coset-count", "a,,b | a"),     # an empty name, rejected before enumeration
 ])
 def test_error_paths_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -209,7 +212,7 @@ def test_unknown_label_message_is_not_quoted(capsys):
     (("verify", "--bound", "-5"), "argument --bound: must be at least 2, got -5"),
     (("table", "--jobs", "0"), "argument --jobs: must be at least 1, got 0"),
     (("verify", "--jobs", "-1"), "argument --jobs: must be at least 1, got -1"),
-    (("scan-iso", "--jobs", "0"), "argument --jobs: must be at least 1, got 0"),
+    (("scan-iso", "--jobs", "2"), "unrecognized arguments: --jobs 2"),
     (("verify", "--bound", "1100", "--jobs", "2"),
      "argument --bound: must be at most 1024 (the bound of the published catalog"),
     (("coset-count", "x | x", "--limit", "0"), "argument --limit: must be at least 1, got 0"),
@@ -261,15 +264,21 @@ def _declared_entry_point() -> tuple[str, str]:
     return match.group(1), match.group(2)
 
 
+def _uninstalled_env() -> dict:
+    """The environment of a child process that imports the package under
+    test from its source tree, installed or not."""
+    package_root = str(Path(kgunits.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+
 def test_installed_script(capsys, tmp_path):
     """The declared `kgunits` script, run in its own process as the console
     script pip generates would run it, needs no installed package."""
     module, function = _declared_entry_point()
     script = [sys.executable, "-c",
               f"import sys; from {module} import {function}; sys.exit({function}())"]
-    package_root = str(Path(kgunits.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    env = _uninstalled_env()
 
     def run(*argv):
         return subprocess.run(argv, capture_output=True, cwd=tmp_path, env=env,
@@ -293,13 +302,24 @@ def test_installed_script(capsys, tmp_path):
     assert bad.stdout == b""
 
 
+def test_scan_iso_in_a_fresh_process_matches_golden(tmp_path):
+    """scan-iso in its own process, with only the imports that command
+    makes, prints the bytes bench/golden.json records for it."""
+    golden = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                         / "golden.json").read_text())["scan-iso"]
+    proc = subprocess.run([sys.executable, "-m", "kgunits", "scan-iso", "--format", "json"],
+                          capture_output=True, cwd=tmp_path, env=_uninstalled_env(),
+                          timeout=120)
+    assert proc.stderr == b""
+    assert {"exit": proc.returncode,
+            "sha256": hashlib.sha256(proc.stdout).hexdigest()} == golden
+
+
 def test_reused_parser_keeps_no_state_between_calls(capsys, tmp_path):
     """main reuses one parser per process; each call in a row prints what
     the same command prints in a fresh process."""
     assert cli._build_parser() is cli._build_parser()
-    package_root = str(Path(kgunits.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    env = _uninstalled_env()
     calls = [
         (("coset-count", "a | a^5", "--limit", "3"), 2),
         (("coset-count", "a | a^5"), 0),

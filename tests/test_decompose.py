@@ -1,9 +1,8 @@
 import pytest
 
 from kgunits.algebra import Algebra
-from kgunits.decompose import (FieldBlock, ModularBlock, SummandList,
-                               decompose_abelian, predicted_unit_structure,
-                               primary_cyclic_orders)
+from kgunits.decompose import (Block, SummandList, decompose_abelian,
+                               predicted_unit_structure, primary_cyclic_orders)
 from kgunits.fields import make_field
 from kgunits.groups import group_by_label
 from kgunits.isoprobe import primitive_idempotents_by_search
@@ -93,21 +92,25 @@ def test_primary_cyclic_orders():
 
 
 def test_block_invariants():
-    assert FieldBlock(3, 2).unit_order() == 8
-    assert FieldBlock(3, 2).render() == "F9"
-    assert ModularBlock(2, 1, (2, 2)).unit_order() == 8
-    assert ModularBlock(2, 1, (2, 2)).render() == "F2[C2^2]"
-    assert ModularBlock(2, 2, (2,)).render() == "F4[C2]"
-    assert ModularBlock(2, 2, (2,)).unit_order() == 12
+    assert Block(3, 2).unit_order() == 8
+    assert Block(3, 2).render() == "F9"
+    assert Block(3, 2).dimension() == 2
+    assert Block(2, 1, (2, 2)).unit_order() == 8
+    assert Block(2, 1, (2, 2)).render() == "F2[C2^2]"
+    assert Block(2, 2, (2,)).render() == "F4[C2]"
+    assert Block(2, 2, (2,)).unit_order() == 12
+    assert Block(2, 2, (2,)).dimension() == 4
     with pytest.raises(ValueError):
-        ModularBlock(2, 1, (6,))
+        Block(2, 1, (6,))
     with pytest.raises(ValueError):
-        ModularBlock(3, 1, (2,))
+        Block(3, 1, (2,))
 
 
 def test_summand_list_sorts_canonically():
-    s = SummandList((ModularBlock(2, 2, (2,)), FieldBlock(2, 4), FieldBlock(2, 1)))
+    s = SummandList((Block(2, 2, (2,)), Block(2, 4), Block(2, 1)))
     assert [b.render() for b in s.blocks] == ["F2", "F16", "F4[C2]"]
-    t = SummandList((FieldBlock(2, 1), ModularBlock(2, 2, (2,)), FieldBlock(2, 4)))
+    t = SummandList((Block(2, 1), Block(2, 2, (2,)), Block(2, 4)))
     assert s == t
+    assert not s.all_fields()
+    assert SummandList((Block(2, 4), Block(2, 1))).all_fields()
     assert s.render() == "F2 + F16 + F4[C2]"

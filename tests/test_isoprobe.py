@@ -134,11 +134,6 @@ def test_scan_report(scan_report):
     json.dumps(r.as_dict())
 
 
-def test_scan_parallel_agrees_with_sequential(scan_report):
-    parallel = scan_minimum_counterexample(1024, jobs=2)
-    assert parallel.as_dict() == scan_report.as_dict()
-
-
 def test_scan_below_the_minimum_finds_nothing():
     r = scan_minimum_counterexample(600)
     assert r.minimum is None

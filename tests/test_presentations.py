@@ -9,9 +9,9 @@ from kgunits.expected import (D6_PRESENTATION_COMMUTATOR,
                               D6_PRESENTATION_PRINTED, PRESENTATION_SOURCES)
 from kgunits.fields import make_field
 from kgunits.groups import group_by_label
-from kgunits.presentations import (CONVENTIONS, DEFAULT_COSET_LIMIT,
-                                   Certificate, CosetLimitExceeded, FpGroup,
-                                   Refutation, certify_from_source,
+from kgunits.presentations import (DEFAULT_COSET_LIMIT, Certificate,
+                                   CosetLimitExceeded, FpGroup, Refutation,
+                                   certify_from_source,
                                    certify_unit_group_presentation,
                                    check_coset_table, commutator_word,
                                    coset_enumeration, coset_table, free_reduce,
@@ -85,6 +85,12 @@ def test_parse_presentation():
         parse_presentation("x, x | x^2")
     with pytest.raises(ValueError):
         parse_presentation("x, y | x = y = x")
+    # each generator is exactly one name token
+    for text, item in (("x y | x", "x y"), ("1a | a", "1a"), ("a,,b | a", ""),
+                       ("x- | x", "x-"), (" | x", "")):
+        with pytest.raises(ValueError) as exc:
+            parse_presentation(text)
+        assert str(exc.value) == f"bad generator name {item!r}"
 
 
 def test_fp_group_validation_and_helpers():
@@ -219,8 +225,18 @@ def test_published_presentations_certify(certified):
     for key, (u, src, gens, res, order) in certified.items():
         assert isinstance(res, Certificate), key
         assert res.order == order == u.order
-        assert res.convention == "left"
         assert "certified" in res.summary()
+
+
+def test_certification_reads_the_left_convention_only():
+    # in U(F2D6), w y w^-1 y^-1 = w^2 holds and w^-1 y^-1 w y = w^2 does not
+    u = _units(2, 1, "D6")
+    gens = PRESENTATION_SOURCES["F2", "D6"].build_generators(u.algebra)
+    right_only = certify_from_source(u, "w, y | w^6, y^2, [w,y] = w^2", gens)
+    assert isinstance(right_only, Refutation)
+    assert right_only.failed_step == 1
+    left = certify_from_source(u, "w, y | w^6, y^2, [w,y] = w^4", gens)
+    assert isinstance(left, Certificate) and left.order == 12
 
 
 def test_dropping_any_single_relator(certified):
@@ -513,7 +529,7 @@ def test_column_kernel_matches_the_row_kernel():
     for text in FAMILY_TEXTS + [D6_PRESENTATION_PRINTED, D6_PRESENTATION_CORRECTED]:
         _same_outcome(parse_presentation(text), DEFAULT_COSET_LIMIT)
     for src in PRESENTATION_SOURCES.values():
-        for convention in CONVENTIONS:
+        for convention in ("left", "right"):
             _same_outcome(parse_presentation(src.text, convention), DEFAULT_COSET_LIMIT)
     for _, key, _ in CERTIFIABLE:
         pres = parse_presentation(PRESENTATION_SOURCES[key].text)
