@@ -17,7 +17,10 @@ o / gcd(k, o) (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
 2005).  If the repeat is anything else, or the walk reaches a known non-unit,
 every power in the walk is a non-unit: by cancellation a unit's first repeat
 is 1, a unit's powers are units, and a one-sided inverse is two-sided in a
-finite-dimensional algebra.
+finite-dimensional algebra.  Over G = C1, K[G] = K is a field, and the
+census is one walk: the first primitive element g (``FieldSpec.primitive``)
+meets every unit once on its way back to 1, and g^t has the order
+(q - 1) / gcd(t, q - 1) (Lidl & Niederreiter, Finite Fields).
 
 One routine, ``row_reduce``, does every elimination, on rows of field codes,
 through the FieldSpec code operations ``mul``, ``inv`` and ``sub`` over every
@@ -304,8 +307,12 @@ def enumerate_units(algebra: Algebra) -> dict[tuple[int, ...], int]:
     coefficient counting order: the element census of the module docstring.
 
     Raises ValueError if a walk runs past |K[G]| steps, if a walk that met a
-    unit leaves the units, or if an order does not divide |U|.
+    unit leaves the units, or if an order does not divide |U|; over G = C1,
+    also if the walk of g repeats a power or meets 0 before 1, or reaches 1
+    before step q - 1.
     """
+    if algebra.group.order == 1:
+        return _field_census(algebra)
     # code tuple -> order of a unit, 0 for a non-unit, -1 while on the current walk
     known = {algebra._one_key: 1}
     census = {}
@@ -320,6 +327,31 @@ def enumerate_units(algebra: Algebra) -> dict[tuple[int, ...], int]:
             raise ValueError(f"order {o} of {algebra.from_key(x)} does not divide "
                              f"|U| = {n}; not a unit?")
     return census
+
+
+def _field_census(algebra: Algebra) -> dict[tuple[int, ...], int]:
+    """The census of K[C1] = K from one walk of its first primitive element
+    g: the powers g, g^2, ..., g^(q-1) = 1 are the q - 1 units, each met
+    once, and g^t has the order (q - 1) / gcd(t, q - 1)."""
+    n, mul, one = algebra.size - 1, algebra.mul_codes, algebra._one_key
+    g = (algebra.field.primitive(),)
+    order, acc = {(0,): 0}, one  # power of g -> its order; 0 is no power
+    for t in range(1, algebra.size + 1):
+        acc = mul(acc, g)
+        if acc == one:
+            break
+        if acc in order:
+            raise ValueError(f"power walk of {algebra.from_key(g)} repeats a "
+                             f"power or meets 0 at step {t}, before 1")
+        order[acc] = n // gcd(t, n)
+    else:
+        raise ValueError(f"power walk of {algebra.from_key(g)} does not return "
+                         f"to 1 within |K[G]| = {algebra.size} steps")
+    if t != n:
+        why = "does not divide" if n % t else "is a proper divisor of"
+        raise ValueError(f"order {t} of {algebra.from_key(g)} {why} |U| = {n}")
+    order[one] = 1
+    return {(c,): order[(c,)] for c in range(1, n + 1)}
 
 
 def _power_walk(algebra: Algebra, x, known: dict) -> None:

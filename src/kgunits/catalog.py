@@ -159,13 +159,16 @@ class Catalog:
 def map_jobs(fn, items: list, jobs: int) -> list:
     """[fn(x) for x in items] over min(jobs, len(items)) worker processes,
     or in this process when that is at most one.  A pool starts all its
-    workers at once, so it never gets more workers than items."""
+    workers at once, so it never gets more workers than items.  Workers
+    take contiguous chunks of len(items) // (8 * workers) items (at least
+    one), so a row costs no round trip of its own and the order is kept."""
     workers = min(jobs, len(items))
     if workers <= 1:
         return [fn(x) for x in items]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, items,
+                             chunksize=max(1, len(items) // (8 * workers))))
 
 
 def build_catalog(bound: int = 1024, jobs: int = 1) -> Catalog:

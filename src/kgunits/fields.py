@@ -18,14 +18,16 @@ tables, with no extended Euclidean inverse; multiplicative orders read the
 log table in every field, so a prime field builds the tables only when asked
 for an order.  g is found by the test g^((q-1)/r) != 1 for every prime
 r | q - 1 and walked once with ``poly_mul`` and ``poly_divmod`` over the
-prime field.  The one q x q table, ``_square_tables`` (sums and products),
-is for the product of a group algebra K[G] with |G| >= 2 and k > 1, which
-has at least q^2 elements itself (q <= 31 below the published bound 1024);
-no other field builds one.  ``FieldElement`` is an interned
-view of one code for display and the public API; its operators call the
-``FieldSpec`` code operations.  A field builds its q views on first use
-(``elements``, ``element``, ``zero``, ``one``, ``from_coeffs``,
-``from_int``), so a computation on codes alone never creates one.
+prime field.  ``FieldSpec.primitive`` hands g to the census of K[C1]; a
+prime field runs the same test on ints there, with no table.  The one q x q
+table, ``_square_tables`` (sums and products), is for the product of a group
+algebra K[G] with |G| >= 2 and k > 1, which has at least q^2 elements itself
+(q <= 31 below the published bound 1024); no other field builds one.
+``FieldElement`` is an interned view of one code for display and the public
+API; its operators call the ``FieldSpec`` code operations.  A field builds
+its q views on first use (``elements``, ``element``, ``zero``, ``one``,
+``from_coeffs``, ``from_int``), so a computation on codes alone never
+creates one.
 
 Polynomials are tuples of codes over a given FieldSpec, index = degree.  The
 one polynomial layer (``poly_*``, ``monic_irreducibles``, ``factor_monic``)
@@ -67,6 +69,15 @@ def prime_factors(n: int) -> tuple[int, ...]:
     if n > 1:
         out.append(n)
     return tuple(out)
+
+
+def _first_primitive(q: int, power) -> int:
+    """The first code g in counting order with power(g, (q-1)/r) != 1 for
+    every prime r | q - 1, so the first primitive element of F_q, given
+    its power map on codes (1 for F_2, where q - 1 has no prime factor)."""
+    n = q - 1
+    return next(g for g in range(1, q)
+                if all(power(g, n // r) != 1 for r in prime_factors(n)))
 
 
 def prime_power_split(q: int) -> tuple[int, int] | None:
@@ -175,11 +186,11 @@ class FieldSpec:
     def _tables(self):
         """(exp, log, zech) code tables, built on first use from one walk.
 
-        g is the first code in counting order with g^((q-1)/r) != 1 for
-        every prime r | q - 1, so the first primitive element, and its
-        powers are walked once.  exp[t] = g^t is stored twice over
-        (2(q - 1) entries) so a sum of two logs needs no reduction; log[0]
-        and a Zech entry for 1 + g^n = 0 are None.
+        g is the first primitive element, found by ``_first_primitive`` on
+        powers of polynomials over the prime field, and its powers are
+        walked once.  exp[t] = g^t is stored twice over (2(q - 1) entries)
+        so a sum of two logs needs no reduction; log[0] and a Zech entry for
+        1 + g^n = 0 are None.
         """
         if self._tabs is None:
             p, q, n = self.p, self.q, self.q - 1
@@ -188,16 +199,15 @@ class FieldSpec:
             def times(a, b):
                 return poly_divmod(prime, poly_mul(prime, a, b), self.modulus)[1]
 
-            def power(a, e):
-                acc = (1,)
+            def power(c, e):
+                a, acc = self._digits(c), (1,)
                 for bit in bin(e)[2:]:
                     acc = times(acc, acc)
                     if bit == "1":
                         acc = times(acc, a)
-                return acc
+                return self._code_of(acc)
 
-            g = next(g for g in map(self._digits, range(1, q))
-                     if all(power(g, n // r) != (1,) for r in prime_factors(n)))
+            g = self._digits(_first_primitive(q, power))
             powers, cur = [], (1,)
             for _ in range(n):
                 powers.append(self._code_of(cur))
@@ -209,6 +219,14 @@ class FieldSpec:
             zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in powers]
             self._tabs = (powers + powers, log, zech)
         return self._tabs
+
+    def primitive(self) -> int:
+        """The code of the first primitive element in counting order: exp[1]
+        of the code tables when k > 1, and for a prime field the first
+        primitive root mod p, found by the same test on ints."""
+        if self.k > 1:
+            return self._tables()[0][1]
+        return _first_primitive(self.q, lambda g, e: pow(g, e, self.p))
 
     def _square_tables(self):
         """(add, mul) as q x q tuples of code tuples, built on first use for

@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+from math import gcd
 
 import pytest
 
@@ -8,7 +9,7 @@ from kgunits import algebra as algebra_module
 from kgunits import catalog, cli, isoprobe
 from kgunits.algebra import Algebra, enumerate_units, row_reduce
 from kgunits.catalog import catalog_specs
-from kgunits.fields import make_field
+from kgunits.fields import FieldSpec, make_field
 from kgunits.groups import group_by_label, groups_of_order
 
 
@@ -214,6 +215,66 @@ def test_a_census_order_not_dividing_the_unit_count_is_caught(faulty_mul):
     one = alg.one().key()
     faulty_mul(alg, lambda a, b, ab: one if (a, b) == (x2, x) else ab)
     with pytest.raises(ValueError, match=r"order 3 of x does not divide \|U\| = 8"):
+        enumerate_units(alg)
+
+
+def power_walk_census(alg):
+    """enumerate_units as it took every census before fields had a walk of
+    their own: each element not yet classified, in counting order, is walked
+    to its first repeat; if that is 1 at step o, x^k is a unit of order
+    o / gcd(k, o), and otherwise every power is a non-unit."""
+    mul, one = alg.mul_codes, alg.one().key()
+    known = {one: 1}
+    for x in alg.keys():
+        if x in known:
+            continue
+        powers, acc = {x: 1}, mul(x, x)
+        while acc != one and acc not in powers:
+            powers[acc] = len(powers) + 1
+            acc = mul(acc, x)
+        o = len(powers) + 1 if acc == one else 0
+        known.update((y, o and o // gcd(k, o)) for y, k in powers.items())
+    return {x: known[x] for x in alg.keys() if known[x]}
+
+
+def test_field_census_matches_the_power_walk_census_on_every_catalog_field():
+    fields = [spec for spec in catalog_specs(1024) if spec[2] == "C1"]
+    assert len(fields) == 197
+    for p, k, label in fields:
+        alg = _alg(p, k, label)
+        assert list(enumerate_units(alg).items()) == \
+            list(power_walk_census(alg).items()), (p, k)
+    # the reference is the census the element walks give on any algebra
+    for p, k, label in ((2, 1, "C4"), (3, 1, "D6"), (2, 2, "C2")):
+        alg = _alg(p, k, label)
+        assert list(enumerate_units(alg).items()) == \
+            list(power_walk_census(alg).items()), (p, k, label)
+
+
+@pytest.mark.parametrize("p,k,g,error", [
+    (5, 1, 4, r"order 2 of 4 is a proper divisor of \|U\| = 4"),
+    (7, 1, 2, r"order 3 of 2 is a proper divisor of \|U\| = 6"),
+    (2, 2, 1, r"order 1 of 1 is a proper divisor of \|U\| = 3"),
+    (3, 1, 0, "power walk of 0 repeats a power or meets 0 at step 1"),
+])
+def test_a_field_census_from_a_non_primitive_element_is_caught(monkeypatch, p, k, g,
+                                                               error):
+    monkeypatch.setattr(FieldSpec, "primitive", lambda self: g)
+    with pytest.raises(ValueError, match=error):
+        enumerate_units(_alg(p, k, "C1"))
+
+
+@pytest.mark.parametrize("fault,error", [
+    # F7: the walk of 3 is 3, 2, 6, 4, 5, 1; 2 * 3 = 3 repeats 3 at step 3
+    (lambda a, b, ab: (3,) if a == (2,) else ab, "repeats a power or meets 0 at step 3"),
+    (lambda a, b, ab: (0,) if a == (6,) else ab, "repeats a power or meets 0 at step 4"),
+    # 4 * 3 = 1 ends the walk at step 5, and 5 does not divide 6
+    (lambda a, b, ab: (1,) if a == (4,) else ab,
+     r"order 5 of 3 does not divide \|U\| = 6"),
+])
+def test_a_faulty_product_in_the_field_walk_is_caught(faulty_mul, fault, error):
+    alg = faulty_mul(_alg(7, 1, "C1"), fault)
+    with pytest.raises(ValueError, match=error):
         enumerate_units(alg)
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import kgunits
 from kgunits import cli
-from kgunits.catalog import CatalogRow, verify_catalog
+from kgunits.catalog import CatalogRow, map_jobs, verify_catalog
 from kgunits.cli import main
 
 
@@ -125,11 +125,11 @@ def test_table_jobs_equality(capsys):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records each max_workers and maps
-    in this process, so no worker process is started."""
+    """Stands in for ProcessPoolExecutor: records (max_workers, chunksize)
+    of each map and maps in this process, so no worker process is started."""
 
     def __init__(self, started, max_workers):
-        started.append(max_workers)
+        self.started, self.max_workers = started, max_workers
 
     def __enter__(self):
         return self
@@ -137,15 +137,17 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
+    def map(self, fn, *iterables, chunksize=1):
+        self.started.append((self.max_workers, chunksize))
         return map(fn, *iterables)
 
 
 @pytest.mark.parametrize("argv,started", [
-    (("table", "--bound", "3", "--jobs", "8"), []),         # 1 row
-    (("table", "--bound", "100", "--jobs", "500"), [52]),   # 52 rows
-    (("table", "--bound", "100", "--jobs", "2"), [2]),
-    (("verify", "--bound", "100", "--jobs", "2"), [2]),     # the catalog workload's pool
+    (("table", "--bound", "3", "--jobs", "8"), []),              # 1 row
+    (("table", "--bound", "100", "--jobs", "500"), [(52, 1)]),   # 52 rows
+    (("table", "--bound", "100", "--jobs", "2"), [(2, 3)]),
+    (("verify", "--bound", "100", "--jobs", "2"), [(2, 3)]),
+    (("verify", "--jobs", "2"), [(2, 15)]),   # 243 rows: the catalog workload's pool
 ])
 def test_jobs_start_at_most_one_worker_per_task(capsys, monkeypatch, argv, started):
     import concurrent.futures
@@ -156,6 +158,11 @@ def test_jobs_start_at_most_one_worker_per_task(capsys, monkeypatch, argv, start
     _, got, _ = run_cli(capsys, *argv, "--format", "json")
     assert calls == started
     assert got == want
+
+
+def test_chunked_map_keeps_item_order():
+    items = list(range(-40, 40))   # 80 items on 2 workers: chunks of 5
+    assert map_jobs(abs, items, 2) == [abs(x) for x in items]
 
 
 def test_verify_exit_zero(capsys):
@@ -302,17 +309,29 @@ def test_installed_script(capsys, tmp_path):
     assert bad.stdout == b""
 
 
-def test_scan_iso_in_a_fresh_process_matches_golden(tmp_path):
-    """scan-iso in its own process, with only the imports that command
-    makes, prints the bytes bench/golden.json records for it."""
+def _fresh_run_matches_golden(tmp_path, command, *argv):
     golden = json.loads((Path(__file__).resolve().parents[1] / "bench"
-                         / "golden.json").read_text())["scan-iso"]
-    proc = subprocess.run([sys.executable, "-m", "kgunits", "scan-iso", "--format", "json"],
+                         / "golden.json").read_text())[command]
+    proc = subprocess.run([sys.executable, "-m", "kgunits", command, *argv,
+                           "--format", "json"],
                           capture_output=True, cwd=tmp_path, env=_uninstalled_env(),
                           timeout=120)
     assert proc.stderr == b""
     assert {"exit": proc.returncode,
             "sha256": hashlib.sha256(proc.stdout).hexdigest()} == golden
+
+
+def test_scan_iso_in_a_fresh_process_matches_golden(tmp_path):
+    """scan-iso in its own process, with only the imports that command
+    makes, prints the bytes bench/golden.json records for it."""
+    _fresh_run_matches_golden(tmp_path, "scan-iso")
+
+
+def test_verify_on_two_workers_in_a_fresh_process_matches_golden(tmp_path):
+    """verify --jobs 2 in its own process, all 243 rows built by a real
+    pool of two workers in chunks, prints the bytes bench/golden.json
+    records for it."""
+    _fresh_run_matches_golden(tmp_path, "verify", "--jobs", "2")
 
 
 def test_reused_parser_keeps_no_state_between_calls(capsys, tmp_path):

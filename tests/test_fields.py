@@ -330,6 +330,16 @@ def test_code_tables_match_the_field_element_walk():
         assert spec._tables() == _reference_tables(spec), spec
 
 
+def test_primitive_is_the_first_element_of_the_tables_in_every_field():
+    # a prime field finds it on ints, and its tables find it on polynomials
+    assert len(FIELD_SIZES) == 197
+    for q in FIELD_SIZES:
+        spec = make_field(*prime_power_split(q))
+        exp = spec._tables()[0]
+        assert spec.primitive() == exp[1], spec
+        assert len(set(exp[:q - 1])) == q - 1, spec  # g has the order q - 1
+
+
 def test_fields_and_code_census_build_no_field_element(monkeypatch):
     built = []
     real_init = FieldElement.__init__
