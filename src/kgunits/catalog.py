@@ -8,7 +8,7 @@ presentation.  verify_catalog compares the computed rows against the
 published reference data and adjudicates the known misprints live.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .algebra import Algebra
@@ -22,21 +22,16 @@ from .presentations import Certificate, certify_from_source, coset_enumeration, 
 from .units import UnitGroup, parse_structure_order, structure_string
 
 
-@dataclass(frozen=True)
-class CatalogRow:
-    field: str
-    p: int
-    k: int
-    group: str
-    size: int
-    decomposition: str | None
-    unit_count: int
-    structure: str
-    method: str  # enumeration | lemma | decomposition | presentation
-    method_detail: str
-    published: dict | None
-    # sorted (order, count) pairs of U; for unit-group, not in as_dict
-    spectrum: tuple[tuple[int, int], ...] = ()
+class CatalogRow(namedtuple("CatalogRow", [
+        "field", "p", "k", "group", "size",
+        "decomposition",  # str, or None for a nonabelian group
+        "unit_count", "structure",
+        "method",  # enumeration | lemma | decomposition | presentation
+        "method_detail",
+        "published",  # dict, or None
+        # sorted (order, count) pairs of U; for unit-group, not in as_dict
+        "spectrum"], defaults=[()])):
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -147,10 +142,8 @@ def catalog_specs(bound: int) -> list[tuple[int, int, str]]:
     return [(p, k, label) for _, _, label, p, k in specs]
 
 
-@dataclass(frozen=True)
-class Catalog:
-    bound: int
-    rows: tuple[CatalogRow, ...]
+class Catalog(namedtuple("Catalog", "bound rows")):
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {"bound": self.bound, "rows": [r.as_dict() for r in self.rows]}
@@ -179,15 +172,11 @@ def build_catalog(bound: int = 1024, jobs: int = 1) -> Catalog:
 # ---------------------------------------------------------------------------
 # verification against the published reference data
 
-@dataclass(frozen=True)
-class VerifyReport:
-    bound: int
-    row_count: int
-    matched: int
-    lines: tuple[str, ...]
-    typo_lines: tuple[str, ...]
-    mismatch_lines: tuple[str, ...]
-    inconsistency_lines: tuple[str, ...]
+class VerifyReport(namedtuple("VerifyReport", [
+        "bound", "row_count", "matched",
+        # tuples of report lines
+        "lines", "typo_lines", "mismatch_lines", "inconsistency_lines"])):
+    __slots__ = ()
 
     @property
     def exit_code(self) -> int:

@@ -20,7 +20,6 @@ from .catalog import build_catalog, build_row, verify_catalog
 from .decompose import decompose_abelian
 from .fields import make_field, prime_power_split
 from .groups import group_by_label
-from .isoprobe import scan_minimum_counterexample
 from .presentations import DEFAULT_COSET_LIMIT, coset_enumeration, \
     parse_presentation
 
@@ -99,6 +98,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan_iso(args) -> int:
+    # imported here: scan-iso is the only command that needs isoprobe
+    from .isoprobe import scan_minimum_counterexample
     report = scan_minimum_counterexample(args.bound)
     if args.format == "json":
         _emit_json(report.as_dict())

@@ -10,7 +10,7 @@ field blocks as "F4", modular blocks as "F4[C2]" or "F2[C2^2]", equal
 blocks grouped with "^m", summands joined with " + ", e.g. "F2 + F4^4".
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 
 from .algebra import Algebra
@@ -30,23 +30,22 @@ def primary_cyclic_orders(group: Group) -> dict[int, tuple[int, ...]]:
     return primary_partitions(group.order, group.order_spectrum())
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(namedtuple("Block", "q_base degree p_part")):
     """One summand F[P], F = F_{q_base^degree} and P a p-group for the
-    characteristic; a field block F when P is trivial (p_part empty)."""
+    characteristic; a field block F when P is trivial (p_part empty).
+    p_part holds the cyclic orders of P, descending prime powers."""
 
-    q_base: int
-    degree: int
-    p_part: tuple[int, ...] = ()  # cyclic orders of P, descending prime powers
+    __slots__ = ()
 
-    def __post_init__(self):
-        p = prime_power_split(self.q_base)[0]
-        for o in self.p_part:
+    def __new__(cls, q_base: int, degree: int, p_part: tuple[int, ...] = ()):
+        p = prime_power_split(q_base)[0]
+        for o in p_part:
             n = o
             while n % p == 0:
                 n //= p
             if n != 1 or o < p:
                 raise ValueError(f"p-part order {o} is not a power of {p}")
+        return super().__new__(cls, q_base, degree, p_part)
 
     def field_size(self) -> int:
         return self.q_base ** self.degree
@@ -72,15 +71,13 @@ class Block:
         return f"F{self.field_size()}[{ptype}]"
 
 
-@dataclass(frozen=True)
-class SummandList:
-    """Multiset of blocks making up a commutative group algebra."""
+class SummandList(namedtuple("SummandList", "blocks")):
+    """Multiset of blocks making up a commutative group algebra, sorted."""
 
-    blocks: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks",
-                           tuple(sorted(self.blocks, key=lambda b: b.sort_key())))
+    def __new__(cls, blocks):
+        return super().__new__(cls, tuple(sorted(blocks, key=lambda b: b.sort_key())))
 
     def dimension(self) -> int:
         return sum(b.dimension() for b in self.blocks)

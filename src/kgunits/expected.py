@@ -14,22 +14,18 @@ closed-form families for the smallest groups over arbitrary coefficient
 fields; prose_unit_structure and prose_decomposition reproduce those.
 """
 
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from .algebra import Algebra, AlgebraElement
 from .units import AbelianType, parse_structure_order
 
 
-@dataclass(frozen=True)
-class PublishedRow:
-    field: str
-    group: str
-    size: int
-    decomposition: str | None   # summand render, None where the source prints none
-    unit_count: int
-    structure: str | None       # canonical structure render, None for presented rows
-    note: str = ""
+PublishedRow = namedtuple("PublishedRow", [
+    "field", "group", "size",
+    "decomposition",  # summand render, None where the source prints none
+    "unit_count",
+    "structure",      # canonical structure render, None for presented rows
+    "note"], defaults=[""])
 
 
 ROWS: tuple[PublishedRow, ...] = (
@@ -83,13 +79,10 @@ ROW_INDEX: dict[tuple[str, str], PublishedRow] = {
     (r.field, r.group): r for r in ROWS}
 
 
-@dataclass(frozen=True)
-class Misprint:
-    key: tuple[str, str] | None  # (field, group) for table rows, None otherwise
-    kind: str                    # decomposition | structure | presentation
-    printed: str
-    corrected: str
-    note: str
+Misprint = namedtuple("Misprint", [
+    "key",   # (field, group) for table rows, None otherwise
+    "kind",  # decomposition | structure | presentation
+    "printed", "corrected", "note"])
 
 
 MISPRINTS: tuple[Misprint, ...] = (
@@ -220,12 +213,12 @@ def expectation_for(p: int, k: int, label: str) -> dict | None:
 # ---------------------------------------------------------------------------
 # published unit-group presentations for the nonabelian rows
 
-@dataclass(frozen=True)
-class PresentationSource:
-    text: str
-    build_generators: Callable[[Algebra], dict[str, AlgebraElement]]
-    redundant: tuple[int, ...] = ()           # 0-based provably redundant relators
-    variants: tuple[tuple[str, str], ...] = ()  # (name, alternate printed text)
+PresentationSource = namedtuple("PresentationSource", [
+    "text",
+    "build_generators",  # Algebra -> {generator name: AlgebraElement}
+    "redundant",         # 0-based provably redundant relators
+    "variants",          # (name, alternate printed text) pairs
+], defaults=[(), ()])
 
 
 def _gens_f2d6(algebra: Algebra) -> dict[str, AlgebraElement]:

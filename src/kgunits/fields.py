@@ -17,8 +17,9 @@ Niederreiter, Finite Fields).  Its sums, products and inverses read these
 tables, with no extended Euclidean inverse; multiplicative orders read the
 log table in every field, so a prime field builds the tables only when asked
 for an order.  g is found by the test g^((q-1)/r) != 1 for every prime
-r | q - 1 and walked once with ``poly_mul`` and ``poly_divmod`` over the
-prime field.  ``FieldSpec.primitive`` hands g to the census of K[C1]; a
+r | q - 1 on powers taken with ``poly_mul`` and ``poly_divmod`` over the
+prime field, and walked once as the F_p-linear map "times g" on digit
+vectors.  ``FieldSpec.primitive`` hands g to the census of K[C1]; a
 prime field runs the same test on ints there, with no table.  The one q x q
 table, ``_square_tables`` (sums and products), is for the product of a group
 algebra K[G] with |G| >= 2 and k > 1, which has at least q^2 elements itself
@@ -38,6 +39,7 @@ factors of x^n - 1 that split an abelian group algebra into field blocks.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from math import gcd
 
@@ -188,9 +190,10 @@ class FieldSpec:
 
         g is the first primitive element, found by ``_first_primitive`` on
         powers of polynomials over the prime field, and its powers are
-        walked once.  exp[t] = g^t is stored twice over (2(q - 1) entries)
-        so a sum of two logs needs no reduction; log[0] and a Zech entry for
-        1 + g^n = 0 are None.
+        walked once, multiplying by g as a k x k matrix over F_p.  exp[t] =
+        g^t is stored twice over (2(q - 1) entries) so a sum of two logs
+        needs no reduction; log[0] and a Zech entry for 1 + g^n = 0 are
+        None.
         """
         if self._tabs is None:
             p, q, n = self.p, self.q, self.q - 1
@@ -208,10 +211,17 @@ class FieldSpec:
                 return self._code_of(acc)
 
             g = self._digits(_first_primitive(q, power))
-            powers, cur = [], (1,)
+            # times g is F_p-linear on digit vectors: digit i of g * x is
+            # sum_j x_j * (digit i of g * t^j), read off k precomputed columns
+            cols = [g]
+            while len(cols) < self.k:
+                cols.append(times(cols[-1], (0, 1)))
+            rows = tuple(zip(*(c + (0,) * (self.k - len(c)) for c in cols)))
+            place, dot = tuple(p ** i for i in range(self.k)), operator.mul
+            powers, cur = [], (1,) + (0,) * (self.k - 1)
             for _ in range(n):
-                powers.append(self._code_of(cur))
-                cur = times(cur, g)
+                powers.append(sum(map(dot, cur, place)))
+                cur = [sum(map(dot, cur, row)) % p for row in rows]
             log: list = [None] * q
             for t, c in enumerate(powers):
                 log[c] = t

@@ -13,7 +13,7 @@ would cost more to start than it could save.
 """
 
 import hashlib
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .algebra import Algebra, AlgebraElement, row_reduce
@@ -30,15 +30,9 @@ BUNDLE_COMPARE_FIELDS = ("commutative", "unit_count", "unit_order_spectrum",
                          "square_zero_count", "center_dimension")
 
 
-@dataclass(frozen=True)
-class InvariantBundle:
-    commutative: bool
-    unit_count: int
-    unit_order_spectrum: tuple[tuple[int, int], ...]
-    idempotent_count: int
-    nilpotent_count: int
-    square_zero_count: int
-    center_dimension: int
+InvariantBundle = namedtuple("InvariantBundle", [
+    "commutative", "unit_count", "unit_order_spectrum", "idempotent_count",
+    "nilpotent_count", "square_zero_count", "center_dimension"])
 
 
 def bundle(algebra: Algebra, units: UnitGroup) -> InvariantBundle:
@@ -85,13 +79,10 @@ def bundle(algebra: Algebra, units: UnitGroup) -> InvariantBundle:
 # ---------------------------------------------------------------------------
 # the isomorphism witness
 
-@dataclass(frozen=True)
-class IsoWitness:
+class IsoWitness(namedtuple("IsoWitness", "source_label target_label images")):
     """A verified K-algebra isomorphism, stored as images of the group basis."""
 
-    source_label: str
-    target_label: str
-    images: tuple[AlgebraElement, ...]
+    __slots__ = ()
 
     def apply(self, a: AlgebraElement) -> AlgebraElement:
         return _combination(a.key(), self.images)
@@ -260,14 +251,11 @@ def _verify_witness(a: Algebra, b: Algebra, w: IsoWitness) -> None:
 # ---------------------------------------------------------------------------
 # the minimality scan
 
-@dataclass(frozen=True)
-class ScanRow:
-    size: int
-    field: str
-    group_a: str
-    group_b: str
-    verdict: str  # isomorphic | not_isomorphic | inconclusive
-    detail: str
+class ScanRow(namedtuple("ScanRow", [
+        "size", "field", "group_a", "group_b",
+        "verdict",  # isomorphic | not_isomorphic | inconclusive
+        "detail"])):
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {"size": self.size, "field": self.field,
@@ -275,16 +263,13 @@ class ScanRow:
                 "verdict": self.verdict, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    bound: int
-    rows: tuple[ScanRow, ...]
-    minimum: ScanRow | None
-    inconclusive: tuple[ScanRow, ...]
-    pair_count: int
-    expected_pair_count: int
-    # compare_unit_groups notes on the pairs of nonabelian groups, in row order
-    notes: tuple[dict, ...] = ()
+class ScanReport(namedtuple("ScanReport", [
+        "bound", "rows",
+        "minimum",  # a ScanRow, or None
+        "inconclusive", "pair_count", "expected_pair_count",
+        # compare_unit_groups notes on the pairs of nonabelian groups, in row order
+        "notes"], defaults=[()])):
+    __slots__ = ()
 
     def headline(self) -> str:
         if self.minimum is None:

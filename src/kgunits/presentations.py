@@ -41,7 +41,7 @@ too low", never as an order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from itertools import accumulate
 from typing import Mapping
 
@@ -253,26 +253,25 @@ def parse_presentation(text: str, convention: str = "left") -> "FpGroup":
     return FpGroup(tuple(names), tuple(relators))
 
 
-@dataclass(frozen=True)
-class FpGroup:
+class FpGroup(namedtuple("FpGroup", "generator_names relators")):
     """A finite presentation: generator names and freely reduced relators."""
 
-    generator_names: tuple[str, ...]
-    relators: tuple[Word, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.generator_names)
-        for rel in self.relators:
+    def __new__(cls, generator_names: tuple[str, ...], relators: tuple[Word, ...]):
+        n = len(generator_names)
+        for rel in relators:
             if not all(isinstance(run, tuple) and len(run) == 2 for run in rel):
                 raise ValueError(f"relator {rel} is not a tuple of runs (generator, exponent)")
             if rel != free_reduce(rel):
                 raise ValueError(f"relator {rel} is not freely reduced")
             if any(not 0 < g <= n for g, _ in rel):
                 raise ValueError(f"relator {rel} uses an unknown generator index")
+        return super().__new__(cls, generator_names, relators)
 
     def drop_relator(self, i: int) -> "FpGroup":
         rels = self.relators[:i] + self.relators[i + 1:]
-        return replace(self, relators=rels)
+        return self._replace(relators=rels)
 
     def describe(self) -> str:
         def show(w):
@@ -579,24 +578,21 @@ def coset_enumeration(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT) -> int:
 # ---------------------------------------------------------------------------
 # certificates
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "presentation order")):
     """A successful three-step check identifying U with the presented group."""
 
-    presentation: FpGroup
-    order: int
+    __slots__ = ()
 
     def summary(self) -> str:
         return (f"certified: relators hold, generators generate, "
                 f"presented order {self.order} matches |U|")
 
 
-@dataclass(frozen=True)
-class Refutation:
-    """A failed certification attempt, recording which step broke."""
+class Refutation(namedtuple("Refutation", "failed_step detail")):
+    """A failed certification attempt, recording which step broke
+    (failed_step 1 relators, 2 generation, 3 presented order)."""
 
-    failed_step: int  # 1 relators, 2 generation, 3 presented order
-    detail: str
+    __slots__ = ()
 
     def summary(self) -> str:
         return f"refuted at step {self.failed_step}: {self.detail}"

@@ -17,8 +17,7 @@ here assumes any structure theory of the algebra; it only multiplies units.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property, reduce
 from math import lcm
 
@@ -81,11 +80,11 @@ def primary_partitions(order: int, spectrum) -> dict[int, tuple[int, ...]]:
     return parts
 
 
-@dataclass(frozen=True)
-class AbelianType:
-    """Isomorphism type of a finite abelian group: partitions per prime."""
+class AbelianType(namedtuple("AbelianType", "primary")):
+    """Isomorphism type of a finite abelian group: partitions per prime,
+    primary = ((prime, descending partition), ...)."""
 
-    primary: tuple[tuple[int, tuple[int, ...]], ...]  # ((prime, descending partition), ...)
+    __slots__ = ()
 
     @classmethod
     def from_primary(cls, parts: dict[int, tuple[int, ...]]) -> "AbelianType":

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -129,7 +128,7 @@ def test_verify_catalog_passes(catalog_rows):
 def test_verify_catalog_detects_internal_inconsistency(catalog_rows):
     doctored = list(catalog_rows)
     victim = doctored[40]
-    doctored[40] = dataclasses.replace(victim, structure="C9999")
+    doctored[40] = victim._replace(structure="C9999")
     report = verify_catalog(rows=doctored)
     assert report.exit_code == 2
     assert report.inconsistency_lines
@@ -141,7 +140,7 @@ def test_verify_catalog_detects_published_mismatch(catalog_rows):
         if (r.field, r.group) == ("F2", "C6"):
             pub = dict(r.published)
             pub["unit_count"] = r.unit_count + 1
-            r = dataclasses.replace(r, published=pub)
+            r = r._replace(published=pub)
         doctored.append(r)
     report = verify_catalog(rows=doctored)
     assert report.exit_code == 1

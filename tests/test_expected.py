@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 import kgunits.expected
@@ -19,7 +17,7 @@ def test_reference_data_is_internally_consistent():
 @pytest.mark.parametrize("structure", ["D14", "C2 x C6", "presented(order 11)"])
 def test_reference_data_checks_every_structure_against_its_count(monkeypatch, structure):
     # the published D12 of F2[D6] is checked like an abelian structure
-    rows = tuple(dataclasses.replace(r, structure=structure)
+    rows = tuple(r._replace(structure=structure)
                  if (r.field, r.group) == ("F2", "D6") else r for r in ROWS)
     monkeypatch.setattr(kgunits.expected, "ROWS", rows)
     with pytest.raises(RuntimeError, match="structure and count disagree on F2 D6"):

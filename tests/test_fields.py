@@ -7,9 +7,10 @@ from kgunits import decompose as decompose_module
 from kgunits.algebra import Algebra
 from kgunits.catalog import catalog_specs
 from kgunits.fields import (SIZE_LIMIT, FieldElement, FieldSpec,
-                            factor_monic, is_prime, make_field,
-                            monic_irreducibles, poly_divmod, poly_mul,
-                            prime_factors, prime_power_split, x_power_minus_one)
+                            _first_primitive, factor_monic, is_prime,
+                            make_field, monic_irreducibles, poly_divmod,
+                            poly_mul, prime_factors, prime_power_split,
+                            x_power_minus_one)
 from kgunits.groups import group_by_label
 from kgunits.units import UnitGroup
 
@@ -328,6 +329,49 @@ def test_code_tables_match_the_field_element_walk():
     for q in sizes + [2, 3, 5, 31, 1021]:
         spec = make_field(*prime_power_split(q))
         assert spec._tables() == _reference_tables(spec), spec
+
+
+def _polynomial_walk_tables(spec):
+    """(exp, log, zech) from the walk that multiplies by g with poly_mul and
+    poly_divmod at every power, as the tables were built before the walk
+    became a linear map on digit vectors."""
+    p, q, n = spec.p, spec.q, spec.q - 1
+    prime = make_field(p, 1)
+
+    def times(a, b):
+        return poly_divmod(prime, poly_mul(prime, a, b), spec.modulus)[1]
+
+    def power(c, e):
+        a, acc = spec._digits(c), (1,)
+        for bit in bin(e)[2:]:
+            acc = times(acc, acc)
+            if bit == "1":
+                acc = times(acc, a)
+        return spec._code_of(acc)
+
+    g = spec._digits(_first_primitive(q, power))
+    powers, cur = [], (1,)
+    for _ in range(n):
+        powers.append(spec._code_of(cur))
+        cur = times(cur, g)
+    log = [None] * q
+    for t, c in enumerate(powers):
+        log[c] = t
+    zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in powers]
+    return powers + powers, log, zech
+
+
+def test_linear_walk_tables_match_the_polynomial_walk():
+    fresh = make_field.__wrapped__  # a new FieldSpec, tables not yet built
+    specs = [fresh(*prime_power_split(q)) for q in FIELD_SIZES
+             if prime_power_split(q)[1] > 1]
+    assert len(specs) == 25
+    for spec in specs:
+        exp, log, zech = spec._tables()
+        ref_exp, ref_log, ref_zech = _polynomial_walk_tables(spec)
+        assert exp == ref_exp, spec
+        assert log == ref_log, spec
+        assert zech == ref_zech, spec
 
 
 def test_primitive_is_the_first_element_of_the_tables_in_every_field():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -45,7 +44,7 @@ def test_bundle_is_deterministic():
 
 
 def test_bundle_holds_exactly_the_compared_invariants_in_order():
-    names = tuple(f.name for f in dataclasses.fields(InvariantBundle))
+    names = InvariantBundle._fields
     assert names == BUNDLE_COMPARE_FIELDS
 
 

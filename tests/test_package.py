@@ -1,6 +1,12 @@
 import ast
+import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kgunits"
 
@@ -24,9 +30,43 @@ def test_package_imports_only_the_standard_library():
 
 def test_all_names_exactly_what_the_package_imports():
     import kgunits
-    tree = ast.parse((SRC / "__init__.py").read_text())
-    imported = [alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert len(set(kgunits.__all__)) == len(kgunits.__all__)
-    assert set(kgunits.__all__) == set(imported)
-    assert [name for name in kgunits.__all__ if not hasattr(kgunits, name)] == []
+    assert len(set(kgunits.__all__)) == len(kgunits.__all__) == 40
+    assert kgunits.__all__ == list(kgunits._HOME)
+    for name in kgunits.__all__:
+        home = importlib.import_module(f"kgunits.{kgunits._HOME[name]}")
+        assert getattr(kgunits, name) is getattr(home, name), name
+    assert set(kgunits.__all__) <= set(dir(kgunits))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        kgunits.no_such_name
+
+
+def test_only_scan_iso_loads_isoprobe_and_no_command_loads_dataclasses(tmp_path):
+    """In a fresh process, importing the CLI and running the small commands
+    loads none of these modules; scan-iso then loads isoprobe."""
+    package_root = str(SRC.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    script = """if True:
+        import contextlib, io, json, sys
+        watched = ("kgunits.isoprobe", "dataclasses", "inspect", "hashlib")
+        def loaded():
+            return [m for m in watched if m in sys.modules]
+        import kgunits.cli
+        seen = {"import": loaded()}
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [kgunits.cli.main(["unit-group", "F2", "D8"]),
+                     kgunits.cli.main(["decompose", "F3", "C4"]),
+                     kgunits.cli.main(["coset-count", "a | a^12"])]
+            seen["commands"] = loaded()
+            codes.append(kgunits.cli.main(["scan-iso", "--bound", "20"]))
+        seen["scan-iso"] = loaded()
+        print(json.dumps({"codes": codes, "seen": seen}))
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          cwd=tmp_path, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["codes"] == [0, 0, 0, 0]
+    assert out["seen"]["import"] == []
+    assert out["seen"]["commands"] == []
+    assert "kgunits.isoprobe" in out["seen"]["scan-iso"]
