@@ -58,6 +58,24 @@ def test_noncommutative_multiplication():
     assert x * y != y * x
 
 
+@pytest.mark.parametrize("p,k,label,key,text", [
+    (2, 2, "C2", (3, 2), "(t+1) + t*x"),
+    (2, 2, "C2", (1, 1), "1 + x"),
+    (2, 3, "C3", (4, 6, 0), "t^2 + (t^2+t)*x"),
+    (2, 3, "C3", (5, 0, 7), "(t^2+1) + (t^2+t+1)*x^2"),
+    (3, 2, "C3", (6, 1, 7), "2*t + x + (2*t+1)*x^2"),
+    (3, 2, "C3", (0, 0, 0), "0"),
+    (3, 2, "D6", (0, 4, 0, 8, 0, 6), "(t+1)*x + (2*t+2)*y + 2*t*x^2*y"),
+])
+def test_element_text_over_fields_with_k_above_one(p, k, label, key, text):
+    # a coefficient of several terms is parenthesized, a coefficient 1 is
+    # omitted before a group element, and the zero element prints as 0
+    alg = _alg(p, k, label)
+    x = alg.from_key(key)
+    assert str(x) == text
+    assert repr(x) == f"F{p ** k}{label}<{text}>"
+
+
 def test_augmentation_is_a_ring_homomorphism():
     a = _alg(2, 1, "C3")
     els = list(a.elements())
@@ -256,6 +274,9 @@ def test_field_census_matches_the_power_walk_census_on_every_catalog_field():
     (7, 1, 2, r"order 3 of 2 is a proper divisor of \|U\| = 6"),
     (2, 2, 1, r"order 1 of 1 is a proper divisor of \|U\| = 3"),
     (3, 1, 0, "power walk of 0 repeats a power or meets 0 at step 1"),
+    # t^2 = -1 in F9, so t has the order 4
+    (3, 2, 3, r"order 4 of t is a proper divisor of \|U\| = 8"),
+    (3, 2, 6, r"order 4 of 2\*t is a proper divisor of \|U\| = 8"),
 ])
 def test_a_field_census_from_a_non_primitive_element_is_caught(monkeypatch, p, k, g,
                                                                error):
