@@ -1,13 +1,12 @@
-"""Group-algebra arithmetic on int code tuples: products, augmentation, units.
+"""Group-algebra arithmetic on int code tuples: products, inverses, units.
 
 An Algebra is K[G] for a FieldSpec K and a Group G.  An element is the tuple
 of its coefficients' int field codes, one per group element; ``key()``
 returns it.  Every operation runs on those tuples with the FieldSpec code
 operations.  Products go through ``Algebra.mul_codes``, one function per
 algebra that ``_product`` writes out from the group table on first use: the
-convolution unrolled, each output coefficient one expression.
-``AlgebraElement.coeffs`` is a read-only FieldElement view for display and
-the public API.
+convolution unrolled, each output coefficient one expression.  Only
+``AlgebraElement.__str__`` reads a code as a FieldElement, to print it.
 
 ``enumerate_units`` decides every unit and its order in one element census,
 by multiplication alone.  Each code tuple x not yet classified, in counting
@@ -33,7 +32,7 @@ identity vector) and checks the inverse b on both sides, a*b = b*a = 1, by
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .fields import FieldElement, FieldSpec
@@ -137,12 +136,6 @@ class AlgebraElement:
         """Hashable coefficient-code tuple, also the counting order key."""
         return self._key
 
-    @property
-    def coeffs(self) -> tuple[FieldElement, ...]:
-        """The coefficients as field elements, one per group element."""
-        els = self.algebra.field.elements()
-        return tuple([els[c] for c in self._key])
-
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
@@ -192,23 +185,18 @@ class AlgebraElement:
                 acc = acc * self
         return acc
 
-    def augmentation(self) -> FieldElement:
-        """Coefficient sum; a ring homomorphism onto K."""
-        field = self.algebra.field
-        return field.element(reduce(field.add, self._key, 0))
-
     def try_inverse(self):
         """The two-sided inverse, or None.  Non-units are a normal outcome."""
         inv = self.algebra.inverse_codes(self._key)
         return None if inv is None else self.algebra.from_key(inv)
 
     def __str__(self):
-        names = self.algebra.group.element_names
+        field, names = self.algebra.field, self.algebra.group.element_names
         terms = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self._key):
             if not c:
                 continue
-            cs = str(c)
+            cs = str(FieldElement(field, c))
             if "+" in cs:
                 cs = f"({cs})"
             if names[i] == "1":

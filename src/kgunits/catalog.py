@@ -13,8 +13,7 @@ from functools import lru_cache
 
 from .algebra import Algebra
 from .decompose import decompose_abelian, predicted_unit_structure
-from .expected import (D6_PRESENTATION_CORRECTED, D6_PRESENTATION_PRINTED,
-                       MISPRINTS, PRESENTATION_SOURCES, expectation_for)
+from .expected import MISPRINTS, PRESENTATION_SOURCES, expectation_for
 from .fields import make_field, prime_power_split
 from .groups import group_by_label, groups_of_order
 from .presentations import Certificate, certify_from_source, coset_enumeration, \
@@ -296,10 +295,8 @@ def _adjudicate_misprints(by_key: dict, inconsistencies: list) -> list[str]:
                        f"{m.printed!r}; computed U(F2C4) = {row.structure}"
                        f"{detail}")
         else:  # the collapsed dihedral presentation
-            printed_order = coset_enumeration(
-                parse_presentation(D6_PRESENTATION_PRINTED, "left"))
-            corrected_order = coset_enumeration(
-                parse_presentation(D6_PRESENTATION_CORRECTED, "left"))
+            printed_order = coset_enumeration(parse_presentation(m.printed))
+            corrected_order = coset_enumeration(parse_presentation(m.corrected))
             if printed_order != 1 or corrected_order != 6:
                 inconsistencies.append(
                     "INCONSISTENT dihedral presentation misprint: enumeration "

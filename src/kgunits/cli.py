@@ -153,7 +153,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_coset_count(args) -> int:
-    presentation = parse_presentation(args.presentation, "left")
+    presentation = parse_presentation(args.presentation)
     order = coset_enumeration(presentation, args.limit)
     if args.format == "json":
         _emit_json({"presentation": args.presentation, "order": order})

@@ -85,6 +85,10 @@ Misprint = namedtuple("Misprint", [
     "printed", "corrected", "note"])
 
 
+# the printed dihedral-of-order-6 presentations adjudicated by MISPRINTS[-1]
+D6_PRESENTATION_PRINTED = "x, y | x^3, y^1, y*x*y = x^2"
+D6_PRESENTATION_CORRECTED = "x, y | x^3, y^2, y*x*y = x^2"
+
 MISPRINTS: tuple[Misprint, ...] = (
     Misprint(("F2", "C5"), "decomposition", "F2 + F4", "F2 + F16",
              "x^5 - 1 over F2 factors with degrees 1 and 4, and the printed "
@@ -98,16 +102,11 @@ MISPRINTS: tuple[Misprint, ...] = (
     Misprint(("F2", "C4"), "structure", "U(F2C8) = C2 x C4", "U(F2C4) = C2 x C4",
              "the order-4 discussion names the size-256 algebra; recomputing "
              "gives U(F2C4) = C2 x C4 and U(F2C8) = C2^2 x C4 x C8"),
-    Misprint(None, "presentation",
-             "x, y | x^3, y^1, y*x*y = x^2",
-             "x, y | x^3, y^2, y*x*y = x^2",
+    Misprint(None, "presentation", D6_PRESENTATION_PRINTED, D6_PRESENTATION_CORRECTED,
              "the printed relator y^1 collapses the dihedral presentation: "
              "coset enumeration gives order 1, the corrected form gives 6"),
 )
 
-# the printed dihedral-of-order-6 presentations adjudicated by MISPRINTS[-1]
-D6_PRESENTATION_PRINTED = "x, y | x^3, y^1, y*x*y = x^2"
-D6_PRESENTATION_CORRECTED = "x, y | x^3, y^2, y*x*y = x^2"
 # an equivalent commutator form; it enumerates to 6 only under the left
 # convention [a, b] = a^-1 b^-1 a b, which pins the convention used throughout
 D6_PRESENTATION_COMMUTATOR = "x, y | x^3, y^2, [x,y] = x"

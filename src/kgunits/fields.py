@@ -14,21 +14,17 @@ builds, on first use, three code tables of O(q) entries: exp and log to the
 first primitive element g in counting order, and the Zech (add-one)
 logarithm Z(n) = log(1 + g^n), so that g^i + g^j = g^(i + Z(j - i)) (Lidl &
 Niederreiter, Finite Fields).  Its sums, products and inverses read these
-tables, with no extended Euclidean inverse; multiplicative orders read the
-log table in every field, so a prime field builds the tables only when asked
-for an order.  g is found by the test g^((q-1)/r) != 1 for every prime
-r | q - 1 on powers taken with ``poly_mul`` and ``poly_divmod`` over the
-prime field, and walked once as the F_p-linear map "times g" on digit
-vectors.  ``FieldSpec.primitive`` hands g to the census of K[C1]; a
-prime field runs the same test on ints there, with no table.  The one q x q
-table, ``_square_tables`` (sums and products), is for the product of a group
-algebra K[G] with |G| >= 2 and k > 1, which has at least q^2 elements itself
-(q <= 31 below the published bound 1024); no other field builds one.
-``FieldElement`` is an interned view of one code for display and the public
-API; its operators call the ``FieldSpec`` code operations.  A field builds
-its q views on first use (``elements``, ``element``, ``zero``, ``one``,
-``from_coeffs``, ``from_int``), so a computation on codes alone never
-creates one.
+tables, with no extended Euclidean inverse.  g is found by the test
+g^((q-1)/r) != 1 for every prime r | q - 1 on powers taken with
+``poly_mul`` and ``poly_divmod`` over the prime field, and walked once as
+the F_p-linear map "times g" on digit vectors.  ``FieldSpec.primitive``
+hands g to the census of K[C1]; a prime field runs the same test on ints
+there, with no table.  The one q x q table, ``_square_tables`` (sums and
+products), is for the product of a group algebra K[G] with |G| >= 2 and
+k > 1, which has at least q^2 elements itself (q <= 31 below the published
+bound 1024); no other field builds one.  ``FieldElement`` wraps one code
+for display: its text, and operators that call the ``FieldSpec`` code
+operations.
 
 Polynomials are tuples of codes over a given FieldSpec, index = degree.  The
 one polynomial layer (``poly_*``, ``monic_irreducibles``, ``factor_monic``)
@@ -41,7 +37,6 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import lru_cache
-from math import gcd
 
 SIZE_LIMIT = 1024
 
@@ -100,7 +95,7 @@ def prime_power_split(q: int) -> tuple[int, int] | None:
 class FieldSpec:
     """The finite field F_{p^k} presented as F_p[t] / (modulus)."""
 
-    __slots__ = ("p", "k", "q", "modulus", "_els", "_tabs", "_sq")
+    __slots__ = ("p", "k", "q", "modulus", "_tabs", "_sq")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         if not is_prime(p):
@@ -121,7 +116,6 @@ class FieldSpec:
         self.modulus = modulus
         self._tabs = None
         self._sq = None
-        self._els = None
 
     # -- basics
 
@@ -138,33 +132,6 @@ class FieldSpec:
     def label(self) -> str:
         return f"F{self.q}"
 
-    def zero(self) -> "FieldElement":
-        return self.elements()[0]
-
-    def one(self) -> "FieldElement":
-        return self.elements()[1]
-
-    def elements(self) -> tuple["FieldElement", ...]:
-        """All q elements in base-p counting order of the coefficient tuple,
-        built on first use and interned from then on."""
-        if self._els is None:
-            self._els = tuple(FieldElement(self, self._digits(code), code)
-                              for code in range(self.q))
-        return self._els
-
-    def element(self, code: int) -> "FieldElement":
-        return self.elements()[code]
-
-    def from_coeffs(self, coeffs) -> "FieldElement":
-        coeffs = tuple(int(c) % self.p for c in coeffs)
-        if len(coeffs) != self.k:
-            raise ValueError(f"need {self.k} coefficients, got {len(coeffs)}")
-        return self.element(self._code_of(coeffs))
-
-    def from_int(self, n: int) -> "FieldElement":
-        """The image of the integer n under Z -> F_p -> F_{p^k}."""
-        return self.element(n % self.p)
-
     def _digits(self, code: int) -> tuple[int, ...]:
         """The base-p digits of a code, c0 first: its coefficient tuple."""
         out = []
@@ -178,10 +145,6 @@ class FieldSpec:
         for c in reversed(coeffs):
             code = code * self.p + c
         return code
-
-    def _check(self, other: "FieldElement"):
-        if other.spec is not self and other.spec != self:
-            raise ValueError(f"mixed-field arithmetic: {self.label()} vs {other.spec.label()}")
 
     # -- arithmetic on codes
 
@@ -291,13 +254,12 @@ class FieldSpec:
 
 
 class FieldElement:
-    """An element of a FieldSpec; immutable, interned by the owning field."""
+    """An element of a FieldSpec, held as its code; immutable."""
 
-    __slots__ = ("spec", "coeffs", "code")
+    __slots__ = ("spec", "code")
 
-    def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...], code: int):
+    def __init__(self, spec: FieldSpec, code: int):
         self.spec = spec
-        self.coeffs = coeffs
         self.code = code
 
     def __bool__(self):
@@ -315,8 +277,10 @@ class FieldElement:
         """op on the codes of self and other, as an element of the field."""
         if not isinstance(other, FieldElement):
             return NotImplemented
-        self.spec._check(other)
-        return self.spec.element(op(self.code, other.code))
+        if other.spec is not self.spec and other.spec != self.spec:
+            raise ValueError(f"mixed-field arithmetic: {self.spec.label()} "
+                             f"vs {other.spec.label()}")
+        return FieldElement(self.spec, op(self.code, other.code))
 
     def __add__(self, other):
         return self._lift(self.spec.add, other)
@@ -324,42 +288,21 @@ class FieldElement:
     def __sub__(self, other):
         return self._lift(self.spec.sub, other)
 
-    def __neg__(self):
-        return self.spec.element(self.spec.neg(self.code))
-
     def __mul__(self, other):
         return self._lift(self.spec.mul, other)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        s = self.spec
-        acc, base = 1, self.code
-        while n:
-            if n & 1:
-                acc = s.mul(acc, base)
-            base = s.mul(base, base)
-            n >>= 1
-        return s.element(acc)
-
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse; ZeroDivisionError for zero."""
-        return self.spec.element(self.spec.inv(self.code))
-
-    def mult_order(self) -> int:
-        """Least n >= 1 with self**n == 1; divides q - 1."""
-        if self.code == 0:
-            raise ZeroDivisionError("zero has no multiplicative order")
-        n = self.spec.q - 1
-        return n // gcd(n, self.spec._tables()[1][self.code])
+        return FieldElement(self.spec, self.spec.inv(self.code))
 
     def __str__(self):
         s = self.spec
         if s.k == 1:
             return str(self.code)
+        digits = s._digits(self.code)
         terms = []
         for i in range(s.k - 1, -1, -1):
-            c = self.coeffs[i]
+            c = digits[i]
             if not c:
                 continue
             if i == 0:

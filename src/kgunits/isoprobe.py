@@ -23,16 +23,13 @@ from .fields import make_field
 from .groups import group_by_label, groups_of_order
 from .units import UnitGroup
 
-# comparison order is part of the output contract: the first differing
-# entry names the verdict, so it must not depend on dict ordering
-BUNDLE_COMPARE_FIELDS = ("commutative", "unit_count", "unit_order_spectrum",
-                         "idempotent_count", "nilpotent_count",
-                         "square_zero_count", "center_dimension")
-
-
 InvariantBundle = namedtuple("InvariantBundle", [
     "commutative", "unit_count", "unit_order_spectrum", "idempotent_count",
     "nilpotent_count", "square_zero_count", "center_dimension"])
+
+# comparison order is part of the output contract: the first differing
+# entry names the verdict, so it must not depend on dict ordering
+BUNDLE_COMPARE_FIELDS = InvariantBundle._fields
 
 
 def bundle(algebra: Algebra, units: UnitGroup) -> InvariantBundle:

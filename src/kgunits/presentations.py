@@ -3,12 +3,10 @@
 A word is a tuple of runs (g, e): generator g (1-based) to the power e != 0,
 freely reduced, so two neighbouring runs never share a generator.  A power
 of one run is one run, so a^n costs the same whatever n is, and a power of
-a conjugate u c u^-1 is u c^n u^-1, so (x y x^-1)^n is three runs.  Commutators
-default to the convention [a, b] = a^-1 b^-1 a b, nested left-normed, so
-[a, b, c] = [[a, b], c].  Certification reads a presentation in that left
-convention only: the published presentations use it, and the D6 commutator
-form in expected.py pins it.  The right-handed convention a b a^-1 b^-1
-remains a parser option.
+a conjugate u c u^-1 is u c^n u^-1, so (x y x^-1)^n is three runs.  A
+commutator is [a, b] = a^-1 b^-1 a b, nested left-normed, so
+[a, b, c] = [[a, b], c]: the published presentations use this convention,
+and the D6 commutator form in expected.py pins it.
 
 Coset enumeration is the HLT strategy over the trivial subgroup (Holt, Eick
 & O'Brien, Handbook of Computational Group Theory, 2005, ch. 5): scan and
@@ -73,14 +71,8 @@ def free_reduce(w: Word) -> Word:
     return tuple(out)
 
 
-def commutator_word(u: Word, v: Word, convention: str = "left") -> Word:
-    if convention == "left":
-        w = invert_word(u) + invert_word(v) + u + v
-    elif convention == "right":
-        w = u + v + invert_word(u) + invert_word(v)
-    else:
-        raise ValueError(f"unknown commutator convention {convention!r}")
-    return free_reduce(w)
+def commutator_word(u: Word, v: Word) -> Word:
+    return free_reduce(invert_word(u) + invert_word(v) + u + v)
 
 
 def power_word(w: Word, n: int) -> Word:
@@ -150,11 +142,10 @@ def _tokenize(text: str):
 
 
 class _WordParser:
-    def __init__(self, tokens, names: list[str], convention: str):
+    def __init__(self, tokens, names: list[str]):
         self.toks = tokens
         self.pos = 0
         self.names = names
-        self.convention = convention
 
     def peek(self):
         return self.toks[self.pos][0]
@@ -205,7 +196,7 @@ class _WordParser:
                 raise ValueError("commutator needs at least two arguments")
             w = args[0]
             for v in args[1:]:
-                w = commutator_word(w, v, self.convention)
+                w = commutator_word(w, v)
             return w
         raise ValueError(f"unexpected token {kind!r} in word")
 
@@ -218,14 +209,14 @@ class _WordParser:
         return lhs
 
 
-def parse_word(text: str, names, convention: str = "left") -> Word:
-    parser = _WordParser(_tokenize(text), list(names), convention)
+def parse_word(text: str, names) -> Word:
+    parser = _WordParser(_tokenize(text), list(names))
     w = parser.relator_item()
     parser.take("end")
     return w
 
 
-def parse_presentation(text: str, convention: str = "left") -> "FpGroup":
+def parse_presentation(text: str) -> "FpGroup":
     if "|" not in text:
         raise ValueError("presentation must look like 'gens | relators'")
     gen_part, rel_part = text.split("|", 1)
@@ -239,7 +230,7 @@ def parse_presentation(text: str, convention: str = "left") -> "FpGroup":
             raise ValueError(f"bad generator name {name!r}")
     if len(set(names)) != len(names):
         raise ValueError(f"bad generator list {gen_part!r}")
-    parser = _WordParser(_tokenize(rel_part), names, convention)
+    parser = _WordParser(_tokenize(rel_part), names)
     relators = []
     while True:
         w = parser.relator_item()
@@ -272,15 +263,6 @@ class FpGroup(namedtuple("FpGroup", "generator_names relators")):
     def drop_relator(self, i: int) -> "FpGroup":
         rels = self.relators[:i] + self.relators[i + 1:]
         return self._replace(relators=rels)
-
-    def describe(self) -> str:
-        def show(w):
-            parts = []
-            for g, e in w:
-                name = self.generator_names[g - 1]
-                parts.append(name if e == 1 else f"{name}^{e}")
-            return "*".join(parts) if parts else "1"
-        return f"< {', '.join(self.generator_names)} | {', '.join(show(r) for r in self.relators)} >"
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +624,7 @@ def certify_from_source(unit_group: UnitGroup,
                         source: str,
                         gens: Mapping[str, object],
                         limit: int = DEFAULT_COSET_LIMIT):
-    """Certify a presentation source string, read in the left convention:
-    a Certificate, or the Refutation that names the failed step."""
+    """Certify a presentation source string: a Certificate, or the
+    Refutation that names the failed step."""
     return certify_unit_group_presentation(unit_group, parse_presentation(source),
                                            gens, limit)

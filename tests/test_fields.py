@@ -1,11 +1,12 @@
 import random
 from functools import lru_cache
+from math import gcd
 
 import pytest
 
 from kgunits import decompose as decompose_module
 from kgunits.algebra import Algebra
-from kgunits.catalog import catalog_specs
+from kgunits.catalog import build_row, catalog_specs
 from kgunits.fields import (SIZE_LIMIT, FieldElement, FieldSpec,
                             _first_primitive, factor_monic, is_prime,
                             make_field, monic_irreducibles, poly_divmod,
@@ -23,6 +24,11 @@ def field_for_size(q: int) -> FieldSpec:
     if pk is None:
         raise ValueError(f"{q} is not a prime power")
     return make_field(*pk)
+
+
+def field_elements(spec):
+    """All q elements of spec as FieldElements, in counting order."""
+    return [FieldElement(spec, c) for c in range(spec.q)]
 
 
 def poly_eval(spec, a, x):
@@ -73,7 +79,7 @@ def test_field_labels():
 
 def test_field_laws_exhaustive_f4():
     spec = make_field(2, 2)
-    els = spec.elements()
+    els = field_elements(spec)
     for a in els:
         for b in els:
             assert a + b == b + a
@@ -86,7 +92,7 @@ def test_field_laws_exhaustive_f4():
 
 def test_field_laws_pairs_f8_f9():
     for spec in (make_field(2, 3), make_field(3, 2)):
-        els = spec.elements()
+        els = field_elements(spec)
         probes = els[:4]
         for a in els:
             for b in els:
@@ -100,17 +106,19 @@ def test_field_laws_pairs_f8_f9():
 def test_inverses_and_orders():
     for p, k in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)):
         spec = make_field(p, k)
-        n = spec.q - 1
+        n, one = spec.q - 1, FieldElement(spec, 1)
         orders = set()
-        for a in spec.elements():
+        for a in field_elements(spec):
             if not a:
                 with pytest.raises(ZeroDivisionError):
                     a.inverse()
                 continue
-            assert a * a.inverse() == spec.one()
-            assert a ** n == spec.one()
-            o = a.mult_order()
-            assert n % o == 0
+            assert a * a.inverse() == one
+            o, acc = 1, a
+            while acc != one and o <= n:
+                acc = acc * a
+                o += 1
+            assert acc == one and n % o == 0
             orders.add(o)
         assert n in orders  # the multiplicative group is cyclic
 
@@ -170,9 +178,9 @@ def test_x_power_minus_one_has_root_one():
 
 def test_frobenius_is_additive():
     spec = make_field(2, 3)
-    for a in spec.elements():
-        for b in spec.elements():
-            assert (a + b) ** 2 == a ** 2 + b ** 2
+    for a in field_elements(spec):
+        for b in field_elements(spec):
+            assert (a + b) * (a + b) == a * a + b * b
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +215,24 @@ def _raw_mod(a, b, p):
     return _raw_strip(tuple(rem))
 
 
-def _reference_ops(spec):
-    """Field operations on codes by coefficient arithmetic mod p and mod the
-    modulus: no exp, log or Zech table is read."""
+def _base_p(spec):
+    """(digits, code): a code to its k base-p digits, c0 first, and back."""
     p, k = spec.p, spec.k
 
     def digits(a):
-        return spec.element(a).coeffs
+        return tuple(a // p ** i % p for i in range(k))
 
     def code(coeffs):
-        return spec.from_coeffs(coeffs + (0,) * (k - len(coeffs))).code
+        return sum(c * p ** i for i, c in enumerate(coeffs))
+
+    return digits, code
+
+
+def _reference_ops(spec):
+    """Field operations on codes by coefficient arithmetic mod p and mod the
+    modulus: no exp, log or Zech table is read."""
+    p = spec.p
+    digits, code = _base_p(spec)
 
     def add(a, b):
         return code(tuple((x + y) % p for x, y in zip(digits(a), digits(b))))
@@ -239,17 +255,17 @@ def _check_pair(spec, ref, a, b):
     assert spec.add(a, b) == add(a, b), (spec, a, b)
     assert spec.sub(a, b) == sub(a, b), (spec, a, b)
     assert spec.mul(a, b) == mul(a, b), (spec, a, b)
-    x, y = spec.element(a), spec.element(b)
+    x, y = FieldElement(spec, a), FieldElement(spec, b)
     assert ((x + y).code, (x - y).code, (x * y).code) == \
         (spec.add(a, b), spec.sub(a, b), spec.mul(a, b)), (spec, a, b)
 
 
 def _check_single(spec, ref, a):
     _, _, neg, mul = ref
-    assert spec.neg(a) == neg(a) == (-spec.element(a)).code, (spec, a)
+    assert spec.neg(a) == neg(a), (spec, a)
     if a:
         inv = spec.inv(a)
-        assert mul(a, inv) == 1 and spec.element(a).inverse().code == inv, (spec, a)
+        assert mul(a, inv) == 1 and FieldElement(spec, a).inverse().code == inv, (spec, a)
     else:
         with pytest.raises(ZeroDivisionError):
             spec.inv(a)
@@ -261,7 +277,7 @@ def test_code_kernel_matches_raw_polynomials_for_every_field():
     for q in FIELD_SIZES:
         spec = make_field(*prime_power_split(q))
         ref = _reference_ops(spec)
-        minus_one = spec.from_int(-1).code
+        minus_one = spec.p - 1  # the constant digit p - 1
         if q <= 32:
             singles = range(q)
             pairs = [(a, b) for a in range(q) for b in range(q)]
@@ -276,33 +292,32 @@ def test_code_kernel_matches_raw_polynomials_for_every_field():
 
 
 def test_mult_order_matches_power_walk():
+    # g^t has the order (q - 1) / gcd(t, q - 1), read off the log table
     for p, k in ((2, 1), (2, 4), (3, 3), (5, 2), (7, 1), (2, 5), (31, 1)):
         spec = make_field(p, k)
+        n, log = spec.q - 1, spec._tables()[1]
         for a in range(1, spec.q):
             o, acc = 1, a
             while acc != 1:
                 acc = spec.mul(acc, a)
                 o += 1
-            assert spec.element(a).mult_order() == o, (spec, a)
+            assert n // gcd(n, log[a]) == o, (spec, a)
 
 
 def test_field_tables_stay_linear_in_q():
     for q in (4, 9, 64, 243, 512, 961, 1021):
         spec = make_field(*prime_power_split(q))
-        spec.element(2).mult_order()  # builds the tables of a prime field too
         assert all(len(t) <= 2 * q for t in spec._tables()), spec
 
 
 def _reference_tables(spec):
     """(exp, log, zech) as they were built over FieldElement coefficients:
-    powers of each candidate g by poly_mul and poly_divmod on .coeffs."""
+    powers of each candidate g by poly_mul and poly_divmod on digit tuples."""
     prime = make_field(spec.p, 1)
-
-    def code(coeffs):
-        return spec.from_coeffs(coeffs + (0,) * (spec.k - len(coeffs))).code
+    digits, code = _base_p(spec)
 
     def mul(a, b):
-        prod = poly_mul(prime, spec.element(a).coeffs, spec.element(b).coeffs)
+        prod = poly_mul(prime, digits(a), digits(b))
         return code(poly_divmod(prime, prod, spec.modulus)[1])
 
     for g in range(1, spec.q):
@@ -318,7 +333,7 @@ def _reference_tables(spec):
         log[c] = t
     zech = []
     for c in powers:
-        c0, *rest = spec.element(c).coeffs
+        c0, *rest = digits(c)
         zech.append(log[code(((c0 + 1) % spec.p, *rest))])
     return powers + powers, log, zech
 
@@ -388,9 +403,9 @@ def test_fields_and_code_census_build_no_field_element(monkeypatch):
     built = []
     real_init = FieldElement.__init__
 
-    def counting(self, spec, coeffs, code):
+    def counting(self, spec, code):
         built.append((spec, code))
-        real_init(self, spec, coeffs, code)
+        real_init(self, spec, code)
     monkeypatch.setattr(FieldElement, "__init__", counting)
     fresh = make_field.__wrapped__  # a new FieldSpec, not the cached one
     for q in FIELD_SIZES:
@@ -400,22 +415,12 @@ def test_fields_and_code_census_build_no_field_element(monkeypatch):
     for p, k in ((1021, 1), (3, 6), (2, 9)):
         units = UnitGroup(Algebra(fresh(p, k), group_by_label("C1")))
         assert units.order == p ** k - 1
+    # a catalog row over a field with k > 1, and a field row
+    for p, k, label in ((3, 2, "C3"), (2, 9, "C1")):
+        assert build_row.__wrapped__(p, k, label).unit_count
     assert built == []
-    spec = fresh(2, 3)
-    spec.one()
-    assert len(built) == spec.q  # the first use builds all q views at once
-
-
-def test_elements_are_built_once_and_interned():
-    spec = make_field.__wrapped__(3, 2)
-    els = spec.elements()
-    assert spec.elements() is els
-    assert [e.code for e in els] == list(range(9))
-    assert spec.zero() is els[0] and spec.one() is els[1]
-    assert all(spec.element(c) is e for c, e in enumerate(els))
-    assert spec.from_coeffs((1, 2)) is els[7] and spec.from_int(-1) is els[2]
-    assert els[3] * els[4] is els[spec.mul(3, 4)]
-    assert els[3] + els[4] is els[spec.add(3, 4)]
+    assert str(FieldElement(fresh(2, 3), 6)) == "t^2+t"
+    assert len(built) == 1  # the counter sees a FieldElement that is built
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +436,7 @@ def _ref_strip(c):
 def _ref_mul(a, b):
     if not a or not b:
         return ()
-    out = [a[0].spec.zero()] * (len(a) + len(b) - 1)
+    out = [FieldElement(a[0].spec, 0)] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -449,7 +454,7 @@ def _ref_divmod(a, b):
     db = len(b) - 1
     if len(a) - 1 < db:
         return (), _ref_strip(a)
-    quo = [spec.zero()] * (len(a) - db)
+    quo = [FieldElement(spec, 0)] * (len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
         c = rem[i]
         if not c:
@@ -468,9 +473,9 @@ def _ref_monic_irreducibles(spec, d):
     for code in range(spec.q ** d):
         tail = []
         for _ in range(d):
-            tail.append(spec.element(code % spec.q))
+            tail.append(FieldElement(spec, code % spec.q))
             code //= spec.q
-        cand = tuple(tail) + (spec.one(),)
+        cand = tuple(tail) + (FieldElement(spec, 1),)
         if d == 1 or all(_ref_divmod(cand, g)[1] for g in lower):
             out.append(cand)
     return tuple(out)
@@ -502,7 +507,7 @@ def _ref_factor_monic(coeffs):
             code = code * spec.q + c.code
         return (len(g) - 1, code)
     out = sorted(found.items(), key=lambda kv: key(kv[0]))
-    acc = (spec.one(),)
+    acc = (FieldElement(spec, 1),)
     for g, m in out:
         for _ in range(m):
             acc = _ref_mul(acc, g)
@@ -533,6 +538,6 @@ def test_code_factorization_matches_the_field_element_layer_on_the_catalog(monke
     seen = set(calls)
     assert len(seen) == 221
     for spec, f in sorted(seen, key=lambda c: (c[0].q, c[1])):
-        ref = _ref_factor_monic(tuple(spec.element(c) for c in f))
+        ref = _ref_factor_monic(tuple(FieldElement(spec, c) for c in f))
         want = [(tuple(c.code for c in g), m) for g, m in ref]
         assert factor_monic(spec, f) == want, (spec, f)

@@ -44,8 +44,10 @@ def test_bundle_is_deterministic():
 
 
 def test_bundle_holds_exactly_the_compared_invariants_in_order():
-    names = InvariantBundle._fields
-    assert names == BUNDLE_COMPARE_FIELDS
+    # the comparison order names the verdict, so it is part of the output
+    assert BUNDLE_COMPARE_FIELDS == InvariantBundle._fields == (
+        "commutative", "unit_count", "unit_order_spectrum", "idempotent_count",
+        "nilpotent_count", "square_zero_count", "center_dimension")
 
 
 def test_pair_row_refutes_by_the_first_differing_invariant():
