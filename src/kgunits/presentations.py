@@ -305,20 +305,26 @@ def coset_table(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT):
             p[k], k = r, p[k]
         return r
 
-    def define(a: int, c: int):
+    def define(a: int, c: int, k: int = 1):
+        """Define k new cosets as a chain a -> b -> ... along column c: the last."""
         b = len(p)
-        if b >= limit:
+        n = b + k
+        if n > limit:
             raise CosetLimitExceeded(
                 f"coset cap {limit} exceeded; group is possibly infinite or the cap too low")
         for column in columns:
-            column.append(None)
+            column.extend([None] * k)
         for cycle_of, pos in records:
-            cycle_of.append(None)
-            pos.append(0)
-        p.append(b)
-        columns[c][a] = b
-        columns[c ^ 1][b] = a
-        return b
+            cycle_of.extend([None] * k)
+            pos.extend([0] * k)
+        p.extend(range(b, n))
+        column, inverse = columns[c], columns[c ^ 1]
+        column[a] = b
+        inverse[b] = a
+        for x in range(b + 1, n):
+            column[x - 1] = x
+            inverse[x] = x - 1
+        return n - 1
 
     def merge(a: int, b: int):
         a, b = rep(a), rep(b)
@@ -443,7 +449,12 @@ def coset_table(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT):
                 coincidence(f, b)
                 return
             column, end, _, c = forward[ri]
-            if j == i:
+            if ri == rj:
+                # Inside one run c^e each new coset has only its c^-1 entry,
+                # and c != c^-1, so neither scan moves until the gap is
+                # filled: define it as one chain, then deduce the last entry.
+                if j > i:
+                    f = define(f, c, j - i)
                 column[f] = b
                 backward[ri][0][b] = f
                 return
