@@ -475,7 +475,9 @@ def coset_table(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT):
         if runs:
             ends = list(accumulate(e for _, e in runs))
             # the whole-relator walk steps through a run c^1 and walks c^e
-            steps = tuple((columns[c], None if e == 1 else run_of(c), e) for c, e in runs)
+            steps = tuple((columns[c], None, None, e) if e == 1
+                          else (columns[c], records[c >> 1][0], run_of(c), e)
+                          for c, e in runs)
             forward = tuple((columns[c], end, run_of(c), c)
                             for (c, _), end in zip(runs, ends))
             backward = tuple((columns[c ^ 1], end - e, run_of(c ^ 1))
@@ -491,11 +493,16 @@ def coset_table(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT):
             # the complete HLT scan; otherwise scan and fill from a afresh,
             # which costs less than resuming mid-word.
             f = a
-            for column, run, e in steps:
+            for column, cycle_of, run, e in steps:
                 if run is None:
                     f = column[f]
                     if f is None:
                         break
+                    continue
+                # Whole turns of a recorded cycle through live f land on f
+                # or on a dead coset whose root is f.
+                cycle = cycle_of[f]
+                if cycle is not None and not e % len(cycle):
                     continue
                 f, left = walk(f, run, e)
                 if left:
