@@ -309,27 +309,31 @@ def coset_table(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT):
         """Define k new cosets as a chain a -> b -> ... along column c: the last."""
         b = len(p)
         n = b + k
-        if n > limit:
-            raise CosetLimitExceeded(
-                f"coset cap {limit} exceeded; group is possibly infinite or the cap too low")
-        for column in columns:
-            column.extend([None] * k)
-        for cycle_of, pos in records:
-            cycle_of.extend([None] * k)
-            pos.extend([0] * k)
+        size = len(columns[0])
+        if n > size:
+            # the lists double, capped at limit, so only n > size can pass it
+            if n > limit:
+                raise CosetLimitExceeded(
+                    f"coset cap {limit} exceeded; group is possibly infinite or the cap too low")
+            grow = min(max(n, 2 * size), limit) - size
+            for column in columns:
+                column += [None] * grow
+            for cycle_of, pos in records:
+                cycle_of += [None] * grow
+                pos += [0] * grow
         p.extend(range(b, n))
         column, inverse = columns[c], columns[c ^ 1]
-        column[a] = b
-        inverse[b] = a
-        for x in range(b + 1, n):
-            column[x - 1] = x
-            inverse[x] = x - 1
-        return n - 1
+        for x in range(b, n):
+            column[a] = x
+            inverse[x] = a
+            a = x
+        return a
 
     def merge(a: int, b: int):
         a, b = rep(a), rep(b)
         if a != b:
-            a, b = min(a, b), max(a, b)
+            if a > b:
+                a, b = b, a
             p[b] = a
             queue.append(b)
             # a stands for b from now on, so b's cycles serve a
@@ -519,6 +523,8 @@ def coset_table(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT):
                 if column[a] is None:
                     define(a, c)
         a += 1
+    for column in columns:
+        del column[len(p):]
     return columns, p
 
 
