@@ -41,9 +41,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import accumulate
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .units import UnitGroup
+if TYPE_CHECKING:
+    from .units import UnitGroup
 
 Word = tuple[tuple[int, int], ...]
 
@@ -209,13 +210,6 @@ class _WordParser:
         return lhs
 
 
-def parse_word(text: str, names) -> Word:
-    parser = _WordParser(_tokenize(text), list(names))
-    w = parser.relator_item()
-    parser.take("end")
-    return w
-
-
 def parse_presentation(text: str) -> "FpGroup":
     if "|" not in text:
         raise ValueError("presentation must look like 'gens | relators'")
@@ -259,10 +253,6 @@ class FpGroup(namedtuple("FpGroup", "generator_names relators")):
             if any(not 0 < g <= n for g, _ in rel):
                 raise ValueError(f"relator {rel} uses an unknown generator index")
         return super().__new__(cls, generator_names, relators)
-
-    def drop_relator(self, i: int) -> "FpGroup":
-        rels = self.relators[:i] + self.relators[i + 1:]
-        return self._replace(relators=rels)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +460,7 @@ def coset_table(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT):
             if i == end:
                 ri += 1
 
-    # The lists only grow, so these references to them stay valid.
+    # The lists grow in place, so these references to them stay valid.
     def run_of(c: int):
         return (columns[c], *records[c >> 1], -1 if c & 1 else 1)
 

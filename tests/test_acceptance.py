@@ -77,10 +77,10 @@ def test_criterion_3_presentations_certified_and_mutations_refuted():
             problems.append((field, label, "primary text failed"))
             continue
         # dropping a relator that is not provably redundant must refute
-        target = next(i for i in range(len(res.presentation.relators))
-                      if i not in src.redundant)
-        mutated = certify_unit_group_presentation(
-            u, res.presentation.drop_relator(target), gens, limit=4000)
+        rels = res.presentation.relators
+        target = next(i for i in range(len(rels)) if i not in src.redundant)
+        dropped = res.presentation._replace(relators=rels[:target] + rels[target + 1:])
+        mutated = certify_unit_group_presentation(u, dropped, gens, limit=4000)
         if not isinstance(mutated, Refutation):
             problems.append((field, label, f"dropping relator {target} still certified"))
         for name, alt in src.variants:

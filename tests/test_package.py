@@ -70,3 +70,16 @@ def test_only_scan_iso_loads_isoprobe_and_no_command_loads_dataclasses(tmp_path)
     assert out["seen"]["import"] == []
     assert out["seen"]["commands"] == []
     assert "kgunits.isoprobe" in out["seen"]["scan-iso"]
+
+
+def test_presentations_loads_no_unit_group_code(tmp_path):
+    """presentations.py names UnitGroup only in annotations, so importing it
+    in a fresh process loads neither units nor algebra."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    script = ("import json, sys, kgunits.presentations; "
+              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('kgunits'))))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          cwd=tmp_path, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["kgunits", "kgunits.presentations"]
