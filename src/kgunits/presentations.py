@@ -16,7 +16,13 @@ per inverse, so a scan step is f = column[f].  The enumeration reads each
 relator as runs (c, e), column c taken e times.  Each scan first walks the
 whole relator; when every entry is defined that walk is the complete HLT
 scan, and only an incomplete one goes on to the forward/backward scan and
-fill, which still defines and deduces one letter at a time.
+fill.  When both scans stop inside one run c^e, the fill defines the whole
+gap as one chain of new cosets and then deduces its last entry: each new
+coset has only its c^-1 entry, and c != c^-1, so neither scan could move
+before that.  A gap that spans runs is filled one letter at a time.  The
+columns and the cycle records below grow in chunks, doubling up to the
+coset cap, with len(p) as the coset count, and each column is trimmed to
+len(p) when the enumeration ends.
 
 A walk of a run c^e with e > 1 that comes back to its start has closed a
 cycle of c, and the enumeration records it once, as a list per generator
@@ -27,7 +33,9 @@ This is sound because the table after a coincidence is a quotient of the
 table before it: a cycle x_0 -> x_1 -> ... closed then still maps each root
 of x_k to the root of x_(k+1), and definitions and deductions only add
 entries.  The root is found without path compression, so the union-find
-array stays exactly as the letter-by-letter HLT leaves it.
+array stays exactly as the letter-by-letter HLT leaves it.  When the length
+of the cycle divides e, the whole-relator walk skips the run: whole turns
+from a live coset land on it or on a dead coset whose root it is.
 
 The finished table is checked twice, from the table alone: every column
 must permute the live cosets, and then every relator, applied to all live
