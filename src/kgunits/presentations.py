@@ -292,16 +292,11 @@ def coset_table(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT):
     # pos[x] is the position of x on it.  Cosets on a cycle may have died
     # since; each stands for its root.
     records = tuple(([None], [0]) for _ in range(ngens))
+    # (column c, column c ^ 1) for every c; the lists grow in place, so
+    # these references to them stay valid
+    pairs = tuple((column, columns[c ^ 1]) for c, column in enumerate(columns))
     p = [0]
     queue: list[int] = []
-
-    def rep(k: int) -> int:
-        r = k
-        while p[r] != r:
-            r = p[r]
-        while p[k] != r:
-            p[k], k = r, p[k]
-        return r
 
     def define(a: int, c: int, k: int = 1):
         """Define k new cosets as a chain a -> b -> ... along column c: the last."""
@@ -327,30 +322,50 @@ def coset_table(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT):
             a = x
         return a
 
+    # Roots are found inline, each by two loops: find the root, then point
+    # every coset on the path at it.
     def merge(a: int, b: int):
-        a, b = rep(a), rep(b)
-        if a != b:
-            if a > b:
-                a, b = b, a
-            p[b] = a
-            queue.append(b)
-            # a stands for b from now on, so b's cycles serve a
+        ra = a
+        while p[ra] != ra:
+            ra = p[ra]
+        while p[a] != ra:
+            p[a], a = ra, p[a]
+        rb = b
+        while p[rb] != rb:
+            rb = p[rb]
+        while p[b] != rb:
+            p[b], b = rb, p[b]
+        if ra != rb:
+            if ra > rb:
+                ra, rb = rb, ra
+            p[rb] = ra
+            queue.append(rb)
+            # ra stands for rb from now on, so rb's cycles serve ra
             for cycle_of, pos in records:
-                if cycle_of[a] is None and cycle_of[b] is not None:
-                    cycle_of[a] = cycle_of[b]
-                    pos[a] = pos[b]
+                if cycle_of[ra] is None and cycle_of[rb] is not None:
+                    cycle_of[ra] = cycle_of[rb]
+                    pos[ra] = pos[rb]
 
     def coincidence(a: int, b: int):
         merge(a, b)
         while queue:
             g = queue.pop()
-            for c, column in enumerate(columns):
+            for column, inverse in pairs:
                 d = column[g]
                 if d is None:
                     continue
-                inverse = columns[c ^ 1]
                 inverse[d] = None
-                mu, nu = rep(g), rep(d)
+                mu = g
+                while p[mu] != mu:
+                    mu = p[mu]
+                k = g  # g is read again for the next column
+                while p[k] != mu:
+                    p[k], k = mu, p[k]
+                nu = d
+                while p[nu] != nu:
+                    nu = p[nu]
+                while p[d] != nu:
+                    p[d], d = nu, p[d]
                 if column[mu] is not None:
                     merge(nu, column[mu])
                 elif inverse[nu] is not None:
