@@ -544,17 +544,20 @@ def coset_table(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT):
 def check_coset_table(columns, p: list[int], relators) -> list[int]:
     """The live cosets of a finished table, once the table is shown closed.
 
-    relators are runs as relator_columns gives them.  First every live entry
-    must be defined, point at a live coset and agree with the inverse column,
-    so each column permutes the live cosets.  Then each relator, applied to
-    all live cosets at once one run c^e at a time, must fix every live coset.
-    A run with e > 1 maps each coset to its e-th image along the cycles of
-    column c, which the first check makes well defined; the cycles are
-    rebuilt here from the table, never taken from the enumeration.
+    relators are runs as relator_columns gives them.  First, for every
+    generator column and every live coset i, column[i] must be defined and
+    live, and the inverse column must take it back to i.  Then the column is
+    injective on the finite live set (i = inverse[column[i]]) and maps it
+    into itself, so it permutes it, and the inverse column is its inverse
+    there: the same test on the inverse columns could not fail, so it is not
+    made.  Then each relator, applied to all live cosets at once one run c^e
+    at a time, must fix every live coset.  A run with e > 1 maps each coset
+    to its e-th image along the cycles of column c, which the first check
+    makes well defined; the cycles are rebuilt here from the table, never
+    taken from the enumeration.
     """
     live = [i for i in range(len(p)) if p[i] == i]
-    for c, column in enumerate(columns):
-        inverse = columns[c ^ 1]
+    for column, inverse in zip(columns[::2], columns[1::2]):
         for i in live:
             d = column[i]
             if d is None or p[d] != d or inverse[d] != i:
@@ -582,9 +585,9 @@ def _column_power(column, live: list[int], e: int) -> list[int | None]:
         while i != start:
             cycle.append(i)
             i = column[i]
-        m = len(cycle)
-        for k, i in enumerate(cycle):
-            power[i] = cycle[(k + e) % m]
+        k = e % len(cycle)
+        for i, j in zip(cycle, cycle[k:] + cycle[:k]):
+            power[i] = j
     return power
 
 
