@@ -294,7 +294,8 @@ def coset_table(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT):
     records = tuple(([None], [0]) for _ in range(ngens))
     # (column c, column c ^ 1) for every c; the lists grow in place, so
     # these references to them stay valid
-    pairs = tuple((column, columns[c ^ 1]) for c, column in enumerate(columns))
+    numbered = tuple(enumerate(columns))
+    pairs = tuple((column, columns[c ^ 1]) for c, column in numbered)
     p = [0]
     queue: list[int] = []
 
@@ -529,10 +530,12 @@ def coset_table(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT):
                 scan_and_fill(a, forward, backward)
             elif f != a:
                 coincidence(f, a)
+            else:
+                continue  # the walk came back to a and changed nothing
             if p[a] != a:
                 break
         else:
-            for c, column in enumerate(columns):
+            for c, column in numbered:
                 if column[a] is None:
                     define(a, c)
         a += 1
