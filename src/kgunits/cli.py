@@ -31,11 +31,15 @@ def _emit_json(payload) -> None:
 
 
 def _parse_field(text: str) -> tuple[int, int]:
-    if not text.startswith("F") or not text[1:].isdigit():
+    """(p, k) from a label as FieldSpec.label writes it: F, then an ASCII
+    number without a leading zero."""
+    digits = text[1:]
+    if not (text.startswith("F") and digits.isascii() and digits.isdigit()
+            and digits[0] != "0"):
         raise ValueError(f"field label must look like F9, got {text!r}")
-    split = prime_power_split(int(text[1:]))
+    split = prime_power_split(int(digits))
     if split is None:
-        raise ValueError(f"{text[1:]} is not a prime power")
+        raise ValueError(f"{digits} is not a prime power")
     return split
 
 
