@@ -199,6 +199,35 @@ def test_closing_check_on_a_dihedral_table():
         check_coset_table(broken, p, words)
 
 
+def test_closing_check_refuses_every_single_corrupted_entry():
+    # a table with dead cosets, so that an entry can point at one
+    pres = parse_presentation("a, b | a^6, b^10, a*b = b*a")
+    columns, p = coset_table(pres)
+    words = relator_columns(pres)
+    live = check_coset_table(columns, p, words)
+    dead = next(i for i in range(len(p)) if p[i] != i)
+    assert len(live) == 60
+    inconsistent = "coset table inconsistent after enumeration"
+    # One entry at a time, in generator and inverse columns alike.  The
+    # relators go letter by letter here, so a corruption that got past the
+    # first pass fails this test rather than looping in _column_power.
+    letters = [tuple((c, 1) for c, e in runs for _ in range(e)) for runs in words]
+    for c, column in enumerate(columns):
+        for k, i in enumerate(live):
+            wrong = live[k - 1] if live[k - 1] != column[i] else live[k - 2]
+            for bad in (None, dead, wrong):
+                corrupted = [list(col) for col in columns]
+                corrupted[c][i] = bad
+                with pytest.raises(RuntimeError, match=inconsistent):
+                    check_coset_table(corrupted, p, letters)
+    # consistent columns, one relator that fails: c r acts as generator c
+    for k, runs in enumerate(words):
+        (c, e), rest = runs[0], runs[1:]
+        failing = words[:k] + [((c, e + 1),) + rest] + words[k + 1:]
+        with pytest.raises(RuntimeError, match="relator fails to close"):
+            check_coset_table(columns, p, failing)
+
+
 def test_printed_dihedral_presentation_collapses():
     # 'y^1' forces y = 1, then y*x*y = x^2 gives x = x^2, so x = 1 too
     assert coset_enumeration(parse_presentation(D6_PRESENTATION_PRINTED)) == 1
