@@ -581,6 +581,15 @@ def test_column_kernel_matches_the_row_kernel():
             _same_outcome(drop_relator(pres, i), MUTATION_LIMIT)
 
 
+def test_column_kernel_matches_the_row_kernel_at_the_largest_query_sizes():
+    # the top of each family's size grid plus the stream's jitter of 2
+    for text in ("a | a^1502",
+                 "r, s | r^1002, s^2, (s*r)^2",
+                 "a, x | a^1004, x^2 = a^502, x^-1*a*x = a^-1",
+                 "a, b | a^92, b^96, a*b = b*a"):
+        _same_outcome(parse_presentation(text), DEFAULT_COSET_LIMIT)
+
+
 def _random_relator(rng, ngens):
     """A freely reduced word of one to four runs of up to 12 letters (one run
     on one generator); about one in three with three or more runs has first

@@ -47,13 +47,14 @@ def kernel_counts(pres, limit: int):
             return on_event
         return on_event
 
+    previous = sys.gettrace()
     sys.settrace(on_call)
     try:
         outcome = coset_enumeration(pres, limit)
     except CosetLimitExceeded as exc:
         outcome = str(exc)
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
     return outcome, calls, opcodes
 
 
