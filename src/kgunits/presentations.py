@@ -292,9 +292,9 @@ def coset_table(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT):
     # pos[x] is the position of x on it.  Cosets on a cycle may have died
     # since; each stands for its root.
     records = tuple(([None], [0]) for _ in range(ngens))
+    numbered = tuple(enumerate(columns))
     # (column c, column c ^ 1) for every c; the lists grow in place, so
     # these references to them stay valid
-    numbered = tuple(enumerate(columns))
     pairs = tuple((column, columns[c ^ 1]) for c, column in numbered)
     p = [0]
     queue: list[int] = []
