@@ -11,18 +11,19 @@ and the D6 commutator form in expected.py pins it.
 Coset enumeration is the HLT strategy over the trivial subgroup (Holt, Eick
 & O'Brien, Handbook of Computational Group Theory, 2005, ch. 5): scan and
 fill every relator at every live coset, with coincidences processed through
-a union-find table.  The table is column-major, one list per generator and
-per inverse, so a scan step is f = column[f].  The enumeration reads each
-relator as runs (c, e), column c taken e times.  Each scan first walks the
-whole relator; when every entry is defined that walk is the complete HLT
-scan, and only an incomplete one goes on to the forward/backward scan and
-fill.  When both scans stop inside one run c^e, the fill defines the whole
-gap as one chain of new cosets and then deduces its last entry: each new
-coset has only its c^-1 entry, and c != c^-1, so neither scan could move
-before that.  A gap that spans runs is filled one letter at a time.  The
-columns and the cycle records below grow in chunks, doubling up to the
-coset cap, with len(p) as the coset count, and each column is trimmed to
-len(p) when the enumeration ends.
+a union-find table whose roots are found inline, with path compression.
+The table is column-major, one list per generator and per inverse, so a
+scan step is f = column[f].  The enumeration reads each relator as runs
+(c, e), column c taken e times.  Each scan first walks the whole relator;
+when every entry is defined that walk is the complete HLT scan, and only an
+incomplete one goes on to the forward/backward scan and fill.  When both
+scans stop inside one run c^e, the fill defines the whole gap as one chain
+of new cosets and then deduces its last entry: each new coset has only its
+c^-1 entry, and c != c^-1, so neither scan could move before that.  A gap
+that spans runs is filled one letter at a time.  The columns and the cycle
+records below grow in chunks, doubling up to the coset cap, with len(p) as
+the coset count, and each column is trimmed to len(p) when the enumeration
+ends.
 
 A walk of a run c^e with e > 1 that comes back to its start has closed a
 cycle of c, and the enumeration records it once, as a list per generator
@@ -37,12 +38,16 @@ array stays exactly as the letter-by-letter HLT leaves it.  When the length
 of the cycle divides e, the whole-relator walk skips the run: whole turns
 from a live coset land on it or on a dead coset whose root it is.
 
-The finished table is checked twice, from the table alone: every column
-must permute the live cosets, and then every relator, applied to all live
-cosets one run c^e at a time along cycles rebuilt from the table, must fix
-each of them.  The enumeration either returns |G| exactly or raises
-CosetLimitExceeded, which callers must treat as "possibly infinite or cap
-too low", never as an order.
+The finished table is checked twice, from the table alone.  First every
+generator column must send each live coset to a live coset that the
+inverse column sends back.  Then the column is injective on the finite set
+of live cosets and maps it into itself, so it permutes it, and the inverse
+column is the inverse permutation there: the same pass over the inverse
+columns could not fail, so it is not made.  Second every relator, applied
+to all live cosets one run c^e at a time along cycles rebuilt from the
+table, must fix each of them.  The enumeration either returns |G| exactly
+or raises CosetLimitExceeded, which callers must treat as "possibly
+infinite or cap too low", never as an order.
 """
 
 from __future__ import annotations
