@@ -206,25 +206,17 @@ def test_error_paths_exit_2(capsys, argv):
     assert out == ""
 
 
-@pytest.mark.parametrize("argv,label", [
-    (("decompose", "F\u0663", "C2"), "F\u0663"),   # an Arabic-Indic digit three
-    (("unit-group", "F02", "C2"), "F02"),
-    (("unit-group", "F\u00b2", "C2"), "F\u00b2"),  # a superscript two
-    (("unit-group", "F0", "C2"), "F0"),
-    (("unit-group", "F", "C2"), "F"),
-    (("unit-group", "F+3", "C2"), "F+3"),
-    (("decompose", "f3", "C2"), "f3"),
+@pytest.mark.parametrize("command,label", [
+    ("decompose", "F\u0663"),   # an Arabic-Indic digit three
+    ("unit-group", "F02"),
+    ("unit-group", "F\u00b2"),  # a superscript two
+    ("unit-group", "F0"),
+    ("unit-group", "F"),
 ])
-def test_field_labels_that_label_never_writes_exit_2(capsys, argv, label):
-    code, out, err = run_cli(capsys, *argv)
+def test_field_labels_that_label_never_writes_exit_2(capsys, command, label):
+    code, out, err = run_cli(capsys, command, label, "C2")
     assert code == 2 and out == ""
     assert err == f"error: field label must look like F9, got {label!r}\n"
-
-
-def test_field_label_that_is_not_a_prime_power(capsys):
-    code, out, err = run_cli(capsys, "unit-group", "F6", "C2")
-    assert code == 2 and out == ""
-    assert err == "error: 6 is not a prime power\n"
 
 
 def test_unknown_label_message_is_not_quoted(capsys):
