@@ -75,9 +75,6 @@ class Algebra:
     def __repr__(self):
         return f"Algebra({self.label()}, size={self.size})"
 
-    def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, (0,) * self.group.order)
-
     def one(self) -> "AlgebraElement":
         return AlgebraElement(self, self._one_key)
 
@@ -112,11 +109,6 @@ class Algebra:
         """All q^|G| code tuples in base-q counting order."""
         for digits in itertools.product(range(self.field.q), repeat=self.group.order):
             yield digits[::-1]
-
-    def elements(self):
-        """All q^|G| elements, in the counting order of their keys."""
-        for key in self.keys():
-            yield AlgebraElement(self, key)
 
     def _check(self, other: "AlgebraElement"):
         if other.algebra is not self and other.algebra != self:

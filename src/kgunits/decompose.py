@@ -103,9 +103,6 @@ class SummandList(namedtuple("SummandList", "blocks")):
             i = j
         return " + ".join(out)
 
-    def __str__(self):
-        return self.render()
-
 
 def decompose_abelian(algebra: Algebra) -> SummandList:
     """Split KG (G abelian) into field blocks, with the Sylow part attached.

@@ -12,12 +12,14 @@ rows store the corrected values, the registry keeps the printed ones with
 one line of recomputed evidence each.  Beyond the table, the source states
 closed-form families for the smallest groups over arbitrary coefficient
 fields; prose_unit_structure and prose_decomposition reproduce those.
+Facts that only tests check, such as which published relators are
+redundant, are in tests/reference_checks.py.
 """
 
 from collections import namedtuple
 
 from .algebra import Algebra, AlgebraElement
-from .units import AbelianType, parse_structure_order
+from .units import AbelianType
 
 
 PublishedRow = namedtuple("PublishedRow", [
@@ -106,10 +108,6 @@ MISPRINTS: tuple[Misprint, ...] = (
              "the printed relator y^1 collapses the dihedral presentation: "
              "coset enumeration gives order 1, the corrected form gives 6"),
 )
-
-# an equivalent commutator form; it enumerates to 6 only under the left
-# convention [a, b] = a^-1 b^-1 a b, which pins the convention used throughout
-D6_PRESENTATION_COMMUTATOR = "x, y | x^3, y^2, [x,y] = x"
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +213,7 @@ def expectation_for(p: int, k: int, label: str) -> dict | None:
 PresentationSource = namedtuple("PresentationSource", [
     "text",
     "build_generators",  # Algebra -> {generator name: AlgebraElement}
-    "redundant",         # 0-based provably redundant relators
-    "variants",          # (name, alternate printed text) pairs
-], defaults=[(), ()])
+])
 
 
 def _gens_f2d6(algebra: Algebra) -> dict[str, AlgebraElement]:
@@ -256,7 +252,6 @@ PRESENTATION_SOURCES: dict[tuple[str, str], PresentationSource] = {
         text="x, y, a | x^4, [a,x]^2, [a,y]^2, a^4, y^2 = x^2, [x,y] = x^2, "
              "[a^2,x], [a^2,y], [a,x,y], [x^2,a]",
         build_generators=_gens_f2_order8,
-        redundant=(0,),
     ),
     ("F3", "D6"): PresentationSource(
         text="v1, v2, v3 | v1^6, v2^6, v3^3, [v1^3,v2], [v1^3,v3], "
@@ -264,36 +259,5 @@ PRESENTATION_SOURCES: dict[tuple[str, str], PresentationSource] = {
              "v3*v1 = v2*v1^5*v2^5*v3, "
              "v2*v1 = v1^2*v2*v1^2*v2*v1*v2^-1*v1^2",
         build_generators=_gens_f3d6,
-        redundant=(0, 3, 4, 9),
-        variants=(
-            # alternate printed form; relator 9 there does not hold in U
-            ("alternate", "v1, v2, v3 | v1^6, v2^6, v3^3, [v1^3,v2], [v1^3,v3], "
-                          "[v2^2,v1], [v2^2,v3], v3*v2 = v1*v2*v1*v3^2, "
-                          "v3*v1 = v2*v1^5*v3^5, "
-                          "v2*v1 = v1^2*v2*v1^2*v2*v1*v2^-1*v1^2"),
-        ),
     ),
 }
-
-
-def validate_reference_data() -> None:
-    """Internal consistency of the transcription; raises on any defect."""
-    if len(ROW_INDEX) != len(ROWS):
-        raise RuntimeError("duplicate (field, group) keys in ROWS")
-    for row in ROWS:
-        # None, so a mismatch, for a structure not in the canonical render
-        if row.structure is not None \
-                and parse_structure_order(row.structure) != row.unit_count:
-            raise RuntimeError(
-                f"structure and count disagree on {row.field} {row.group}")
-        if row.structure is None and (row.field, row.group) not in PRESENTATION_SOURCES:
-            raise RuntimeError(
-                f"row {row.field} {row.group} has neither structure nor presentation")
-    if len(MISPRINTS) != 5:
-        raise RuntimeError("misprint registry must list exactly the known five")
-    for m in MISPRINTS:
-        if m.printed == m.corrected:
-            raise RuntimeError("misprint entries must actually differ")
-        if m.key is not None and m.kind == "decomposition":
-            if ROW_INDEX[m.key].decomposition != m.corrected:
-                raise RuntimeError(f"row {m.key} does not store the corrected value")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import lcm
 
 _GEN_LETTERS = "xyzwvu"
 
@@ -77,9 +76,6 @@ class Group:
     def order_spectrum(self) -> tuple[tuple[int, int], ...]:
         """Sorted (element order, number of elements) pairs."""
         return tuple(sorted(Counter(map(self.element_order, range(self.order))).items()))
-
-    def exponent(self) -> int:
-        return lcm(*(self.element_order(g) for g in range(self.order)))
 
     def is_abelian(self) -> bool:
         t = self.table

@@ -1,9 +1,12 @@
 """Ring-isomorphism decisions for same-field, same-size group algebra pairs.
 
 Refutation works through a bundle of ring-theoretic invariants compared in
-a fixed order.  Certification only ever happens through matching all-field
-decompositions plus an explicitly constructed and exhaustively verified
-isomorphism; invariant equality alone never certifies.  ``_pair_row`` reads
+a fixed order.  Certification only ever happens through matching
+decompositions into copies of K plus an explicitly constructed and
+exhaustively verified isomorphism; invariant equality alone never
+certifies.  A pair with an extension block F_{q^d}, d > 1, reads
+inconclusive; the first such pair, F8[C9] ~ F8[C3xC3], has size 8^9.
+``_pair_row`` reads
 one pair's scan row, its verdict and detail, straight off the two bundles,
 and ``compare_unit_groups`` the note on a pair of nonabelian groups.
 
@@ -112,119 +115,39 @@ def primitive_idempotents_by_search(algebra: Algebra) -> list[AlgebraElement]:
             if all(f == e or mul(f, e) != f for f in nonzero)]
 
 
-def _block_elements(algebra: Algebra, e: AlgebraElement) -> list[AlgebraElement]:
-    mul, ek = algebra.mul_codes, e.key()
-    return [algebra.from_key(k) for k in sorted({mul(a, ek) for a in algebra.keys()})]
-
-
-def _poly_of_element(algebra, e, g, d):
-    """Monic minimal polynomial codes (c_0..c_{d-1}) of g over K, degree d.
-
-    Solves g^d = sum c_t g^t inside the block with identity e, working in
-    the ambient coefficient space: one equation per coefficient, columns
-    e, g, .., g^{d-1}, then g^d as the right-hand side.
-    """
-    powers = [e]
-    for _ in range(d):
-        powers.append(powers[-1] * g)
-    rows = [list(col) for col in zip(*(power.key() for power in powers))]
-    # the solution is unique only if 1, g, .., g^{d-1} are independent over K
-    if row_reduce(rows, algebra.field, d) < d:
-        raise RuntimeError("dependent powers below the expected degree")
-    if any(row[d] for row in rows[d:]):
-        raise RuntimeError("inconsistent minimal polynomial system")
-    return [row[d] for row in rows[:d]]
-
-
-def _eval_poly_in_block(algebra, coeffs, e, h):
-    """sum coeffs[t] * h^t - h^d inside the block with identity e."""
-    powers = [e]
-    for _ in coeffs:
-        powers.append(powers[-1] * h)
-    return _combination(list(coeffs) + [algebra.field.neg(1)], powers)
-
-
 def explicit_isomorphism(a: Algebra, b: Algebra) -> IsoWitness:
-    """Build and verify a K-algebra isomorphism between matching field sums.
+    """Build and verify a K-algebra isomorphism between two sums of copies of K.
 
-    Primitive idempotents are matched blockwise by field size; inside each
-    block a multiplicative generator is sent to a root of its minimal
-    polynomial.  The resulting linear map is verified on every basis
-    product, so a bug here raises instead of returning a wrong witness.
-    """
+    The witness sends the primitive idempotents of a, sorted by key, to
+    those of b.  An extension block F_{q^d}, d > 1, raises ValueError, so the
+    scan reads such a pair as inconclusive; the first is F8[C9] ~ F8[C3xC3],
+    at size 8^9.  The map is verified on every basis product, so a bug here
+    raises instead of returning a wrong witness."""
     if a.field != b.field:
         raise ValueError("explicit isomorphism needs a common coefficient field")
     sa, sb = decompose_abelian(a), decompose_abelian(b)
     if sa.blocks != sb.blocks or not sa.all_fields():
         raise ValueError("decompositions do not match as field-block multisets")
+    if any(block.degree != 1 for block in sa.blocks):
+        raise ValueError("the witness covers sums of copies of the coefficient field only")
 
     n = a.group.order
-    field = a.field
-
-    def block_basis(algebra):
-        prims = primitive_idempotents_by_search(algebra)
-        blocks = []
-        for e in prims:
-            els = _block_elements(algebra, e)
-            blocks.append((len(els), e, els))
-        blocks.sort(key=lambda t: (t[0], t[1].key()))
-        return blocks
-
-    blocks_a = block_basis(a)
-    blocks_b = block_basis(b)
-    if [t[0] for t in blocks_a] != [t[0] for t in blocks_b]:
-        raise RuntimeError("primitive idempotent block sizes do not match")
-
-    basis_a: list[AlgebraElement] = []
-    basis_b: list[AlgebraElement] = []
-    for (size, e, els_a), (_, f, els_b) in zip(blocks_a, blocks_b):
-        q = field.q
-        d = 0
-        s = 1
-        while s != size:
-            s *= q
-            d += 1
-        if d == 0:
-            raise RuntimeError("empty block")
-        if d == 1:
-            basis_a.append(e)
-            basis_b.append(f)
-            continue
-        gen = next(g for g in els_a
-                   if g and _mult_order_in_block(g, e, size) == size - 1)
-        minpoly = _poly_of_element(a, e, gen, d)
-        root = next(h for h in els_b
-                    if h and not _eval_poly_in_block(b, minpoly, f, h)
-                    and _mult_order_in_block(h, f, size) == size - 1)
-        pa, pb = e, f
-        for _ in range(d):
-            basis_a.append(pa)
-            basis_b.append(pb)
-            pa, pb = pa * gen, pb * root
-
-    if len(basis_a) != n:
-        raise RuntimeError("block bases do not span the algebra")
+    basis_a = sorted(primitive_idempotents_by_search(a), key=AlgebraElement.key)
+    basis_b = sorted(primitive_idempotents_by_search(b), key=AlgebraElement.key)
+    if len(basis_a) != n or len(basis_b) != n:
+        raise RuntimeError("primitive idempotents do not span the algebra")
 
     # invert the matrix whose columns are basis_a: the image of basis
     # element s is sum x_j basis_b[j] for the solution x of (basis_a) x = e_s
     rows = [[v.key()[i] for v in basis_a] + [int(i == s) for s in range(n)]
             for i in range(n)]
-    if row_reduce(rows, field, n) < n:
+    if row_reduce(rows, a.field, n) < n:
         raise RuntimeError("block basis is singular")
     images = tuple(_combination([row[n + s] for row in rows], basis_b) for s in range(n))
 
     witness = IsoWitness(a.label(), b.label(), images)
     _verify_witness(a, b, witness)
     return witness
-
-
-def _mult_order_in_block(g, e, size):
-    acc = g
-    for t in range(1, size):
-        if acc == e:
-            return t
-        acc = acc * g
-    return 0
 
 
 def _verify_witness(a: Algebra, b: Algebra, w: IsoWitness) -> None:
@@ -297,8 +220,8 @@ def _pair_row(a: Algebra, b: Algebra,
     """The scan row of one pair of algebras over one field, from their bundles.
 
     The first invariant in BUNDLE_COMPARE_FIELDS that differs refutes the
-    pair.  A commutative tie with matching all-field decompositions is
-    certified by a verified witness; any other tie is inconclusive.
+    pair.  A commutative tie where both decompose into the same copies of K
+    is certified by a verified witness; any other tie is inconclusive.
     """
     def row(verdict: str, detail: str) -> ScanRow:
         return ScanRow(a.size, a.field.label(), a.group.label, b.group.label,
@@ -312,7 +235,7 @@ def _pair_row(a: Algebra, b: Algebra,
             return row("not_isomorphic", f"{name}: {va} vs {vb}")
     if ba.commutative:
         try:
-            # raises ValueError unless the decompositions match as field sums
+            # raises ValueError unless both decompose into the same copies of K
             witness = explicit_isomorphism(a, b)
         except ValueError:
             pass

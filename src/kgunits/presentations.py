@@ -613,10 +613,6 @@ class Certificate(namedtuple("Certificate", "presentation order")):
 
     __slots__ = ()
 
-    def summary(self) -> str:
-        return (f"certified: relators hold, generators generate, "
-                f"presented order {self.order} matches |U|")
-
 
 class Refutation(namedtuple("Refutation", "failed_step detail")):
     """A failed certification attempt, recording which step broke

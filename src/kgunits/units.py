@@ -18,8 +18,7 @@ here assumes any structure theory of the algebra; it only multiplies units.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import cached_property, reduce
-from math import lcm
+from functools import cached_property
 
 from .algebra import Algebra, enumerate_units
 from .fields import prime_factors
@@ -116,11 +115,6 @@ class AbelianType(namedtuple("AbelianType", "primary")):
                 n *= p ** e
         return n
 
-    def exponent(self) -> int:
-        if not self.primary:
-            return 1
-        return reduce(lcm, (p ** lam[0] for p, lam in self.primary))
-
     def render(self) -> str:
         """Canonical string: primes ascending, exponents ascending, e.g. C2^5 x C4."""
         if not self.primary:
@@ -186,9 +180,6 @@ class UnitGroup:
     @cached_property
     def _spectrum(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(Counter(self._order_list()).items()))
-
-    def exponent(self) -> int:
-        return lcm(*(o for o, _ in self.unit_order_spectrum()))
 
     def abelian_invariants(self) -> AbelianType:
         """Primary decomposition of an abelian unit group from order counts."""

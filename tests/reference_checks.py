@@ -1,0 +1,62 @@
+"""Facts about the published reference data that only tests read.
+
+kgunits.expected holds what the commands use: the rows, the misprints and
+the presentation texts with their generators.  This module holds what the
+tests check on top of them: which relators of each published presentation
+are provably redundant, the alternate printed texts in circulation, the
+commutator form of the dihedral presentation, and the consistency check of
+the transcription.
+"""
+
+from kgunits import expected
+from kgunits.units import parse_structure_order
+
+# 0-based relators of each published presentation that the others imply
+REDUNDANT_RELATORS: dict[tuple[str, str], tuple[int, ...]] = {
+    ("F2", "D6"): (),
+    ("F2", "D8"): (),
+    ("F2", "Q8"): (0,),
+    ("F3", "D6"): (0, 3, 4, 9),
+}
+
+# (name, alternate printed text) pairs of a published presentation
+PRESENTATION_VARIANTS: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {
+    ("F3", "D6"): (
+        # alternate printed form; relator 9 there does not hold in U
+        ("alternate", "v1, v2, v3 | v1^6, v2^6, v3^3, [v1^3,v2], [v1^3,v3], "
+                      "[v2^2,v1], [v2^2,v3], v3*v2 = v1*v2*v1*v3^2, "
+                      "v3*v1 = v2*v1^5*v3^5, "
+                      "v2*v1 = v1^2*v2*v1^2*v2*v1*v2^-1*v1^2"),
+    ),
+}
+
+# an equivalent commutator form; it enumerates to 6 only under the left
+# convention [a, b] = a^-1 b^-1 a b, which pins the convention used throughout
+D6_PRESENTATION_COMMUTATOR = "x, y | x^3, y^2, [x,y] = x"
+
+
+def validate_reference_data() -> None:
+    """Internal consistency of the transcription; raises on any defect.
+
+    Reads the tables through the module, so a test can patch them."""
+    rows, row_index, misprints = expected.ROWS, expected.ROW_INDEX, expected.MISPRINTS
+    if len(row_index) != len(rows):
+        raise RuntimeError("duplicate (field, group) keys in ROWS")
+    for row in rows:
+        # None, so a mismatch, for a structure not in the canonical render
+        if row.structure is not None \
+                and parse_structure_order(row.structure) != row.unit_count:
+            raise RuntimeError(
+                f"structure and count disagree on {row.field} {row.group}")
+        if row.structure is None \
+                and (row.field, row.group) not in expected.PRESENTATION_SOURCES:
+            raise RuntimeError(
+                f"row {row.field} {row.group} has neither structure nor presentation")
+    if len(misprints) != 5:
+        raise RuntimeError("misprint registry must list exactly the known five")
+    for m in misprints:
+        if m.printed == m.corrected:
+            raise RuntimeError("misprint entries must actually differ")
+        if m.key is not None and m.kind == "decomposition":
+            if row_index[m.key].decomposition != m.corrected:
+                raise RuntimeError(f"row {m.key} does not store the corrected value")

@@ -18,6 +18,7 @@ from kgunits.presentations import (Certificate, Refutation,
                                    certify_from_source,
                                    certify_unit_group_presentation)
 from kgunits.units import AbelianType, UnitGroup
+from reference_checks import PRESENTATION_VARIANTS, REDUNDANT_RELATORS
 
 
 def _criterion(problems, text):
@@ -78,12 +79,13 @@ def test_criterion_3_presentations_certified_and_mutations_refuted():
             continue
         # dropping a relator that is not provably redundant must refute
         rels = res.presentation.relators
-        target = next(i for i in range(len(rels)) if i not in src.redundant)
+        target = next(i for i in range(len(rels))
+                      if i not in REDUNDANT_RELATORS[field, label])
         dropped = res.presentation._replace(relators=rels[:target] + rels[target + 1:])
         mutated = certify_unit_group_presentation(u, dropped, gens, limit=4000)
         if not isinstance(mutated, Refutation):
             problems.append((field, label, f"dropping relator {target} still certified"))
-        for name, alt in src.variants:
+        for name, alt in PRESENTATION_VARIANTS.get((field, label), ()):
             alt_res = certify_from_source(u, alt, gens)
             if isinstance(alt_res, Certificate):
                 problems.append((field, label, f"variant {name} certified"))

@@ -97,6 +97,17 @@ def test_a_conjugate_power_is_not_written_out(capsys, monkeypatch):
                                     "x, y | (x*y*x^-1)^3000000")
 
 
+def test_out_of_memory_exits_2_with_one_error_line(capsys, monkeypatch):
+    """A command that runs out of memory is bad input, not a mismatch."""
+    def exhausted(presentation, limit):
+        raise MemoryError
+    monkeypatch.setattr(cli, "coset_enumeration", exhausted)
+    code, out, err = run_cli(capsys, "coset-count", "a | a^4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
 def test_table_text_shape(capsys):
     code, out, err = run_cli(capsys, "table", "--bound", "30")
     assert code == 0

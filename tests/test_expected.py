@@ -4,10 +4,12 @@ import kgunits.expected
 from kgunits.algebra import Algebra
 from kgunits.expected import (MISPRINTS, PRESENTATION_SOURCES, ROW_INDEX,
                               ROWS, expectation_for, prose_decomposition,
-                              prose_unit_structure, validate_reference_data)
+                              prose_unit_structure)
 from kgunits.fields import make_field
 from kgunits.groups import group_by_label
 from kgunits.units import AbelianType
+from reference_checks import (PRESENTATION_VARIANTS, REDUNDANT_RELATORS,
+                              validate_reference_data)
 
 
 def test_reference_data_is_internally_consistent():
@@ -109,11 +111,13 @@ def test_prose_agrees_with_enumeration_on_a_sample():
 def test_presentation_sources():
     assert set(PRESENTATION_SOURCES) == {
         ("F2", "D6"), ("F2", "D8"), ("F2", "Q8"), ("F3", "D6")}
-    assert PRESENTATION_SOURCES[("F2", "D6")].redundant == ()
-    assert PRESENTATION_SOURCES[("F2", "D8")].redundant == ()
-    assert PRESENTATION_SOURCES[("F2", "Q8")].redundant == (0,)
-    assert PRESENTATION_SOURCES[("F3", "D6")].redundant == (0, 3, 4, 9)
-    assert len(PRESENTATION_SOURCES[("F3", "D6")].variants) == 1
+    assert set(REDUNDANT_RELATORS) == set(PRESENTATION_SOURCES)
+    assert REDUNDANT_RELATORS[("F2", "D6")] == ()
+    assert REDUNDANT_RELATORS[("F2", "D8")] == ()
+    assert REDUNDANT_RELATORS[("F2", "Q8")] == (0,)
+    assert REDUNDANT_RELATORS[("F3", "D6")] == (0, 3, 4, 9)
+    assert set(PRESENTATION_VARIANTS) == {("F3", "D6")}
+    assert len(PRESENTATION_VARIANTS[("F3", "D6")]) == 1
     for (field, label), src in PRESENTATION_SOURCES.items():
         p = int(field[1:])
         algebra = Algebra(make_field(p, 1), group_by_label(label))

@@ -44,10 +44,7 @@ def test_order_spectra():
     assert group_by_label("C8").order_spectrum() == ((1, 1), (2, 1), (4, 2), (8, 4))
 
 
-def test_exponent_and_commutativity():
-    assert group_by_label("C4xC2").exponent() == 4
-    assert group_by_label("C3xC3").exponent() == 3
-    assert group_by_label("D8").exponent() == 4
+def test_commutativity():
     assert not group_by_label("D6").is_abelian()
     assert group_by_label("C6").is_abelian()
 

@@ -103,15 +103,20 @@ def test_explicit_isomorphism_requires_matching_decompositions():
         explicit_isomorphism(_alg(3, 1, "C4"), _alg(3, 1, "C2xC2"))
 
 
-def test_explicit_isomorphism_handles_extension_field_blocks():
-    # F2C3 = F2 + F4 exercises the degree > 1 block-matching path
+def test_explicit_isomorphism_refuses_extension_field_blocks():
+    # F2C3 = F2 + F4: the decompositions match, but F4 is no copy of K
     a = _alg(2, 1, "C3")
-    w = explicit_isomorphism(a, a)
-    assert w.checksum() == "c76c0625612c0842"
-    basis = [a.basis_element(i) for i in range(a.group.order)]
-    for x in basis:
-        for y in basis:
-            assert w.apply(x * y) == w.apply(x) * w.apply(y)
+    with pytest.raises(ValueError, match="copies of the coefficient field only"):
+        explicit_isomorphism(a, a)
+
+
+def test_a_tie_with_an_extension_field_block_is_inconclusive():
+    a, b = _alg(2, 1, "C3"), _alg(2, 1, "C3")
+    ba, bb = _bundle(a), _bundle(b)
+    assert ba == bb
+    r = _pair_row(a, b, ba, bb)
+    assert (r.verdict, r.detail) == (
+        "inconclusive", "invariant bundle ties and no certified decomposition match")
 
 
 def test_scan_report(scan_report):

@@ -32,3 +32,44 @@ def test_kernel_counts_on_a_cyclic_group(capsys):
     rows = [line.split() for line in lines[2:]]
     assert sum(int(row[1].replace(",", "")) for row in rows[:-1]) \
         == int(rows[-1][1].replace(",", "")) == sum(opcodes.values())
+
+
+def _entry(pair, side, wall, rss, cpu=()):
+    commands = [{"argv": ["verify", "--jobs", "2"], "cpu_s": c} for c in cpu]
+    return {"pair": pair, "side": side, "report": {"commands": commands},
+            "result": {"attempted": 4, "failed": 0, "metrics": {
+                "wall_s": {"value": wall}, "peak_rss_mb": {"value": rss}}}}
+
+
+def test_bench_pairs_summary_arithmetic():
+    bench_pairs = _load("bench_pairs")
+    walls = {"parent": [1.0, 2.0, 3.0, 4.0, 5.0], "change": [0.5, 2.0, 4.0, 2.5, 4.5]}
+    entries = [_entry(k + 1, side, walls[side][k], 20.0, cpu=(walls[side][k],))
+               for k in range(5) for side in ("change", "parent")]
+    s = bench_pairs.metric_stats(entries, "wall_s", "lower")
+    # pairs 1, 4 and 5 won, pair 3 lost, pair 2 a tie that counts for neither
+    assert (s["pairs"], s["wins"], s["losses"]) == (5, 3, 1)
+    assert s["parent_median"] == 3.0 and s["change_median"] == 2.5
+    assert s["delta"] == -0.5 / 3
+    # statistics.quantiles (exclusive) of 1..5: q1 1.5, q3 4.5
+    assert s["parent_iqr"] == 3.0
+    higher = bench_pairs.metric_stats(entries, "wall_s", "higher")
+    assert (higher["wins"], higher["losses"]) == (1, 3)
+    assert bench_pairs.cpu_medians(entries) == {
+        "verify --jobs 2": {"parent": 3.0, "change": 2.5}}
+
+    end_to_end = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+                  {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+    lines = bench_pairs.summary("catalog", entries, end_to_end)
+    assert lines[0] == "catalog: failed 0/20 parent, 0/20 change"
+    # the parent's IQR is 100% of its median: wall_s is unresolved
+    assert lines[1].startswith("  wall_s") and lines[1].endswith("spread > bound")
+    assert "change won 3 of 5 (lost 1)" in lines[1]
+    assert lines[2].startswith("  peak_rss_mb") and "won 0 of 5" in lines[2]
+    assert not lines[2].endswith("spread > bound")
+    assert lines[3] == "  cpu_s verify --jobs 2: parent 3.0000  change 2.5000"
+    assert len(bench_pairs.summary("scan", entries, end_to_end)) == 3
+    # a spread on the change side alone leaves the metric unresolved too
+    steady = [_entry(k + 1, side, 1.0 if side == "parent" else [1, 1, 2, 3, 3][k], 20.0)
+              for k in range(5) for side in ("parent", "change")]
+    assert bench_pairs.summary("scan", steady, end_to_end)[1].endswith("spread > bound")

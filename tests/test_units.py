@@ -1,4 +1,4 @@
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 
@@ -100,7 +100,6 @@ def test_abelian_type_composite_and_primary_agree():
     assert a == b
     assert a.render() == "C2 x C4 x C3"
     assert a.order() == 24
-    assert a.exponent() == 12
     assert AbelianType.from_cyclic_orders([1]).render() == "C1"
     assert AbelianType.from_cyclic_orders([15]).render() == "C3 x C5"
     with pytest.raises(ValueError):
@@ -123,7 +122,6 @@ def test_spectrum_is_counted_once_and_shared(monkeypatch):
     # one immutable tuple, handed out as it is
     assert u.unit_order_spectrum() is first
     assert isinstance(first, tuple) and all(isinstance(pair, tuple) for pair in first)
-    assert u.exponent() == 8
 
 
 def test_counts_of_units_of_order_at_most_two():
@@ -234,13 +232,7 @@ def test_closure_sizes():
     assert u.closure([r, s]) == 12
     assert u.closure([]) == 1
     with pytest.raises(ValueError):
-        u.closure([u.algebra.zero()])
-
-
-def test_exponent_is_lcm_of_spectrum():
-    for p, k, label in ((2, 1, "C6"), (2, 2, "C4"), (3, 1, "D6")):
-        u = _units(p, k, label)
-        assert u.exponent() == lcm(*dict(u.unit_order_spectrum()))
+        u.closure([u.algebra.from_key((0,) * 6)])
 
 
 def test_structure_string_grammar():

@@ -1,0 +1,194 @@
+"""Paired benchmark runs of a parent and a change, written as BENCH_<parent>.json.
+
+    python3 tools/bench_pairs.py [--pairs N] [--workload W ...]
+
+The parent is HEAD and the change is the working tree: its tracked files, as
+`git stash create` records them without touching the tree or any ref, so a
+change is measured before it is committed.  A new file counts only once it
+is staged (`git add`); with nothing changed the runner exits with an error.
+Exports both with `git archive` into two temporary directories and runs
+`python3 bench/run.py --workload W --seconds S --seed K` in each, N pairs
+per workload (default 10), pair K with seed K on both sides and S the
+run_seconds of BENCHMARK.json.  Odd pairs run the parent first and even
+pairs the change, so neither side always meets the machine in the same
+state.  Every run sets
+PYTHONDONTWRITEBYTECODE=1, so each compiles the package as a fresh checkout
+does.
+
+Writes BENCH_<parent>.json at the root of the repository, in the format of
+the earlier files: the environment, a note, the parent commit, and per
+workload one entry per run in run order ({pair, side, report, result}: the
+last two lines bench/run.py prints).  Then prints, for each workload and
+each end-to-end metric of BENCHMARK.json, both sides' median and IQR
+(statistics.quantiles, n=4), how many pairs the change won (ties count for
+neither), the change of the median as a share of the parent's, and
+"spread > bound" where either side's IQR, relative to its median, is wider
+than the metric's bound: such a metric is unresolved rather than unchanged.
+For catalog it also prints each command's median CPU time on both sides,
+since that workload's wall time is noisier than its bound.  Stdlib only;
+`git` and `tar` must be on the path.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("catalog", "scan", "queries")
+SIDES = ("parent", "change")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> None:
+    """The files of rev, as `git archive` writes them, under dest."""
+    archive = subprocess.Popen(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                               stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise RuntimeError(f"git archive {rev} failed")
+
+
+def run_bench(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """(report, result): the last two lines of one bench/run.py run in root."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=root, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        raise RuntimeError(f"bench/run.py --workload {workload} in {root} exited "
+                           f"{proc.returncode}: {proc.stderr.strip()[-500:]}")
+    return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def side_values(entries: list[dict], side: str, metric: str) -> list[float]:
+    """The metric's values on one side, in pair order."""
+    runs = sorted((e for e in entries if e["side"] == side), key=lambda e: e["pair"])
+    return [e["result"]["metrics"][metric]["value"] for e in runs]
+
+
+def iqr(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def metric_stats(entries: list[dict], metric: str, better: str) -> dict:
+    """Medians, IQRs and the change's wins over the pairs run on both sides."""
+    parent = side_values(entries, "parent", metric)
+    change = side_values(entries, "change", metric)
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    return {"pairs": min(len(parent), len(change)), "wins": wins, "losses": losses,
+            "parent_median": p_med, "change_median": c_med,
+            "parent_iqr": iqr(parent), "change_iqr": iqr(change),
+            "delta": (c_med - p_med) / p_med if p_med else 0.0}
+
+
+def cpu_medians(entries: list[dict]) -> dict[str, dict[str, float]]:
+    """Median CPU seconds of each command, by side: {command: {side: median}}."""
+    samples: dict[str, dict[str, list[float]]] = {}
+    for e in entries:
+        for command in e["report"]["commands"]:
+            name = " ".join(command["argv"])
+            samples.setdefault(name, {}).setdefault(e["side"], []).append(command["cpu_s"])
+    return {name: {side: statistics.median(v) for side, v in by_side.items()}
+            for name, by_side in samples.items()}
+
+
+def summary(workload: str, entries: list[dict], end_to_end: list[dict]) -> list[str]:
+    failed = {side: sum(e["result"]["failed"] for e in entries if e["side"] == side)
+              for side in SIDES}
+    attempted = {side: sum(e["result"]["attempted"] for e in entries if e["side"] == side)
+                 for side in SIDES}
+    lines = [f"{workload}: failed {failed['parent']}/{attempted['parent']} parent, "
+             f"{failed['change']}/{attempted['change']} change"]
+    for m in end_to_end:
+        s = metric_stats(entries, m["name"], m["better"])
+        spread = max(s[f"{side}_iqr"] / s[f"{side}_median"] if s[f"{side}_median"] else 0.0
+                     for side in SIDES)
+        flag = "  spread > bound" if spread > m["bound"] else ""
+        lines.append(
+            f"  {m['name']:<12} parent {s['parent_median']:.4f} (IQR {s['parent_iqr']:.4f})"
+            f"  change {s['change_median']:.4f} (IQR {s['change_iqr']:.4f})"
+            f"  {s['delta']:+.1%}  change won {s['wins']} of {s['pairs']}"
+            f" (lost {s['losses']}), bound {m['bound']:.0%}{flag}")
+    if workload == "catalog":
+        for name, by_side in sorted(cpu_medians(entries).items()):
+            lines.append(f"  cpu_s {name}: parent {by_side.get('parent', 0):.4f}"
+                         f"  change {by_side.get('change', 0):.4f}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--workload", choices=WORKLOADS, action="append")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    workloads = args.workload or list(WORKLOADS)
+    parent = git("rev-parse", "--short=7", "HEAD")
+    change = git("stash", "create")
+    if not change:
+        parser.error("the working tree has no change to HEAD in its tracked or "
+                     "staged files (stage a new file with git add)")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds, end_to_end = benchmark["run_seconds"], benchmark["end_to_end"]
+
+    runs: dict[str, list[dict]] = {w: [] for w in workloads}
+    with tempfile.TemporaryDirectory() as tmp:
+        roots = {side: Path(tmp) / side for side in SIDES}
+        for side, rev in zip(SIDES, (parent, change)):
+            roots[side].mkdir()
+            export(rev, roots[side])
+        for workload in workloads:
+            for pair in range(1, args.pairs + 1):
+                order = SIDES if pair % 2 else SIDES[::-1]
+                for side in order:
+                    report, result = run_bench(roots[side], workload, pair, seconds)
+                    runs[workload].append({"pair": pair, "side": side,
+                                           "report": report, "result": result})
+                    print(f"{workload} pair {pair} {side}: wall_s "
+                          f"{result['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
+
+    out = {
+        "environment": {"PYTHONDONTWRITEBYTECODE": "1", "loadavg_at_write": os.getloadavg(),
+                        "machine": platform.machine(), "nproc": os.cpu_count(),
+                        "python": platform.python_version()},
+        "note": (f"Paired runs of python3 bench/run.py --workload W --seconds {seconds:g}"
+                 f" by tools/bench_pairs.py, {args.pairs} pairs per workload, pair k with"
+                 " seed k on both sides; odd pairs ran the parent first, even pairs the"
+                 f" change. Each side ran from a git archive export; the change side is"
+                 " the working tree on top of the parent, identified by src_sha256"
+                 " in each report's env."),
+        "parent_commit": parent,
+        "workloads": runs,
+    }
+    path = ROOT / f"BENCH_{parent}.json"
+    path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {path.name}")
+    for workload in workloads:
+        print("\n".join(summary(workload, runs[workload], end_to_end)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
