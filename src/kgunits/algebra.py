@@ -3,9 +3,10 @@
 An Algebra is K[G] for a FieldSpec K and a Group G.  An element is the tuple
 of its coefficients' int field codes, one per group element; ``key()``
 returns it.  Every operation runs on those tuples with the FieldSpec code
-operations.  Products go through ``Algebra.mul_codes``, one function per
-algebra that ``_product`` writes out from the group table on first use: the
-convolution unrolled, each output coefficient one expression.  Only
+operations.  Products go through ``Algebra.mul_codes``, which ``_product``
+makes on first use: one of two kinds of function written out from the group
+table (the convolution unrolled, one expression per output coefficient), or
+over F_q[C1] with k > 1 a closure on the exp/log tables.  Only
 ``AlgebraElement.__str__`` reads a code as a FieldElement, to print it.
 
 ``enumerate_units`` decides every unit and its order in one element census,
@@ -204,27 +205,27 @@ class AlgebraElement:
 
 
 def _product(field: FieldSpec, group: Group):
-    """The product of K[G] on code tuples, as one generated function.
+    """The product of K[G] on code tuples, generated from ``group.table``.
 
     Output coefficient k adds a_i * b_j over the |G| pairs (i, j) with
-    g_i g_j = g_k, written out from ``group.table``.  A prime field reduces
-    one int sum, ``(... + a_i*b_j ...) % p``.  A field with k > 1 and
-    |G| >= 2 reads the q x q add and mul code tables, which have no more
-    entries than K[G] has elements; over G = C1 it reads the exp/log tables.
+    g_i g_j = g_k, written out.  A prime field reduces one int sum,
+    ``(... + a_i*b_j ...) % p``; a field with k > 1 and |G| >= 2 reads the
+    q x q add and mul code tables, no larger than K[G].  Over G = C1 with
+    k > 1 it is a closure on the exp/log tables, as fast as generated code.
     """
     if field.k == 1:
         return _product_maker("prime", group.table)(field.p)
     if group.order == 1:
         exp, log, _ = field._tables()
-        return _product_maker("log", group.table)(exp, log)
+        return lambda a, b: (exp[log[a[0]] + log[b[0]]] if a[0] and b[0] else 0,)
     return _product_maker("table", group.table)(*field._square_tables())
 
 
 @lru_cache(maxsize=None)
 def _product_maker(kind: str, table):
-    """make(field tables) -> the product, for one kind of field and one group
-    table, compiled from source once, as collections.namedtuple builds its
-    classes."""
+    """make(field tables) -> the product, for one kind of field ("prime" or
+    "table") and one group table, compiled from source once, as
+    collections.namedtuple builds its classes."""
     n = len(table)
     terms = [[] for _ in range(n)]  # terms[k]: the (i, j) with g_i g_j = g_k
     for i, row in enumerate(table):
@@ -235,9 +236,6 @@ def _product_maker(kind: str, table):
     if kind == "prime":
         args = "p"
         out = ["(" + " + ".join(f"a{i}*b{j}" for i, j in ij) + ") % p" for ij in terms]
-    elif kind == "log":
-        args = "exp, log"
-        out = ["exp[log[a0] + log[b0]] if a0 and b0 else 0"]
     else:
         args = "A, M"
         lines.append(f"{m}= " + "".join(f"M[a{i}], " for i in range(n)))

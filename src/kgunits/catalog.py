@@ -14,7 +14,7 @@ from functools import lru_cache
 from .algebra import Algebra
 from .decompose import decompose_abelian, predicted_unit_structure
 from .expected import MISPRINTS, PRESENTATION_SOURCES, expectation_for
-from .fields import make_field, prime_power_split
+from .fields import SIZE_LIMIT, make_field, prime_power_split
 from .groups import group_by_label, groups_of_order
 from .presentations import Certificate, certify_from_source, coset_enumeration, \
     parse_presentation
@@ -33,24 +33,9 @@ class CatalogRow(namedtuple("CatalogRow", [
     __slots__ = ()
 
     def as_dict(self) -> dict:
-        return {
-            "field": self.field,
-            "p": self.p,
-            "k": self.k,
-            "group": self.group,
-            "size": self.size,
-            "decomposition": self.decomposition,
-            "unit_count": self.unit_count,
-            "structure": self.structure,
-            "method": self.method,
-            "method_detail": self.method_detail,
-            "published": self.published,
-        }
-
-
-def _is_elementary_abelian(group, p: int) -> bool:
-    return group.order > 1 and group.is_abelian() and all(
-        group.element_order(g) in (1, p) for g in range(group.order))
+        row = self._asdict()
+        del row["spectrum"]
+        return row
 
 
 @lru_cache(maxsize=None)
@@ -78,7 +63,8 @@ def build_row(p: int, k: int, label: str) -> CatalogRow:
         if predicted is None:
             method = "enumeration"
             detail = "brute-force enumeration; no closed form for this block shape"
-        elif _is_elementary_abelian(group, p):
+        elif summands.blocks[0].group_size() == group.order > 1:
+            # one block F_q[P] with P = G != 1; a prediction needs P elementary
             method = "lemma"
             detail = "local-algebra closed form, matched by enumeration"
         else:
@@ -125,7 +111,7 @@ def _build_row_spec(spec: tuple[int, int, str]) -> CatalogRow:
 def catalog_specs(bound: int) -> list[tuple[int, int, str]]:
     """(p, k, label) for every algebra with q^|G| < bound, in output order."""
     specs = []
-    for q in range(2, min(bound, 1024)):
+    for q in range(2, min(bound, SIZE_LIMIT)):
         split = prime_power_split(q)
         if not split:
             continue

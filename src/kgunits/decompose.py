@@ -15,19 +15,7 @@ from functools import reduce
 
 from .algebra import Algebra
 from .fields import factor_monic, make_field, prime_power_split, x_power_minus_one
-from .groups import Group
 from .units import AbelianType, primary_partitions
-
-
-def primary_cyclic_orders(group: Group) -> dict[int, tuple[int, ...]]:
-    """Per-prime partitions of an abelian group, from its order statistics.
-
-    The count of elements killed by r^i determines the r-part partition;
-    the product of the recovered cyclic orders must give back |G|.
-    """
-    if not group.is_abelian():
-        raise ValueError(f"{group.label} is not abelian")
-    return primary_partitions(group.order, group.order_spectrum())
 
 
 class Block(namedtuple("Block", "q_base degree p_part")):
@@ -116,7 +104,7 @@ def decompose_abelian(algebra: Algebra) -> SummandList:
         raise ValueError(f"{group.label} is not abelian")
     field = algebra.field
     p = field.p
-    primary = primary_cyclic_orders(group)
+    primary = primary_partitions(group.order, group.order_spectrum())
     p_part = tuple(p ** e for e in primary.get(p, ()))
     coprime = sorted(r ** e for r, lam in primary.items() if r != p for e in lam)
 

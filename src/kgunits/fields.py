@@ -41,17 +41,6 @@ from functools import lru_cache
 SIZE_LIMIT = 1024
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 @lru_cache(maxsize=None)
 def prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime divisors of n, ascending."""
@@ -66,6 +55,10 @@ def prime_factors(n: int) -> tuple[int, ...]:
     if n > 1:
         out.append(n)
     return tuple(out)
+
+
+def is_prime(n: int) -> bool:
+    return prime_factors(n) == (n,)
 
 
 def _first_primitive(q: int, power) -> int:

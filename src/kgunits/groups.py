@@ -125,39 +125,31 @@ def direct_product(a: Group, b: Group, label: str | None = None) -> Group:
     return Group(label or f"{a.label}x{b.label}", table, names, gens)
 
 
+def _dihedral_type(label: str, n: int, t: int) -> Group:
+    """<x, y | x^n, y^2 = x^t, y x = x^-1 y> for x^t central (t = 0 or n/2);
+    element e*n + i is x^i y^e."""
+    table = [[0] * (2 * n) for _ in range(2 * n)]
+    for e1 in range(2):
+        for i1 in range(n):
+            for e2 in range(2):
+                for i2 in range(n):
+                    i = (i1 - i2 + t * e2 if e1 else i1 + i2) % n
+                    table[e1 * n + i1][e2 * n + i2] = ((e1 + e2) % 2) * n + i
+    names = ["1"] + ["x" if i == 1 else f"x^{i}" for i in range(1, n)]
+    names += ["y"] + [f"{name}*y" for name in names[1:]]
+    return Group(label, table, names, [("x", 1), ("y", n)])
+
+
 def dihedral(order: int) -> Group:
     """D_order: rotations x of order order/2 and a reflection y."""
     if order < 6 or order % 2:
         raise ValueError(f"dihedral order must be an even number >= 6, got {order}")
-    n = order // 2
-    # element e*n + i is x^i y^e; y x = x^-1 y
-    table = [[0] * order for _ in range(order)]
-    for e1 in range(2):
-        for i1 in range(n):
-            for e2 in range(2):
-                for i2 in range(n):
-                    i = (i1 + i2) % n if e1 == 0 else (i1 - i2) % n
-                    table[e1 * n + i1][e2 * n + i2] = ((e1 + e2) % 2) * n + i
-    names = ["1"] + ["x" if i == 1 else f"x^{i}" for i in range(1, n)]
-    names += ["y"] + [("x" if i == 1 else f"x^{i}") + "*y" for i in range(1, n)]
-    return Group(f"D{order}", table, names, [("x", 1), ("y", n)])
+    return _dihedral_type(f"D{order}", order // 2, 0)
 
 
 def quaternion8() -> Group:
     """Q8 with x of order 4, y^2 = x^2, y x = x^-1 y."""
-    n = 4
-    table = [[0] * 8 for _ in range(8)]
-    for e1 in range(2):
-        for i1 in range(n):
-            for e2 in range(2):
-                for i2 in range(n):
-                    i = (i1 + i2) % n if e1 == 0 else (i1 - i2) % n
-                    e = (e1 + e2) % 2
-                    if e1 and e2:
-                        i = (i + 2) % n  # y^2 = x^2
-                    table[e1 * n + i1][e2 * n + i2] = e * n + i
-    names = ["1", "x", "x^2", "x^3", "y", "x*y", "x^2*y", "x^3*y"]
-    return Group("Q8", table, names, [("x", 1), ("y", 4)])
+    return _dihedral_type("Q8", 4, 2)
 
 
 @lru_cache(maxsize=None)

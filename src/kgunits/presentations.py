@@ -52,6 +52,7 @@ infinite or cap too low", never as an order.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from itertools import accumulate
 from typing import TYPE_CHECKING, Mapping
@@ -123,104 +124,16 @@ def power_word(w: Word, n: int) -> Word:
 #   factor       := atom ('^' signed-int)?
 #   atom         := name | '(' expr ')' | '[' expr (',' expr)+ ']'
 #
-# Commutator brackets nest left-normed: [a,b,c] = [[a,b],c].
+# A name is a letter or '_', then letters, digits or '_' (str.isalpha and
+# str.isalnum, so not only ASCII); an integer is an optional '-' and ASCII
+# digits 0-9.  Commutator brackets nest left-normed: [a,b,c] = [[a,b],c].
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-        elif c == "-" or c.isdigit():
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if text[i:j] == "-":
-                raise ValueError(f"stray '-' at position {i} in {text!r}")
-            tokens.append(("int", int(text[i:j])))
-            i = j
-        elif c in "^*,()[]=|":
-            tokens.append((c, c))
-            i += 1
-        else:
-            raise ValueError(f"unexpected character {c!r} at position {i} in {text!r}")
-    tokens.append(("end", None))
-    return tokens
+_TOKEN = re.compile(r"(-?[0-9]+)|(\w+)|(\S)")
 
 
-class _WordParser:
-    def __init__(self, tokens, names: list[str]):
-        self.toks = tokens
-        self.pos = 0
-        self.names = names
-
-    def peek(self):
-        return self.toks[self.pos][0]
-
-    def take(self, kind=None):
-        t = self.toks[self.pos]
-        if kind is not None and t[0] != kind:
-            raise ValueError(f"expected {kind!r}, found {t[0]!r}")
-        self.pos += 1
-        return t
-
-    def expr(self) -> Word:
-        w = self.factor()
-        while self.peek() in ("*", "name", "(", "["):
-            if self.peek() == "*":
-                self.take()
-            w = free_reduce(w + self.factor())
-        return w
-
-    def factor(self) -> Word:
-        w = self.atom()
-        if self.peek() == "^":
-            self.take()
-            tok = self.take("int")
-            w = power_word(w, tok[1])
-        return w
-
-    def atom(self) -> Word:
-        kind = self.peek()
-        if kind == "name":
-            name = self.take()[1]
-            if name not in self.names:
-                raise ValueError(f"unknown generator {name!r}")
-            return ((self.names.index(name) + 1, 1),)
-        if kind == "(":
-            self.take()
-            w = self.expr()
-            self.take(")")
-            return w
-        if kind == "[":
-            self.take()
-            args = [self.expr()]
-            while self.peek() == ",":
-                self.take()
-                args.append(self.expr())
-            self.take("]")
-            if len(args) < 2:
-                raise ValueError("commutator needs at least two arguments")
-            w = args[0]
-            for v in args[1:]:
-                w = commutator_word(w, v)
-            return w
-        raise ValueError(f"unexpected token {kind!r} in word")
-
-    def relator_item(self) -> Word:
-        lhs = self.expr()
-        if self.peek() == "=":
-            self.take()
-            rhs = self.expr()
-            return free_reduce(lhs + invert_word(rhs))
-        return lhs
+def _is_name(text: str) -> bool:
+    return (text[:1].isalpha() or text[:1] == "_") and all(
+        c.isalnum() or c == "_" for c in text)
 
 
 def parse_presentation(text: str) -> "FpGroup":
@@ -229,25 +142,92 @@ def parse_presentation(text: str) -> "FpGroup":
     gen_part, rel_part = text.split("|", 1)
     names = [n.strip() for n in gen_part.split(",")]
     for name in names:
-        try:
-            tokens = _tokenize(name)
-        except ValueError:
-            tokens = None
-        if tokens != [("name", name), ("end", None)]:
+        if not _is_name(name):
             raise ValueError(f"bad generator name {name!r}")
     if len(set(names)) != len(names):
         raise ValueError(f"bad generator list {gen_part!r}")
-    parser = _WordParser(_tokenize(rel_part), names)
+    tokens = []
+    for m in _TOKEN.finditer(rel_part):
+        integer, word, char = m.groups()
+        if integer:
+            tokens.append(("int", int(integer)))
+        elif word and _is_name(word):
+            tokens.append(("name", word))
+        elif char and char in "^*,()[]=|":
+            tokens.append((char, char))
+        elif char == "-":
+            raise ValueError(f"stray '-' at position {m.start()} in {rel_part!r}")
+        else:
+            raise ValueError(f"unexpected character {m[0][0]!r} at position "
+                             f"{m.start()} in {rel_part!r}")
+    tokens.append(("end", None))
+    pos = 0
+
+    def peek():
+        return tokens[pos][0]
+
+    def take(kind=None):
+        nonlocal pos
+        t = tokens[pos]
+        if kind is not None and t[0] != kind:
+            raise ValueError(f"expected {kind!r}, found {t[0]!r}")
+        pos += 1
+        return t
+
+    def expr() -> Word:
+        w = factor()
+        while peek() in ("*", "name", "(", "["):
+            if peek() == "*":
+                take()
+            w = free_reduce(w + factor())
+        return w
+
+    def factor() -> Word:
+        w = atom()
+        if peek() == "^":
+            take()
+            w = power_word(w, take("int")[1])
+        return w
+
+    def atom() -> Word:
+        kind = peek()
+        if kind == "name":
+            name = take()[1]
+            if name not in names:
+                raise ValueError(f"unknown generator {name!r}")
+            return ((names.index(name) + 1, 1),)
+        if kind == "(":
+            take()
+            w = expr()
+            take(")")
+            return w
+        if kind == "[":
+            take()
+            args = [expr()]
+            while peek() == ",":
+                take()
+                args.append(expr())
+            take("]")
+            if len(args) < 2:
+                raise ValueError("commutator needs at least two arguments")
+            w = args[0]
+            for v in args[1:]:
+                w = commutator_word(w, v)
+            return w
+        raise ValueError(f"unexpected token {kind!r} in word")
+
     relators = []
     while True:
-        w = parser.relator_item()
+        w = expr()
+        if peek() == "=":
+            take()
+            w = free_reduce(w + invert_word(expr()))
         if w:
             relators.append(w)
-        if parser.peek() == ",":
-            parser.take()
-            continue
-        parser.take("end")
-        break
+        if peek() != ",":
+            break
+        take()
+    take("end")
     return FpGroup(tuple(names), tuple(relators))
 
 

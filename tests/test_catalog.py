@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from kgunits.algebra import Algebra
 from kgunits.catalog import build_catalog, build_row, catalog_specs, verify_catalog
+from kgunits.decompose import decompose_abelian, predicted_unit_structure
+from kgunits.fields import make_field
+from kgunits.groups import group_by_label
 from kgunits.units import AbelianType, parse_structure_order, primary_partitions
 
 
@@ -29,6 +33,30 @@ def test_lemma_rows_are_the_elementary_abelian_grid(catalog_rows):
         ("F8", "C2"), ("F16", "C2"),
         ("F3", "C3"), ("F9", "C3"),
     }
+
+
+def _old_is_elementary_abelian(group, p):
+    """The lemma test that build_row used before the block rule."""
+    return group.order > 1 and group.is_abelian() and all(
+        group.element_order(g) in (1, p) for g in range(group.order))
+
+
+def test_lemma_block_rule_matches_the_elementary_abelian_test():
+    """Where a prediction exists, one local block F_q[G] with G != 1 is
+    exactly G elementary abelian for the characteristic."""
+    predicted = lemma = 0
+    for p, k, label in catalog_specs(10 ** 7):
+        group = group_by_label(label)
+        if not group.is_abelian():
+            continue
+        summands = decompose_abelian(Algebra(make_field(p, k), group))
+        if predicted_unit_structure(summands) is None:
+            continue
+        rule = summands.blocks[0].group_size() == group.order > 1
+        assert rule == _old_is_elementary_abelian(group, p), (p, k, label)
+        predicted += 1
+        lemma += rule
+    assert (predicted, lemma) == (546, 24)
 
 
 def test_enumeration_rows_are_the_unpredicted_modular_shapes(catalog_rows):

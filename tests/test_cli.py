@@ -230,6 +230,17 @@ def test_field_labels_that_label_never_writes_exit_2(capsys, command, label):
     assert err == f"error: field label must look like F9, got {label!r}\n"
 
 
+@pytest.mark.parametrize("text", [
+    "a | a^\u0663",   # an Arabic-Indic digit three
+    "a | a^\u00b2",   # a superscript two
+])
+def test_presentation_exponents_take_ascii_digits_only(capsys, text):
+    code, out, err = run_cli(capsys, "coset-count", text)
+    assert code == 2 and out == ""
+    assert err == (f"error: unexpected character {text[-1]!r} at position 3 "
+                   f"in {text[3:]!r}\n")
+
+
 def test_unknown_label_message_is_not_quoted(capsys):
     code, out, err = run_cli(capsys, "unit-group", "F2", "X")
     assert code == 2 and out == ""

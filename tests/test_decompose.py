@@ -2,11 +2,11 @@ import pytest
 
 from kgunits.algebra import Algebra
 from kgunits.decompose import (Block, SummandList, decompose_abelian,
-                               predicted_unit_structure, primary_cyclic_orders)
+                               predicted_unit_structure)
 from kgunits.fields import make_field
 from kgunits.groups import group_by_label
 from kgunits.isoprobe import primitive_idempotents_by_search
-from kgunits.units import UnitGroup
+from kgunits.units import UnitGroup, primary_partitions
 
 
 def _alg(p, k, label):
@@ -85,10 +85,14 @@ def test_primitive_idempotents():
 
 
 def test_primary_cyclic_orders():
+    def primary(label):
+        group = group_by_label(label)
+        return primary_partitions(group.order, group.order_spectrum())
+
     # exponent partitions per prime
-    assert primary_cyclic_orders(group_by_label("C6")) == {2: (1,), 3: (1,)}
-    assert primary_cyclic_orders(group_by_label("C4xC2")) == {2: (2, 1)}
-    assert primary_cyclic_orders(group_by_label("C1")) == {}
+    assert primary("C6") == {2: (1,), 3: (1,)}
+    assert primary("C4xC2") == {2: (2, 1)}
+    assert primary("C1") == {}
 
 
 def test_block_invariants():

@@ -1,4 +1,5 @@
 import random
+import string
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from kgunits.fields import make_field
 from kgunits.groups import group_by_label
 from kgunits.presentations import (DEFAULT_COSET_LIMIT, Certificate,
                                    CosetLimitExceeded, FpGroup, Refutation,
-                                   _tokenize, _WordParser, certify_from_source,
+                                   certify_from_source,
                                    certify_unit_group_presentation,
                                    check_coset_table, commutator_word,
                                    coset_enumeration, coset_table, free_reduce,
@@ -27,10 +28,9 @@ def _units(p, k, label):
 
 def parse_word(text, names):
     """One relator item of the presentation grammar, over the given names."""
-    parser = _WordParser(_tokenize(text), list(names))
-    w = parser.relator_item()
-    parser.take("end")
-    return w
+    relators = parse_presentation(f"{', '.join(names)} | {text}").relators
+    assert len(relators) <= 1
+    return relators[0] if relators else ()
 
 
 def drop_relator(pres, i):
@@ -99,10 +99,176 @@ def test_parse_presentation():
         parse_presentation("x, y | x = y = x")
     # each generator is exactly one name token
     for text, item in (("x y | x", "x y"), ("1a | a", "1a"), ("a,,b | a", ""),
-                       ("x- | x", "x-"), (" | x", "")):
+                       ("x- | x", "x-"), (" | x", ""), ("\u00b2 | \u00b2^3", "\u00b2"),
+                       ("\u00bd | x", "\u00bd"), ("\u216b | x", "\u216b")):
         with pytest.raises(ValueError) as exc:
             parse_presentation(text)
         assert str(exc.value) == f"bad generator name {item!r}"
+
+
+# The character-loop tokenizer and parser class that parse_presentation
+# replaced, kept as the reference for test_parser_matches_the_character_loop.
+
+def _old_tokenize(text):
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c.isalpha() or c == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j]))
+            i = j
+        elif c == "-" or c.isdigit():
+            j = i + 1
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            if text[i:j] == "-":
+                raise ValueError(f"stray '-' at position {i} in {text!r}")
+            tokens.append(("int", int(text[i:j])))
+            i = j
+        elif c in "^*,()[]=|":
+            tokens.append((c, c))
+            i += 1
+        else:
+            raise ValueError(f"unexpected character {c!r} at position {i} in {text!r}")
+    tokens.append(("end", None))
+    return tokens
+
+
+class _OldWordParser:
+    def __init__(self, tokens, names):
+        self.toks = tokens
+        self.pos = 0
+        self.names = names
+
+    def peek(self):
+        return self.toks[self.pos][0]
+
+    def take(self, kind=None):
+        t = self.toks[self.pos]
+        if kind is not None and t[0] != kind:
+            raise ValueError(f"expected {kind!r}, found {t[0]!r}")
+        self.pos += 1
+        return t
+
+    def expr(self):
+        w = self.factor()
+        while self.peek() in ("*", "name", "(", "["):
+            if self.peek() == "*":
+                self.take()
+            w = free_reduce(w + self.factor())
+        return w
+
+    def factor(self):
+        w = self.atom()
+        if self.peek() == "^":
+            self.take()
+            tok = self.take("int")
+            w = power_word(w, tok[1])
+        return w
+
+    def atom(self):
+        kind = self.peek()
+        if kind == "name":
+            name = self.take()[1]
+            if name not in self.names:
+                raise ValueError(f"unknown generator {name!r}")
+            return ((self.names.index(name) + 1, 1),)
+        if kind == "(":
+            self.take()
+            w = self.expr()
+            self.take(")")
+            return w
+        if kind == "[":
+            self.take()
+            args = [self.expr()]
+            while self.peek() == ",":
+                self.take()
+                args.append(self.expr())
+            self.take("]")
+            if len(args) < 2:
+                raise ValueError("commutator needs at least two arguments")
+            w = args[0]
+            for v in args[1:]:
+                w = commutator_word(w, v)
+            return w
+        raise ValueError(f"unexpected token {kind!r} in word")
+
+    def relator_item(self):
+        lhs = self.expr()
+        if self.peek() == "=":
+            self.take()
+            rhs = self.expr()
+            return free_reduce(lhs + invert_word(rhs))
+        return lhs
+
+
+def _old_parse_presentation(text):
+    if "|" not in text:
+        raise ValueError("presentation must look like 'gens | relators'")
+    gen_part, rel_part = text.split("|", 1)
+    names = [n.strip() for n in gen_part.split(",")]
+    for name in names:
+        try:
+            tokens = _old_tokenize(name)
+        except ValueError:
+            tokens = None
+        if tokens != [("name", name), ("end", None)]:
+            raise ValueError(f"bad generator name {name!r}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"bad generator list {gen_part!r}")
+    parser = _OldWordParser(_old_tokenize(rel_part), names)
+    relators = []
+    while True:
+        w = parser.relator_item()
+        if w:
+            relators.append(w)
+        if parser.peek() == ",":
+            parser.take()
+            continue
+        parser.take("end")
+        break
+    return FpGroup(tuple(names), tuple(relators))
+
+
+_CHARACTERS = string.ascii_letters + string.digits + "_ \t\n^*,()[]=|-+!é"
+_FRAGMENTS = ("x^-1", "[a,b]", "(a*b)^3", "a", "b", "x", "x^2", "b^-12", "é1",
+              "[x, a*b, b]", "(x)", "b^")
+_JOINS = (" ", " ", "*", "*", ", ", " = ", "")
+_GENERATOR_PARTS = ("a, b, x, é1", "a,b,x,é1", " x , é1,a,b", "a, b, x", "_a, b2, x", "a, a")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_parser_matches_the_character_loop():
+    """The same FpGroup or the same error text as the tokenizer and parser
+    it replaced, on every text without a non-ASCII digit or numeral."""
+    rng = random.Random(22)
+    parsed = 0
+    for _ in range(20000):
+        if rng.random() < 0.8:
+            gens = rng.choice(_GENERATOR_PARTS)
+        else:
+            gens = "".join(rng.choice(_CHARACTERS) for _ in range(rng.randint(0, 4)))
+        noise = rng.choice((0.0, 0.0, 0.05, 0.3))
+        rels = "".join(rng.choice(_JOINS) * (k > 0) + (
+            rng.choice(_CHARACTERS) if rng.random() < noise else rng.choice(_FRAGMENTS))
+            for k in range(rng.randint(0, 10)))
+        text = f"{gens} | {rels}" if rng.random() < 0.95 else gens + rels
+        old = _outcome(_old_parse_presentation, text)
+        assert _outcome(parse_presentation, text) == old, text
+        parsed += isinstance(old, FpGroup)
+    # both outcomes are well represented
+    assert 2000 < parsed < 18000
 
 
 def test_fp_group_validation_and_helpers():

@@ -65,11 +65,30 @@ def test_bench_pairs_summary_arithmetic():
     # the parent's IQR is 100% of its median: wall_s is unresolved
     assert lines[1].startswith("  wall_s") and lines[1].endswith("spread > bound")
     assert "change won 3 of 5 (lost 1)" in lines[1]
-    assert lines[2].startswith("  peak_rss_mb") and "won 0 of 5" in lines[2]
-    assert not lines[2].endswith("spread > bound")
-    assert lines[3] == "  cpu_s verify --jobs 2: parent 3.0000  change 2.5000"
-    assert len(bench_pairs.summary("scan", entries, end_to_end)) == 3
+    assert lines[2] == "    verdict: unresolved"
+    assert lines[3].startswith("  peak_rss_mb") and "won 0 of 5" in lines[3]
+    assert not lines[3].endswith("spread > bound")
+    assert lines[4] == "    verdict: no regression"
+    assert lines[5] == "  cpu_s verify --jobs 2: parent 3.0000  change 2.5000"
+    assert len(bench_pairs.summary("scan", entries, end_to_end)) == 5
+
+    def wall_verdict(parent, change):
+        runs = [_entry(k + 1, side, walls[k], 20.0)
+                for k in range(len(parent)) for side, walls in (("parent", parent),
+                                                                ("change", change))]
+        return bench_pairs.summary("scan", runs, end_to_end)[2].split(": ")[1]
+
     # a spread on the change side alone leaves the metric unresolved too
-    steady = [_entry(k + 1, side, 1.0 if side == "parent" else [1, 1, 2, 3, 3][k], 20.0)
-              for k in range(5) for side in ("parent", "change")]
-    assert bench_pairs.summary("scan", steady, end_to_end)[1].endswith("spread > bound")
+    assert wall_verdict([1.0] * 5, [1, 1, 0.5, 1.5, 1.5]) == "unresolved"
+    # won every pair, by more than the parent's IQR of 0.1
+    assert wall_verdict([1.0, 1.1, 1.0, 1.1, 1.0], [0.5, 0.6, 0.5, 0.6, 0.5]) == "gain"
+    # won 9 of 10 pairs, then 8 of 10, under nine tenths
+    assert wall_verdict([1.0, 1.1] * 5, [0.9] * 9 + [1.2]) == "gain"
+    assert wall_verdict([1.0, 1.1] * 5, [0.9] * 8 + [1.2] * 2) == "no regression"
+    # the median 1.3 is 30% worse, past the 25% bound
+    assert wall_verdict([1.0] * 5, [1.3] * 5) == "worse"
+    assert wall_verdict([1.0] * 5, [1.2] * 5) == "no regression"
+    # the parent's IQR is 50% of its median, but every change run beats
+    # every parent run; the medians differ by 2.4, under that IQR of 3
+    assert wall_verdict([4, 5, 6, 7, 8], [3.9, 3.5, 3.0, 3.6, 3.8]) == "no regression"
+    assert wall_verdict([4, 5, 6, 7, 8], [3.9, 3.5, 4.5, 3.6, 3.8]) == "unresolved"

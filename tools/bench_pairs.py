@@ -23,7 +23,12 @@ each end-to-end metric of BENCHMARK.json, both sides' median and IQR
 (statistics.quantiles, n=4), how many pairs the change won (ties count for
 neither), the change of the median as a share of the parent's, and
 "spread > bound" where either side's IQR, relative to its median, is wider
-than the metric's bound: such a metric is unresolved rather than unchanged.
+than the metric's bound.  A verdict line follows each metric line: "gain"
+when the change won at least nine tenths of the pairs and its median is
+better than the parent's by more than the parent's IQR, else "worse" when
+its median is worse by more than the bound, else "unresolved" when the
+spread exceeds the bound and not every change run beats every parent run,
+else "no regression".
 For catalog it also prints each command's median CPU time on both sides,
 since that workload's wall time is noisier than its bound.  Stdlib only;
 `git` and `tar` must be on the path.
@@ -96,10 +101,29 @@ def metric_stats(entries: list[dict], metric: str, better: str) -> dict:
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     p_med, c_med = statistics.median(parent), statistics.median(change)
+    p_iqr, c_iqr = iqr(parent), iqr(change)
     return {"pairs": min(len(parent), len(change)), "wins": wins, "losses": losses,
             "parent_median": p_med, "change_median": c_med,
-            "parent_iqr": iqr(parent), "change_iqr": iqr(change),
-            "delta": (c_med - p_med) / p_med if p_med else 0.0}
+            "parent_iqr": p_iqr, "change_iqr": c_iqr,
+            "delta": (c_med - p_med) / p_med if p_med else 0.0,
+            # the wider side's IQR relative to its median
+            "spread": max(p_iqr / p_med if p_med else 0.0, c_iqr / c_med if c_med else 0.0),
+            # every change run better than every parent run
+            "separated": (max(change) < min(parent) if better == "lower"
+                          else min(change) > max(parent))}
+
+
+def verdict(s: dict, better: str, bound: float) -> str:
+    """The verdict of the module docstring on one metric's metric_stats."""
+    sign = 1 if better == "lower" else -1
+    if 10 * s["wins"] >= 9 * s["pairs"] \
+            and sign * (s["parent_median"] - s["change_median"]) > s["parent_iqr"]:
+        return "gain"
+    if sign * s["delta"] > bound:
+        return "worse"
+    if s["spread"] > bound and not s["separated"]:
+        return "unresolved"
+    return "no regression"
 
 
 def cpu_medians(entries: list[dict]) -> dict[str, dict[str, float]]:
@@ -122,14 +146,13 @@ def summary(workload: str, entries: list[dict], end_to_end: list[dict]) -> list[
              f"{failed['change']}/{attempted['change']} change"]
     for m in end_to_end:
         s = metric_stats(entries, m["name"], m["better"])
-        spread = max(s[f"{side}_iqr"] / s[f"{side}_median"] if s[f"{side}_median"] else 0.0
-                     for side in SIDES)
-        flag = "  spread > bound" if spread > m["bound"] else ""
+        flag = "  spread > bound" if s["spread"] > m["bound"] else ""
         lines.append(
             f"  {m['name']:<12} parent {s['parent_median']:.4f} (IQR {s['parent_iqr']:.4f})"
             f"  change {s['change_median']:.4f} (IQR {s['change_iqr']:.4f})"
             f"  {s['delta']:+.1%}  change won {s['wins']} of {s['pairs']}"
             f" (lost {s['losses']}), bound {m['bound']:.0%}{flag}")
+        lines.append(f"    verdict: {verdict(s, m['better'], m['bound'])}")
     if workload == "catalog":
         for name, by_side in sorted(cpu_medians(entries).items()):
             lines.append(f"  cpu_s {name}: parent {by_side.get('parent', 0):.4f}"
