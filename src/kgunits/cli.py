@@ -190,34 +190,31 @@ def _build_parser() -> argparse.ArgumentParser:
                     "verification, and the minimal isomorphic pair")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, bound=None, jobs=False):
+    def common(p, bound=False, jobs=False):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        if bound is not None:
-            p.add_argument("--bound", type=bound, default=DEFAULT_BOUND,
-                           help="strict upper bound on algebra size "
-                                f"(default {DEFAULT_BOUND}; table and scan-iso "
-                                "extend past it, verify does not)")
+        if bound:
+            # the catalog builds no algebra past the published bound, so a
+            # larger one would print an incomplete table or scan
+            p.add_argument("--bound", type=_int_in_range(
+                               2, DEFAULT_BOUND,
+                               why=" (the bound of the published catalog)"),
+                           default=DEFAULT_BOUND,
+                           help="strict upper bound on algebra size, "
+                                f"2 to {DEFAULT_BOUND} (default {DEFAULT_BOUND})")
         if jobs:
             p.add_argument("--jobs", type=_int_in_range(1), default=1,
                            help="worker processes (default 1)")
 
-    # table and scan-iso extend past the published catalog; verify cannot,
-    # since rows above it have no published values to compare with
-    extensible_bound = _int_in_range(2)
-    published_bound = _int_in_range(
-        2, DEFAULT_BOUND, why=" (the bound of the published catalog; "
-                              "table and scan-iso extend past it)")
-
     p = sub.add_parser("table", help="print every catalog row")
-    common(p, bound=extensible_bound, jobs=True)
+    common(p, bound=True, jobs=True)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="compare the catalog with published values")
-    common(p, bound=published_bound, jobs=True)
+    common(p, bound=True, jobs=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan-iso", help="scan same-field pairs for ring isomorphism")
-    common(p, bound=extensible_bound)
+    common(p, bound=True)
     p.set_defaults(func=cmd_scan_iso)
 
     p = sub.add_parser("unit-group", help="one unit group, e.g. unit-group F4 C4")

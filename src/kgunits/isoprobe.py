@@ -12,18 +12,21 @@ and ``compare_unit_groups`` the note on a pair of nonabelian groups.
 
 ``scan_minimum_counterexample`` walks the pairs in one sequential loop, in
 ascending size: the whole scan is a fraction of a second, so a process pool
-would cost more to start than it could save.
+would cost more to start than it could save.  It reads each algebra's
+invariants lazily, so an algebra's units are built at most once, when a
+compared invariant or a note reads them, and its square map and centre only
+when a pair ties through the unit-order spectrum.
 """
 
 import hashlib
 from collections import namedtuple
+from functools import cached_property
 from itertools import combinations
 
 from .algebra import Algebra, AlgebraElement, row_reduce
-from .catalog import catalog_specs
 from .decompose import decompose_abelian
-from .fields import make_field
-from .groups import group_by_label, groups_of_order
+from .fields import SIZE_LIMIT, make_field, prime_power_split
+from .groups import groups_of_order
 from .units import UnitGroup
 
 InvariantBundle = namedtuple("InvariantBundle", [
@@ -220,7 +223,8 @@ def _pair_row(a: Algebra, b: Algebra,
     """The scan row of one pair of algebras over one field, from their bundles.
 
     The first invariant in BUNDLE_COMPARE_FIELDS that differs refutes the
-    pair.  A commutative tie where both decompose into the same copies of K
+    pair; none past it is read, so the scan's lazy bundles never compute
+    it.  A commutative tie where both decompose into the same copies of K
     is certified by a verified witness; any other tie is inconclusive.
     """
     def row(verdict: str, detail: str) -> ScanRow:
@@ -263,14 +267,44 @@ def compare_unit_groups(a: Algebra, b: Algebra,
 
 
 def _scan_algebras(bound: int) -> list[tuple[int, int, int]]:
-    """(p, k, n) for each catalog algebra size q^n < bound with n >= 2 and at
-    least two groups of order n; sizes ascend, and q within a size."""
-    combos: dict[tuple[int, int, int], None] = {}
-    for p, k, label in catalog_specs(bound):
-        n = group_by_label(label).order
-        if n >= 2 and len(groups_of_order(n)) >= 2:
-            combos[p, k, n] = None
-    return list(combos)
+    """(p, k, n) for each prime power q < SIZE_LIMIT and group order n >= 2
+    with q^n < bound and at least two groups of order n; sizes ascend, and q
+    within a size."""
+    combos = []
+    for q in range(2, min(bound, SIZE_LIMIT)):
+        split = prime_power_split(q)
+        n = 2
+        while split and q ** n < bound:
+            if len(groups_of_order(n)) >= 2:
+                combos.append((q ** n, q, *split, n))
+            n += 1
+    return [(p, k, n) for _, _, p, k, n in sorted(combos)]
+
+
+class _LazyBundle:
+    """One algebra's InvariantBundle fields, each computed on its first read
+    and at most once: ``commutative`` from the group, ``unit_count`` and
+    ``unit_order_spectrum`` from one UnitGroup, and the rest from one call of
+    ``bundle`` on that UnitGroup."""
+
+    def __init__(self, algebra: Algebra):
+        self.algebra = algebra
+        self.commutative = algebra.group.is_abelian()
+
+    @cached_property
+    def units(self) -> UnitGroup:
+        return UnitGroup(self.algebra)
+
+    @cached_property
+    def full(self) -> InvariantBundle:
+        return bundle(self.algebra, self.units)
+
+    unit_count = property(lambda self: self.units.order)
+    unit_order_spectrum = property(lambda self: self.units.unit_order_spectrum())
+    idempotent_count = property(lambda self: self.full.idempotent_count)
+    nilpotent_count = property(lambda self: self.full.nilpotent_count)
+    square_zero_count = property(lambda self: self.full.square_zero_count)
+    center_dimension = property(lambda self: self.full.center_dimension)
 
 
 def scan_minimum_counterexample(bound: int = 1024) -> ScanReport:
@@ -279,7 +313,8 @@ def scan_minimum_counterexample(bound: int = 1024) -> ScanReport:
     groups_of_order holds one group per isomorphism class, so every pair of
     its groups is a pair of non-isomorphic groups.  Sizes ascend, so the
     first isomorphic verdict is the minimum counterexample; every earlier
-    pair carries its refuting invariant.  Each algebra's units are built once.
+    pair carries its refuting invariant.  Each algebra's units are built at
+    most once, when a compared invariant or a note reads them.
     """
     rows, notes, counts = [], [], []
     for p, k, n in _scan_algebras(bound):
@@ -287,7 +322,7 @@ def scan_minimum_counterexample(bound: int = 1024) -> ScanReport:
         groups = groups_of_order(n)
         counts.append(len(groups))
         algebras = {g.label: Algebra(field, g) for g in groups}
-        bundles = {lbl: bundle(alg, UnitGroup(alg)) for lbl, alg in algebras.items()}
+        bundles = {lbl: _LazyBundle(alg) for lbl, alg in algebras.items()}
         for ga, gb in combinations(groups, 2):
             pair = (algebras[ga.label], algebras[gb.label],
                     bundles[ga.label], bundles[gb.label])

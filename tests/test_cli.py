@@ -275,9 +275,17 @@ def test_extreme_accepted_bounds(capsys):
     assert code == 0 and err == ""
     assert out.startswith("unit groups of group algebras with size below 2 (0 rows)")
     parse = cli._build_parser().parse_args
-    assert parse(["verify", "--bound", "1024"]).bound == 1024
-    assert parse(["table", "--bound", "1100"]).bound == 1100
-    assert parse(["scan-iso", "--bound", "1100"]).bound == 1100
+    for command in ("table", "verify", "scan-iso"):
+        assert parse([command, "--bound", "1024"]).bound == 1024
+        # the catalog stops at 1024, so a larger bound would drop algebras
+        for bound in ("1025", "1100"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--bound", bound])
+            captured = capsys.readouterr()
+            assert exc.value.code == 2 and captured.out == ""
+            assert captured.err.splitlines()[-1] == (
+                f"kgunits {command}: error: argument --bound: must be at most "
+                f"1024 (the bound of the published catalog), got {bound}")
 
 
 def test_verify_text_names_each_inconsistency(capsys, monkeypatch):

@@ -1,15 +1,17 @@
 import json
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
 import kgunits.isoprobe
 from kgunits.algebra import Algebra
-from kgunits.catalog import build_row
+from kgunits.catalog import build_row, catalog_specs
 from kgunits.fields import make_field
-from kgunits.groups import group_by_label
-from kgunits.isoprobe import (BUNDLE_COMPARE_FIELDS, InvariantBundle, _pair_row,
-                              bundle, compare_unit_groups, explicit_isomorphism,
-                              scan_minimum_counterexample)
+from kgunits.groups import group_by_label, groups_of_order
+from kgunits.isoprobe import (BUNDLE_COMPARE_FIELDS, InvariantBundle, _LazyBundle,
+                              _pair_row, _scan_algebras, bundle, compare_unit_groups,
+                              explicit_isomorphism, scan_minimum_counterexample)
 from kgunits.units import UnitGroup
 
 
@@ -138,6 +140,64 @@ def test_scan_report(scan_report):
     assert [n["pair"] for n in r.notes] == [["U(F2D8)", "U(F2Q8)"]]
     assert r.as_dict()["notes"] == list(r.notes)
     json.dumps(r.as_dict())
+
+
+def test_the_lazy_scan_matches_rows_and_notes_from_full_bundles(scan_report):
+    rows, notes = [], []
+    for p, k, n in _scan_algebras(1024):
+        algebras = [_alg(p, k, g.label) for g in groups_of_order(n)]
+        full = [(alg, _bundle(alg)) for alg in algebras]
+        for alg, expected in full:
+            lazy = _LazyBundle(alg)
+            assert tuple(getattr(lazy, f) for f in BUNDLE_COMPARE_FIELDS) == expected
+        for (a, ba), (b, bb) in combinations(full, 2):
+            rows.append(tuple(_pair_row(a, b, ba, bb)))
+            if not (a.group.is_abelian() or b.group.is_abelian()):
+                notes.append(compare_unit_groups(a, b, ba, bb))
+    assert [tuple(r) for r in scan_report.rows] == rows
+    assert list(scan_report.notes) == notes
+
+
+def test_the_scan_builds_units_and_bundles_only_where_a_verdict_reads_them(
+        monkeypatch):
+    units, bundles = Counter(), Counter()
+    real_units, real_bundle = kgunits.isoprobe.UnitGroup, kgunits.isoprobe.bundle
+
+    def counted_units(alg):
+        units[alg.label()] += 1
+        return real_units(alg)
+
+    def counted_bundle(alg, unit_group):
+        bundles[alg.label()] += 1
+        return real_bundle(alg, unit_group)
+
+    monkeypatch.setattr(kgunits.isoprobe, "UnitGroup", counted_units)
+    monkeypatch.setattr(kgunits.isoprobe, "bundle", counted_bundle)
+    assert scan_minimum_counterexample(1024).pair_count == 17
+    scanned = {_alg(p, k, g.label).label()
+               for p, k, n in _scan_algebras(1024) for g in groups_of_order(n)}
+    # C6 and D6 differ in commutativity, which the group alone decides
+    refuted_by_the_group = {"F2C6", "F2D6", "F3C6", "F3D6"}
+    assert len(scanned) == 19 and refuted_by_the_group <= scanned
+    assert units == Counter(scanned - refuted_by_the_group)
+    # only the F5 pair ties through the spectrum
+    assert bundles == Counter(["F5C4", "F5C2xC2"])
+
+
+def _scan_algebras_from_the_catalog(bound):
+    """The scan's (p, k, n) list as read off the catalog's specs."""
+    combos = {}
+    for p, k, label in catalog_specs(bound):
+        n = group_by_label(label).order
+        if n >= 2 and len(groups_of_order(n)) >= 2:
+            combos[p, k, n] = None
+    return list(combos)
+
+
+def test_scan_sizes_match_the_catalog_specs_at_every_bound():
+    for bound in range(2, 1025):
+        assert _scan_algebras(bound) == _scan_algebras_from_the_catalog(bound), bound
+    assert len(_scan_algebras(1024)) == 8
 
 
 def test_scan_below_the_minimum_finds_nothing():
