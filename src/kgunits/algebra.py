@@ -313,23 +313,29 @@ def _field_census(algebra: Algebra) -> dict[tuple[int, ...], int]:
     once, and g^t has the order (q - 1) / gcd(t, q - 1)."""
     n, mul, one = algebra.size - 1, algebra.mul_codes, algebra._one_key
     g = (algebra.field.primitive(),)
-    order, acc = {(0,): 0}, one  # power of g -> its order; 0 is no power
+    # order[c]: the order of the power of g with code c, 0 until the walk
+    # meets it; code 0 is no power, so it starts marked as met
+    order, acc = [-1] + [0] * n, one
     for t in range(1, algebra.size + 1):
         acc = mul(acc, g)
         if acc == one:
             break
-        if acc in order:
+        try:
+            c, = acc
+        except ValueError:  # a product outside K meets no code; walk on
+            continue
+        if order[c]:
             raise ValueError(f"power walk of {algebra.from_key(g)} repeats a "
                              f"power or meets 0 at step {t}, before 1")
-        order[acc] = n // gcd(t, n)
+        order[c] = n // gcd(t, n)
     else:
         raise ValueError(f"power walk of {algebra.from_key(g)} does not return "
                          f"to 1 within |K[G]| = {algebra.size} steps")
     if t != n:
         why = "does not divide" if n % t else "is a proper divisor of"
         raise ValueError(f"order {t} of {algebra.from_key(g)} {why} |U| = {n}")
-    order[one] = 1
-    return {(c,): order[(c,)] for c in range(1, n + 1)}
+    order[one[0]] = 1
+    return {(c,): order[c] for c in range(1, n + 1)}
 
 
 def _power_walk(algebra: Algebra, x, known: dict) -> None:

@@ -8,6 +8,7 @@ presentation.  verify_catalog compares the computed rows against the
 published reference data and adjudicates the known misprints live.
 """
 
+import os
 from collections import namedtuple
 from functools import lru_cache
 
@@ -104,14 +105,22 @@ def build_row(p: int, k: int, label: str) -> CatalogRow:
                       spectrum=units.unit_order_spectrum())
 
 
-def _build_row_spec(spec: tuple[int, int, str]) -> CatalogRow:
-    return build_row(*spec)
+def check_bound(bound: int) -> int:
+    """bound, if it is a size bound from 2 to 1024; else ValueError.  The
+    catalog builds no algebra of size 1024 or more, so a larger bound would
+    give an incomplete catalog or scan."""
+    if bound < 2:
+        raise ValueError(f"must be at least 2, got {bound}")
+    if bound > SIZE_LIMIT:
+        raise ValueError(f"must be at most {SIZE_LIMIT} (the bound of the "
+                         f"published catalog), got {bound}")
+    return bound
 
 
 def catalog_specs(bound: int) -> list[tuple[int, int, str]]:
     """(p, k, label) for every algebra with q^|G| < bound, in output order."""
     specs = []
-    for q in range(2, min(bound, SIZE_LIMIT)):
+    for q in range(2, check_bound(bound)):
         split = prime_power_split(q)
         if not split:
             continue
@@ -135,22 +144,61 @@ class Catalog(namedtuple("Catalog", "bound rows")):
 
 
 def map_jobs(fn, items: list, jobs: int) -> list:
-    """[fn(x) for x in items] over min(jobs, len(items)) worker processes,
-    or in this process when that is at most one.  A pool starts all its
-    workers at once, so it never gets more workers than items.  Workers
-    take contiguous chunks of len(items) // (8 * workers) items (at least
-    one), so a row costs no round trip of its own and the order is kept."""
-    workers = min(jobs, len(items))
-    if workers <= 1:
+    """[fn(x) for x in items] over w = min(jobs, len(items)) processes, or
+    in this process when w is at most one or the platform has no os.fork.
+
+    The caller forks w - 1 children; child i builds items[i::w] and pickles
+    that list, or the exception it raised, into its own pipe.  Meanwhile the
+    caller builds items[0::w] itself, so no process waits for work and no
+    pool starts.  The caller then reads every pipe to EOF and reaps every
+    child, also when its own share raised, and re-raises a child's
+    exception as the child raised it."""
+    w = min(jobs, len(items))
+    if w <= 1 or not hasattr(os, "fork"):
         return [fn(x) for x in items]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items,
-                             chunksize=max(1, len(items) // (8 * workers))))
+    import pickle  # only a split pays for its import
+    children, pickled = [], []
+    try:
+        for i in range(1, w):
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(wr)
+                raise
+            if pid == 0:
+                try:
+                    os.close(r)
+                    try:
+                        data = pickle.dumps([fn(x) for x in items[i::w]])
+                    except Exception as exc:
+                        data = pickle.dumps(exc)
+                    with open(wr, "wb") as pipe:
+                        pipe.write(data)
+                finally:
+                    os._exit(0)  # never return into the caller's stack
+            os.close(wr)
+            children.append((pid, r))
+        out = [None] * len(items)
+        out[0::w] = [fn(x) for x in items[0::w]]
+    finally:
+        for pid, r in children:
+            with open(r, "rb") as pipe:
+                pickled.append(pipe.read())
+            os.waitpid(pid, 0)
+    for i, data in enumerate(pickled, 1):
+        if not data:
+            raise RuntimeError(f"worker process {i} of {w} returned no result")
+        share = pickle.loads(data)
+        if isinstance(share, Exception):
+            raise share
+        out[i::w] = share
+    return out
 
 
 def build_catalog(bound: int = 1024, jobs: int = 1) -> Catalog:
-    rows = map_jobs(_build_row_spec, catalog_specs(bound), jobs)
+    rows = map_jobs(lambda spec: build_row(*spec), catalog_specs(bound), jobs)
     return Catalog(bound=bound, rows=tuple(rows))
 
 

@@ -16,7 +16,7 @@ import json
 import sys
 
 from .algebra import Algebra
-from .catalog import build_catalog, build_row, verify_catalog
+from .catalog import build_catalog, build_row, check_bound, verify_catalog
 from .decompose import decompose_abelian
 from .fields import make_field, prime_power_split
 from .groups import group_by_label
@@ -166,20 +166,25 @@ def cmd_coset_count(args) -> int:
     return 0
 
 
-def _int_in_range(low: int, high: int | None = None, why: str = ""):
-    """argparse type: an int in [low, high]; anything else exits 2 with a message."""
+def _int_arg(check):
+    """argparse type: an int that check returns; its ValueError, or text that
+    is no int, exits 2 with a message."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high}{why}, "
-                                             f"got {value}")
-        return value
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
     return parse
+
+
+def _positive(value: int) -> int:
+    if value < 1:
+        raise ValueError(f"must be at least 1, got {value}")
+    return value
 
 
 @functools.cache
@@ -193,16 +198,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, bound=False, jobs=False):
         p.add_argument("--format", choices=("text", "json"), default="text")
         if bound:
-            # the catalog builds no algebra past the published bound, so a
-            # larger one would print an incomplete table or scan
-            p.add_argument("--bound", type=_int_in_range(
-                               2, DEFAULT_BOUND,
-                               why=" (the bound of the published catalog)"),
+            p.add_argument("--bound", type=_int_arg(check_bound),
                            default=DEFAULT_BOUND,
                            help="strict upper bound on algebra size, "
                                 f"2 to {DEFAULT_BOUND} (default {DEFAULT_BOUND})")
         if jobs:
-            p.add_argument("--jobs", type=_int_in_range(1), default=1,
+            p.add_argument("--jobs", type=_int_arg(_positive), default=1,
                            help="worker processes (default 1)")
 
     p = sub.add_parser("table", help="print every catalog row")
@@ -231,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coset-count", help="order of a finitely presented group")
     p.add_argument("presentation")
-    p.add_argument("--limit", type=_int_in_range(1), default=DEFAULT_COSET_LIMIT,
+    p.add_argument("--limit", type=_int_arg(_positive), default=DEFAULT_COSET_LIMIT,
                    help="coset table size cap")
     common(p)
     p.set_defaults(func=cmd_coset_count)

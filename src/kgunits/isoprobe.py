@@ -22,10 +22,12 @@ import hashlib
 from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
+from math import isqrt
 
 from .algebra import Algebra, AlgebraElement, row_reduce
+from .catalog import check_bound
 from .decompose import decompose_abelian
-from .fields import SIZE_LIMIT, make_field, prime_power_split
+from .fields import make_field, prime_power_split
 from .groups import groups_of_order
 from .units import UnitGroup
 
@@ -267,11 +269,11 @@ def compare_unit_groups(a: Algebra, b: Algebra,
 
 
 def _scan_algebras(bound: int) -> list[tuple[int, int, int]]:
-    """(p, k, n) for each prime power q < SIZE_LIMIT and group order n >= 2
-    with q^n < bound and at least two groups of order n; sizes ascend, and q
-    within a size."""
+    """(p, k, n) for each prime power q and group order n >= 2 with q^n <
+    bound and at least two groups of order n; sizes ascend, and q within a
+    size.  Only q with q^2 < bound can give such a pair."""
     combos = []
-    for q in range(2, min(bound, SIZE_LIMIT)):
+    for q in range(2, isqrt(check_bound(bound) - 1) + 1):
         split = prime_power_split(q)
         n = 2
         while split and q ** n < bound:

@@ -5,8 +5,8 @@ import pytest
 from kgunits.algebra import Algebra
 from kgunits.catalog import build_catalog, build_row, catalog_specs, verify_catalog
 from kgunits.decompose import decompose_abelian, predicted_unit_structure
-from kgunits.fields import make_field
-from kgunits.groups import group_by_label
+from kgunits.fields import SIZE_LIMIT, make_field, prime_power_split
+from kgunits.groups import group_by_label, groups_of_order
 from kgunits.units import AbelianType, parse_structure_order, primary_partitions
 
 
@@ -45,15 +45,20 @@ def test_lemma_block_rule_matches_the_elementary_abelian_test():
     """Where a prediction exists, one local block F_q[G] with G != 1 is
     exactly G elementary abelian for the characteristic."""
     predicted = lemma = 0
-    for p, k, label in catalog_specs(10 ** 7):
-        group = group_by_label(label)
+    # every field below 1024 and group with q^|G| < 10^7: past the catalog
+    # bound, which catalog_specs refuses
+    specs = [(*split, g) for q in range(2, SIZE_LIMIT)
+             if (split := prime_power_split(q))
+             for n in range(1, 10) if q ** n < 10 ** 7
+             for g in groups_of_order(n)]
+    for p, k, group in specs:
         if not group.is_abelian():
             continue
         summands = decompose_abelian(Algebra(make_field(p, k), group))
         if predicted_unit_structure(summands) is None:
             continue
         rule = summands.blocks[0].group_size() == group.order > 1
-        assert rule == _old_is_elementary_abelian(group, p), (p, k, label)
+        assert rule == _old_is_elementary_abelian(group, p), (p, k, group.label)
         predicted += 1
         lemma += rule
     assert (predicted, lemma) == (546, 24)
@@ -173,3 +178,16 @@ def test_verify_catalog_detects_published_mismatch(catalog_rows):
     report = verify_catalog(rows=doctored)
     assert report.exit_code == 1
     assert any("F2" in line and "C6" in line for line in report.mismatch_lines)
+
+
+@pytest.mark.parametrize("bound,message", [
+    (1, "must be at least 2, got 1"),
+    (1025, r"must be at most 1024 \(the bound of the published catalog\), got 1025"),
+])
+def test_library_entry_points_refuse_a_bound_outside_2_to_1024(bound, message):
+    """Past 1024 the catalog and the scan would drop algebras without a word."""
+    from kgunits.isoprobe import scan_minimum_counterexample
+    for entry in (catalog_specs, build_catalog, verify_catalog,
+                  scan_minimum_counterexample):
+        with pytest.raises(ValueError, match=message):
+            entry(bound)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -135,45 +136,68 @@ def test_table_jobs_equality(capsys):
     assert seq == par
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records (max_workers, chunksize)
-    of each map and maps in this process, so no worker process is started."""
-
-    def __init__(self, started, max_workers):
-        self.started, self.max_workers = started, max_workers
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        self.started.append((self.max_workers, chunksize))
-        return map(fn, *iterables)
-
-
 @pytest.mark.parametrize("argv,started", [
-    (("table", "--bound", "3", "--jobs", "8"), []),              # 1 row
-    (("table", "--bound", "100", "--jobs", "500"), [(52, 1)]),   # 52 rows
-    (("table", "--bound", "100", "--jobs", "2"), [(2, 3)]),
-    (("verify", "--bound", "100", "--jobs", "2"), [(2, 3)]),
-    (("verify", "--jobs", "2"), [(2, 15)]),   # 243 rows: the catalog workload's pool
+    (("table", "--bound", "3", "--jobs", "8"), []),                 # 1 row
+    (("table", "--bound", "100", "--jobs", "500"), ["fork"] * 51),  # 52 rows
+    (("table", "--bound", "100", "--jobs", "2"), ["fork"]),
+    (("verify", "--bound", "100", "--jobs", "2"), ["fork"]),
+    (("verify", "--jobs", "2"), ["fork"]),   # 243 rows: the catalog workload's split
 ])
 def test_jobs_start_at_most_one_worker_per_task(capsys, monkeypatch, argv, started):
-    import concurrent.futures
+    """--jobs N forks min(N, rows) - 1 children, and the caller builds the
+    rest, so no process gets no row."""
     _, want, _ = run_cli(capsys, *argv[:-2], "--format", "json")
-    calls = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: RecordingPool(calls, max_workers))
+    forks, real_fork = [], os.fork
+
+    def counted_fork():
+        forks.append("fork")
+        return real_fork()
+    monkeypatch.setattr(os, "fork", counted_fork)
     _, got, _ = run_cli(capsys, *argv, "--format", "json")
-    assert calls == started
+    assert forks == started
     assert got == want
 
 
-def test_chunked_map_keeps_item_order():
-    items = list(range(-40, 40))   # 80 items on 2 workers: chunks of 5
-    assert map_jobs(abs, items, 2) == [abs(x) for x in items]
+def test_fork_split_keeps_item_order():
+    """map_jobs is the list comprehension on 1 to 5 processes, also when
+    the rows do not divide evenly among them."""
+    for jobs in range(1, 6):
+        for n in (0, 1, 2, 3, 7, 11):
+            items = list(range(-n, n, 2))
+            assert map_jobs(abs, items, jobs) == [abs(x) for x in items], (jobs, n)
+
+
+def test_an_exception_in_a_childs_share_is_raised_by_the_caller():
+    def fn(x):
+        if x == 4:  # item 4 of 6 on 3 processes: child 1's share
+            raise ValueError(f"no row for {x}")
+        return x
+    with pytest.raises(ValueError) as exc:
+        map_jobs(fn, list(range(6)), 3)
+    assert exc.type is ValueError and str(exc.value) == "no row for 4"
+
+
+def test_every_child_is_reaped_when_the_callers_share_raises():
+    def fn(x):
+        if x == 0:  # the caller's share
+            raise KeyError("caller")
+        time.sleep(0.2)  # the children outlive the caller's failure
+        return x
+    with pytest.raises(KeyError, match="caller"):
+        map_jobs(fn, list(range(8)), 4)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_split_leaves_no_warning_in_dev_mode(tmp_path):
+    """Under -X dev -W error an unclosed pipe or file would be a
+    ResourceWarning turned into an error on stderr."""
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m",
+                           "kgunits", "verify", "--bound", "100", "--jobs", "2"],
+                          capture_output=True, cwd=tmp_path, env=_uninstalled_env(),
+                          timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
 
 
 def test_verify_exit_zero(capsys):
@@ -371,8 +395,8 @@ def test_scan_iso_in_a_fresh_process_matches_golden(tmp_path):
 
 
 def test_verify_on_two_workers_in_a_fresh_process_matches_golden(tmp_path):
-    """verify --jobs 2 in its own process, all 243 rows built by a real
-    pool of two workers in chunks, prints the bytes bench/golden.json
+    """verify --jobs 2 in its own process, its 243 rows built half by the
+    process and half by one forked child, prints the bytes bench/golden.json
     records for it."""
     _fresh_run_matches_golden(tmp_path, "verify", "--jobs", "2")
 
