@@ -117,22 +117,22 @@ def check_bound(bound: int) -> int:
     return bound
 
 
-def catalog_specs(bound: int) -> list[tuple[int, int, str]]:
-    """(p, k, label) for every algebra with q^|G| < bound, in output order."""
-    specs = []
+def algebra_shapes(bound: int):
+    """(q, p, k, n) for each prime power q = p^k and group order n with
+    q^n < bound; q ascends, and n within a q."""
     for q in range(2, check_bound(bound)):
         split = prime_power_split(q)
-        if not split:
-            continue
-        p, k = split
-        size = q
-        for n in range(1, 10):
-            if size >= bound:
-                break
-            for g in groups_of_order(n):
-                specs.append((size, q, g.label, p, k))
-            size *= q
-    specs.sort()
+        n = 1
+        while split and q ** n < bound:
+            yield (q, *split, n)
+            n += 1
+
+
+def catalog_specs(bound: int) -> list[tuple[int, int, str]]:
+    """(p, k, label) for every algebra with q^|G| < bound, in output order."""
+    specs = sorted((q ** n, q, g.label, p, k)
+                   for q, p, k, n in algebra_shapes(bound)
+                   for g in groups_of_order(n))
     return [(p, k, label) for _, _, label, p, k in specs]
 
 

@@ -18,12 +18,10 @@ import sys
 from .algebra import Algebra
 from .catalog import build_catalog, build_row, check_bound, verify_catalog
 from .decompose import decompose_abelian
-from .fields import make_field, prime_power_split
+from .fields import SIZE_LIMIT, make_field, prime_power_split
 from .groups import group_by_label
 from .presentations import DEFAULT_COSET_LIMIT, coset_enumeration, \
     parse_presentation
-
-DEFAULT_BOUND = 1024
 
 
 def _emit_json(payload) -> None:
@@ -49,10 +47,10 @@ def _field_and_group(field_text: str, group_text: str):
     group = group_by_label(group_text)
     field = make_field(p, k)
     size = field.q ** group.order
-    if size >= DEFAULT_BOUND:
+    if size >= SIZE_LIMIT:
         raise ValueError(
             f"{field.label()}{group.label} has size {size}, outside the catalog "
-            f"bound {DEFAULT_BOUND}")
+            f"bound {SIZE_LIMIT}")
     return field, group
 
 
@@ -199,9 +197,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         if bound:
             p.add_argument("--bound", type=_int_arg(check_bound),
-                           default=DEFAULT_BOUND,
+                           default=SIZE_LIMIT,
                            help="strict upper bound on algebra size, "
-                                f"2 to {DEFAULT_BOUND} (default {DEFAULT_BOUND})")
+                                f"2 to {SIZE_LIMIT} (default {SIZE_LIMIT})")
         if jobs:
             p.add_argument("--jobs", type=_int_arg(_positive), default=1,
                            help="worker processes (default 1)")

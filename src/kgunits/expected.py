@@ -117,31 +117,23 @@ def prose_unit_structure(p: int, k: int, label: str) -> AbelianType | None:
     """Published closed-form unit structure, or None if no family covers it."""
     q = p ** k
     if label == "C1":
-        return AbelianType.from_cyclic_orders([q - 1])
-    if p == 2:
-        if label == "C2":
-            return AbelianType.from_cyclic_orders([2] * k + [q - 1])
-        if label == "C3":
+        orders = [q - 1]
+    elif label == "C2":
+        orders = [2] * k + [q - 1] if p == 2 else [q - 1] * 2
+    elif label == "C3":
+        if p == 3:
+            orders = [3] * (2 * k) + [q - 1]
+        else:
             orders = [q - 1] * 3 if (q - 1) % 3 == 0 else [q - 1, q * q - 1]
-            return AbelianType.from_cyclic_orders(orders)
+    elif p <= 3:
         return None
-    if p == 3:
-        if label == "C2":
-            return AbelianType.from_cyclic_orders([q - 1] * 2)
-        if label == "C3":
-            return AbelianType.from_cyclic_orders([3] * (2 * k) + [q - 1])
-        return None
-    if label == "C2":
-        return AbelianType.from_cyclic_orders([q - 1] * 2)
-    if label == "C3":
-        orders = [q - 1] * 3 if (q - 1) % 3 == 0 else [q - 1, q * q - 1]
-        return AbelianType.from_cyclic_orders(orders)
-    if label == "C2xC2":
-        return AbelianType.from_cyclic_orders([q - 1] * 4)
-    if label == "C4":
+    elif label == "C2xC2":
+        orders = [q - 1] * 4
+    elif label == "C4":
         orders = [q - 1] * 4 if (q - 1) % 4 == 0 else [q - 1, q - 1, q * q - 1]
-        return AbelianType.from_cyclic_orders(orders)
-    return None
+    else:
+        return None
+    return AbelianType.from_cyclic_orders(orders)
 
 
 def prose_decomposition(p: int, k: int, label: str) -> str | None:

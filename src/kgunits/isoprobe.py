@@ -1,39 +1,37 @@
 """Ring-isomorphism decisions for same-field, same-size group algebra pairs.
 
-Refutation works through a bundle of ring-theoretic invariants compared in
-a fixed order.  Certification only ever happens through matching
-decompositions into copies of K plus an explicitly constructed and
-exhaustively verified isomorphism; invariant equality alone never
-certifies.  A pair with an extension block F_{q^d}, d > 1, reads
-inconclusive; the first such pair, F8[C9] ~ F8[C3xC3], has size 8^9.
-``_pair_row`` reads
-one pair's scan row, its verdict and detail, straight off the two bundles,
-and ``compare_unit_groups`` the note on a pair of nonabelian groups.
+Refutation works through a bundle of three invariants compared in a fixed
+order: commutativity, |U| and the unit-order spectrum.  Below the bound
+1024 they refute every pair but F5[C4] ~ F5[C2xC2], where they tie.
+Certification only ever happens through matching decompositions into
+copies of K plus an explicitly constructed and exhaustively verified
+isomorphism; invariant equality alone never certifies.  A pair with an
+extension block F_{q^d}, d > 1, reads inconclusive; the first such pair,
+F8[C9] ~ F8[C3xC3], has size 8^9.  ``_pair_row`` reads one pair's scan
+row, its verdict and detail, straight off the two bundles, and
+``compare_unit_groups`` the note on a pair of nonabelian groups.
 
 ``scan_minimum_counterexample`` walks the pairs in one sequential loop, in
 ascending size: the whole scan is a fraction of a second, so a process pool
 would cost more to start than it could save.  It reads each algebra's
 invariants lazily, so an algebra's units are built at most once, when a
-compared invariant or a note reads them, and its square map and centre only
-when a pair ties through the unit-order spectrum.
+compared invariant or a note reads them.
 """
 
 import hashlib
 from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
-from math import isqrt
 
 from .algebra import Algebra, AlgebraElement, row_reduce
-from .catalog import check_bound
+from .catalog import algebra_shapes
 from .decompose import decompose_abelian
-from .fields import make_field, prime_power_split
+from .fields import make_field
 from .groups import groups_of_order
 from .units import UnitGroup
 
 InvariantBundle = namedtuple("InvariantBundle", [
-    "commutative", "unit_count", "unit_order_spectrum", "idempotent_count",
-    "nilpotent_count", "square_zero_count", "center_dimension"])
+    "commutative", "unit_count", "unit_order_spectrum"])
 
 # comparison order is part of the output contract: the first differing
 # entry names the verdict, so it must not depend on dict ordering
@@ -41,43 +39,12 @@ BUNDLE_COMPARE_FIELDS = InvariantBundle._fields
 
 
 def bundle(algebra: Algebra, units: UnitGroup) -> InvariantBundle:
-    """All invariants by exhaustive enumeration over the algebra's code tuples."""
-    group = algebra.group
-    n = group.order
-    mul = algebra.mul_codes
-    square = {a: mul(a, a) for a in algebra.keys()}
-    idem = nil = sq0 = 0
-    squarings = max(0, (n - 1).bit_length())  # a nilpotent has a^(2^t) = 0 once 2^t >= dim
-    for a, a2 in square.items():
-        if a2 == a:
-            idem += 1
-        if not any(a2):
-            sq0 += 1
-        s = a if squarings == 0 else a2
-        for _ in range(squarings - 1):
-            s = square[s]
-        if not any(s):
-            nil += 1
-
-    if group.is_abelian():
-        center_dim = n
-    else:
-        # x is central iff x*g - g*x = 0 for every generator g
-        gens = [algebra.group_element(name) for name, _ in group.generators]
-        rows = []
-        for i in range(n):
-            b = algebra.basis_element(i)
-            rows.append([c for g in gens for c in (b * g - g * b).key()])
-        center_dim = n - row_reduce(rows, algebra.field, len(rows[0]))
-
+    """The compared invariants: commutativity from the group, the rest from
+    the unit group."""
     return InvariantBundle(
-        commutative=group.is_abelian(),
+        commutative=algebra.group.is_abelian(),
         unit_count=units.order,
         unit_order_spectrum=units.unit_order_spectrum(),
-        idempotent_count=idem,
-        nilpotent_count=nil,
-        square_zero_count=sq0,
-        center_dimension=center_dim,
     )
 
 
@@ -225,9 +192,10 @@ def _pair_row(a: Algebra, b: Algebra,
     """The scan row of one pair of algebras over one field, from their bundles.
 
     The first invariant in BUNDLE_COMPARE_FIELDS that differs refutes the
-    pair; none past it is read, so the scan's lazy bundles never compute
-    it.  A commutative tie where both decompose into the same copies of K
-    is certified by a verified witness; any other tie is inconclusive.
+    pair; none past it is read, so the scan's lazy bundles build no units
+    for a pair that commutativity refutes.  A commutative tie where both
+    decompose into the same copies of K is certified by a verified witness;
+    any other tie is inconclusive.
     """
     def row(verdict: str, detail: str) -> ScanRow:
         return ScanRow(a.size, a.field.label(), a.group.label, b.group.label,
@@ -273,21 +241,18 @@ def _scan_algebras(bound: int) -> list[tuple[int, int, int]]:
     bound and at least two groups of order n; sizes ascend, and q within a
     size.  Only q with q^2 < bound can give such a pair."""
     combos = []
-    for q in range(2, isqrt(check_bound(bound) - 1) + 1):
-        split = prime_power_split(q)
-        n = 2
-        while split and q ** n < bound:
-            if len(groups_of_order(n)) >= 2:
-                combos.append((q ** n, q, *split, n))
-            n += 1
+    for q, p, k, n in algebra_shapes(bound):
+        if q * q >= bound:
+            break
+        if n >= 2 and len(groups_of_order(n)) >= 2:
+            combos.append((q ** n, q, p, k, n))
     return [(p, k, n) for _, _, p, k, n in sorted(combos)]
 
 
 class _LazyBundle:
-    """One algebra's InvariantBundle fields, each computed on its first read
-    and at most once: ``commutative`` from the group, ``unit_count`` and
-    ``unit_order_spectrum`` from one UnitGroup, and the rest from one call of
-    ``bundle`` on that UnitGroup."""
+    """One algebra's InvariantBundle fields, read as ``bundle`` would give
+    them: ``commutative`` from the group, ``unit_count`` and
+    ``unit_order_spectrum`` from one UnitGroup, built on the first read."""
 
     def __init__(self, algebra: Algebra):
         self.algebra = algebra
@@ -297,16 +262,8 @@ class _LazyBundle:
     def units(self) -> UnitGroup:
         return UnitGroup(self.algebra)
 
-    @cached_property
-    def full(self) -> InvariantBundle:
-        return bundle(self.algebra, self.units)
-
     unit_count = property(lambda self: self.units.order)
     unit_order_spectrum = property(lambda self: self.units.unit_order_spectrum())
-    idempotent_count = property(lambda self: self.full.idempotent_count)
-    nilpotent_count = property(lambda self: self.full.nilpotent_count)
-    square_zero_count = property(lambda self: self.full.square_zero_count)
-    center_dimension = property(lambda self: self.full.center_dimension)
 
 
 def scan_minimum_counterexample(bound: int = 1024) -> ScanReport:

@@ -1,4 +1,5 @@
 import json
+from math import prod
 
 import pytest
 
@@ -67,6 +68,80 @@ def test_lemma_block_rule_matches_the_elementary_abelian_test():
 def test_enumeration_rows_are_the_unpredicted_modular_shapes(catalog_rows):
     enum = {(r.field, r.group) for r in catalog_rows if r.method == "enumeration"}
     assert enum == {("F2", "C4"), ("F2", "C8"), ("F2", "C4xC2"), ("F4", "C4")}
+
+
+def _sandling_unit_structure(summands):
+    """U of a sum of blocks by Sandling's count (J. Pure Appl. Algebra 33,
+    1984): a block F[P] with |F| = p^m gives C_{|F|-1} and, for i >= 1,
+    m(|P^(p^(i-1))| - 2|P^(p^i)| + |P^(p^(i+1))|) cyclic factors C_{p^i}."""
+    orders = []
+    for block in summands.blocks:
+        orders.append(block.field_size() - 1)
+        if not block.p_part:
+            continue
+        p, k = prime_power_split(block.q_base)
+        m = k * block.degree
+
+        def power_size(j):  # |P^(p^j)|, P a product of cyclic p-groups
+            return prod(max(o // p ** j, 1) for o in block.p_part)
+        i = 1
+        while p ** i <= max(block.p_part):
+            count = m * (power_size(i - 1) - 2 * power_size(i) + power_size(i + 1))
+            orders.extend([p ** i] * count)
+            i += 1
+    return AbelianType.from_cyclic_orders(o for o in orders if o > 1)
+
+
+def test_sandling_count_matches_every_abelian_row(catalog_rows):
+    abelian = [r for r in catalog_rows if r.decomposition is not None]
+    assert len(abelian) == 239
+    unpredicted = set()
+    for r in abelian:
+        summands = decompose_abelian(
+            Algebra(make_field(r.p, r.k), group_by_label(r.group)))
+        assert _sandling_unit_structure(summands).render() == r.structure, \
+            (r.field, r.group)
+        if predicted_unit_structure(summands) is None:
+            unpredicted.add((r.field, r.group))
+    # the rows with no closed form in the program: P of exponent above p
+    assert unpredicted == {("F2", "C4"), ("F2", "C8"), ("F2", "C4xC2"),
+                           ("F4", "C4")}
+
+
+def _normal_sylow_order(group, p):
+    """|P| for the Sylow p-subgroup P of G if it is normal, else None.  P is
+    normal exactly when it holds every element of p-power order."""
+    p_part, rest = 1, group.order
+    while rest % p == 0:
+        p_part, rest = p_part * p, rest // p
+    p_elements = 0
+    for g in range(group.order):
+        o = group.element_order(g)
+        while o % p == 0:
+            o //= p
+        p_elements += o == 1
+    return p_part if p_elements == p_part else None
+
+
+def test_radical_count_matches_the_nonabelian_rows(catalog_rows, catalog_by_key):
+    """With P normal, J(KG) = w(KP)KG and KG/J = K[G/P], so
+    |U(KG)| = |U(K[G/P])| q^(|G| - |G/P|) (Passman; Milies & Sehgal)."""
+    counted = {}
+    for r in catalog_rows:
+        group = group_by_label(r.group)
+        if group.is_abelian():
+            continue
+        sylow = _normal_sylow_order(group, r.p)
+        if sylow is None:
+            continue
+        quotient_order = group.order // sylow
+        (quotient,) = groups_of_order(quotient_order)
+        quotient_units = catalog_by_key[(r.field, quotient.label)].unit_count
+        count = quotient_units * (r.p ** r.k) ** (group.order - quotient_order)
+        assert count == r.unit_count, (r.field, r.group)
+        counted[(r.field, r.group)] = count
+    # F2 D6 has three Sylow 2-subgroups, so it has no such count
+    assert counted == {("F2", "D8"): 128, ("F2", "Q8"): 128, ("F3", "D6"): 324}
 
 
 def test_presentation_rows_match_the_sources(catalog_rows):
