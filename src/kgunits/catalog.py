@@ -41,10 +41,16 @@ class CatalogRow(namedtuple("CatalogRow", [
 
 @lru_cache(maxsize=None)
 def build_row(p: int, k: int, label: str) -> CatalogRow:
-    """One catalog row, always anchored on brute-force enumeration."""
+    """One catalog row, always anchored on brute-force enumeration.  A
+    nonabelian row certifies its published presentation, which every such
+    algebra below 1024 has, so one past that bound is refused before its
+    units are built; an abelian row past it is still built."""
     field = make_field(p, k)
     group = group_by_label(label)
     algebra = Algebra(field, group)
+    if algebra.size >= SIZE_LIMIT and not group.is_abelian():
+        raise ValueError(f"{algebra.label()} has size {algebra.size}, outside "
+                         f"the catalog bound {SIZE_LIMIT}")
     units = UnitGroup(algebra)
 
     if group.is_abelian():
@@ -73,29 +79,23 @@ def build_row(p: int, k: int, label: str) -> CatalogRow:
             detail = "blockwise prediction, matched by enumeration"
     else:
         decomposition = None
-        src = PRESENTATION_SOURCES.get((field.label(), label))
-        if src is None:
-            structure = structure_string("unclassified", units.order)
-            method = "enumeration"
-            detail = "brute-force enumeration; no published presentation"
+        src = PRESENTATION_SOURCES[field.label(), label]
+        gens = src.build_generators(algebra)
+        cert = certify_from_source(units, src.text, gens)
+        if not isinstance(cert, Certificate):
+            raise RuntimeError(
+                f"published presentation fails on {algebra.label()}: "
+                f"{cert.summary()}")
+        dihedral, _ = units.recognize_dihedral()
+        if dihedral:
+            structure = structure_string("dihedral", units.order)
         else:
-            gens = src.build_generators(algebra)
-            cert = certify_from_source(units, src.text, gens)
-            if not isinstance(cert, Certificate):
-                raise RuntimeError(
-                    f"published presentation fails on {algebra.label()}: "
-                    f"{cert.summary()}")
-            dihedral, _ = units.recognize_dihedral()
-            if dihedral:
-                structure = structure_string("dihedral", units.order)
-            else:
-                structure = structure_string(
-                    "presented",
-                    (cert.order, len(cert.presentation.generator_names)))
-            method = "presentation"
-            detail = (f"relators verified in U, generators close over the full "
-                      f"group, coset enumeration gives {cert.order} "
-                      "(left commutators)")
+            structure = structure_string(
+                "presented", (cert.order, len(cert.presentation.generator_names)))
+        method = "presentation"
+        detail = (f"relators verified in U, generators close over the full "
+                  f"group, coset enumeration gives {cert.order} "
+                  "(left commutators)")
 
     return CatalogRow(field=field.label(), p=p, k=k, group=label,
                       size=algebra.size, decomposition=decomposition,

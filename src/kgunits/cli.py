@@ -18,7 +18,7 @@ import sys
 from .algebra import Algebra
 from .catalog import build_catalog, build_row, check_bound, verify_catalog
 from .decompose import decompose_abelian
-from .fields import SIZE_LIMIT, make_field, prime_power_split
+from .fields import SIZE_LIMIT, check_field_size, make_field, prime_power_split
 from .groups import group_by_label
 from .presentations import DEFAULT_COSET_LIMIT, coset_enumeration, \
     parse_presentation
@@ -30,12 +30,13 @@ def _emit_json(payload) -> None:
 
 def _parse_field(text: str) -> tuple[int, int]:
     """(p, k) from a label as FieldSpec.label writes it: F, then an ASCII
-    number without a leading zero."""
+    number without a leading zero.  A size of 1024 or more is refused
+    before it is factored."""
     digits = text[1:]
     if not (text.startswith("F") and digits.isascii() and digits.isdigit()
             and digits[0] != "0"):
         raise ValueError(f"field label must look like F9, got {text!r}")
-    split = prime_power_split(int(digits))
+    split = prime_power_split(check_field_size(int(digits)))
     if split is None:
         raise ValueError(f"{digits} is not a prime power")
     return split

@@ -10,11 +10,13 @@ field blocks as "F4", modular blocks as "F4[C2]" or "F2[C2^2]", equal
 blocks grouped with "^m", summands joined with " + ", e.g. "F2 + F4^4".
 """
 
+import math
 from collections import namedtuple
-from functools import reduce
+from itertools import groupby
 
 from .algebra import Algebra
-from .fields import factor_monic, make_field, prime_power_split, x_power_minus_one
+from .fields import factor_monic, make_field, prime_power_split, valuation, \
+    x_power_minus_one
 from .units import AbelianType, primary_partitions
 
 
@@ -28,10 +30,7 @@ class Block(namedtuple("Block", "q_base degree p_part")):
     def __new__(cls, q_base: int, degree: int, p_part: tuple[int, ...] = ()):
         p = prime_power_split(q_base)[0]
         for o in p_part:
-            n = o
-            while n % p == 0:
-                n //= p
-            if n != 1 or o < p:
+            if valuation(o, p)[1] != 1 or o == 1:
                 raise ValueError(f"p-part order {o} is not a power of {p}")
         return super().__new__(cls, q_base, degree, p_part)
 
@@ -39,7 +38,7 @@ class Block(namedtuple("Block", "q_base degree p_part")):
         return self.q_base ** self.degree
 
     def group_size(self) -> int:
-        return reduce(lambda a, b: a * b, self.p_part, 1)
+        return math.prod(self.p_part)
 
     def dimension(self) -> int:
         return self.degree * self.group_size()
@@ -71,25 +70,14 @@ class SummandList(namedtuple("SummandList", "blocks")):
         return sum(b.dimension() for b in self.blocks)
 
     def unit_order(self) -> int:
-        n = 1
-        for b in self.blocks:
-            n *= b.unit_order()
-        return n
+        return math.prod(b.unit_order() for b in self.blocks)
 
     def all_fields(self) -> bool:
         return not any(b.p_part for b in self.blocks)
 
     def render(self) -> str:
-        out = []
-        i = 0
-        while i < len(self.blocks):
-            j = i
-            while j < len(self.blocks) and self.blocks[j] == self.blocks[i]:
-                j += 1
-            name = self.blocks[i].render()
-            out.append(name if j - i == 1 else f"{name}^{j - i}")
-            i = j
-        return " + ".join(out)
+        runs = [(block.render(), len(list(run))) for block, run in groupby(self.blocks)]
+        return " + ".join(name if m == 1 else f"{name}^{m}" for name, m in runs)
 
 
 def decompose_abelian(algebra: Algebra) -> SummandList:

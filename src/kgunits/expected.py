@@ -11,7 +11,8 @@ Misprints found while recomputing the catalog are recorded in MISPRINTS;
 rows store the corrected values, the registry keeps the printed ones with
 one line of recomputed evidence each.  Beyond the table, the source states
 closed-form families for the smallest groups over arbitrary coefficient
-fields; prose_unit_structure and prose_decomposition reproduce those.
+fields; prose_family reproduces each one's unit structure and decomposition
+under one set of guards.
 Facts that only tests check, such as which published relators are
 redundant, are in tests/reference_checks.py.
 """
@@ -113,47 +114,29 @@ MISPRINTS: tuple[Misprint, ...] = (
 # ---------------------------------------------------------------------------
 # prose families: closed forms for the smallest groups over any field F_q
 
-def prose_unit_structure(p: int, k: int, label: str) -> AbelianType | None:
-    """Published closed-form unit structure, or None if no family covers it."""
+def prose_family(p: int, k: int, label: str) -> tuple[AbelianType, str | None] | None:
+    """Published closed form for U(F_{p^k} G): (unit structure, decomposition
+    or None where the source states none), or None if no family covers it."""
     q = p ** k
     if label == "C1":
-        orders = [q - 1]
+        orders, decomposition = [q - 1], f"F{q}"
+    elif label == "C2" and p == 2:
+        orders, decomposition = [2] * k + [q - 1], None
     elif label == "C2":
-        orders = [2] * k + [q - 1] if p == 2 else [q - 1] * 2
+        orders, decomposition = [q - 1] * 2, f"F{q}^2"
+    elif label == "C3" and p == 3:
+        orders, decomposition = [3] * (2 * k) + [q - 1], None
+    elif label == "C3" and (q - 1) % 3 == 0:
+        orders, decomposition = [q - 1] * 3, f"F{q}^3"
     elif label == "C3":
-        if p == 3:
-            orders = [3] * (2 * k) + [q - 1]
-        else:
-            orders = [q - 1] * 3 if (q - 1) % 3 == 0 else [q - 1, q * q - 1]
-    elif p <= 3:
+        orders, decomposition = [q - 1, q * q - 1], f"F{q} + F{q * q}"
+    elif p <= 3 or label not in ("C2xC2", "C4"):
         return None
-    elif label == "C2xC2":
-        orders = [q - 1] * 4
-    elif label == "C4":
-        orders = [q - 1] * 4 if (q - 1) % 4 == 0 else [q - 1, q - 1, q * q - 1]
+    elif label == "C2xC2" or (q - 1) % 4 == 0:
+        orders, decomposition = [q - 1] * 4, f"F{q}^4"
     else:
-        return None
-    return AbelianType.from_cyclic_orders(orders)
-
-
-def prose_decomposition(p: int, k: int, label: str) -> str | None:
-    """Published closed-form decomposition, or None where none is stated."""
-    q = p ** k
-    if label == "C1":
-        return f"F{q}"
-    if label == "C2":
-        return None if p == 2 else f"F{q}^2"
-    if label == "C3":
-        if p == 3:
-            return None
-        return f"F{q}^3" if (q - 1) % 3 == 0 else f"F{q} + F{q * q}"
-    if p <= 3:
-        return None
-    if label == "C2xC2":
-        return f"F{q}^4"
-    if label == "C4":
-        return f"F{q}^4" if (q - 1) % 4 == 0 else f"F{q}^2 + F{q * q}"
-    return None
+        orders, decomposition = [q - 1, q - 1, q * q - 1], f"F{q}^2 + F{q * q}"
+    return AbelianType.from_cyclic_orders(orders), decomposition
 
 
 def expectation_for(p: int, k: int, label: str) -> dict | None:
@@ -168,10 +151,10 @@ def expectation_for(p: int, k: int, label: str) -> dict | None:
     """
     field_label = f"F{p ** k}"
     row = ROW_INDEX.get((field_label, label))
-    prose = prose_unit_structure(p, k, label)
-    prose_dec = prose_decomposition(p, k, label)
-    if row is None and prose is None:
+    family = prose_family(p, k, label)
+    if row is None and family is None:
         return None
+    prose, prose_dec = family or (None, None)
     if prose is not None and row is not None and row.structure is not None:
         if row.structure != prose.render():
             raise RuntimeError(

@@ -49,8 +49,7 @@ def prime_factors(n: int) -> tuple[int, ...]:
     while d * d <= n:
         if n % d == 0:
             out.append(d)
-            while n % d == 0:
-                n //= d
+            n = valuation(n, d)[1]
         d += 1
     if n > 1:
         out.append(n)
@@ -70,19 +69,28 @@ def _first_primitive(q: int, power) -> int:
                 if all(power(g, n // r) != 1 for r in prime_factors(n)))
 
 
+def valuation(n: int, p: int) -> tuple[int, int]:
+    """(e, m) with n == p**e * m and p not dividing m; ValueError for n < 1."""
+    if n < 1 or p < 2:
+        raise ValueError(f"valuation needs n >= 1 and p >= 2, got n={n}, p={p}")
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e, n
+
+
 def prime_power_split(q: int) -> tuple[int, int] | None:
     """Return (p, k) with p prime and p**k == q, or None."""
-    if q < 2:
-        return None
     ps = prime_factors(q)
-    if len(ps) != 1:
-        return None
-    p = ps[0]
-    k = 0
-    while q % p == 0:
-        q //= p
-        k += 1
-    return (p, k) if q == 1 else None
+    return (ps[0], valuation(q, ps[0])[0]) if len(ps) == 1 else None
+
+
+def check_field_size(q: int) -> int:
+    """q, if a field of that size is within the catalog; else ValueError."""
+    if q >= SIZE_LIMIT:
+        raise ValueError(f"field size {q} out of supported range (< {SIZE_LIMIT})")
+    return q
 
 
 class FieldSpec:
@@ -311,13 +319,13 @@ class FieldElement:
 
 @lru_cache(maxsize=None)
 def make_field(p: int, k: int) -> FieldSpec:
-    """F_{p^k} with the canonical minimal modulus.  Requires p**k < 1024."""
+    """F_{p^k} with the canonical minimal modulus.  Requires p**k < 1024,
+    checked before p is factored."""
+    check_field_size(p ** k)
     if not is_prime(p):
         raise ValueError(f"characteristic must be prime, got {p}")
     if k < 1:
         raise ValueError(f"extension degree must be positive, got {k}")
-    if p ** k >= SIZE_LIMIT:
-        raise ValueError(f"field size {p ** k} out of supported range (< {SIZE_LIMIT})")
     if k == 1:
         return FieldSpec(p, 1, (0, 1))
     prime = make_field(p, 1)

@@ -13,9 +13,10 @@ row, its verdict and detail, straight off the two bundles, and
 
 ``scan_minimum_counterexample`` walks the pairs in one sequential loop, in
 ascending size: the whole scan is a fraction of a second, so a process pool
-would cost more to start than it could save.  It reads each algebra's
-invariants lazily, so an algebra's units are built at most once, when a
-compared invariant or a note reads them.
+would cost more to start than it could save.  It takes each algebra's
+invariants from ``bundle``, whose InvariantBundle reads them lazily, so an
+algebra's units are built at most once, when a compared invariant or a
+note reads them.
 """
 
 import hashlib
@@ -30,22 +31,31 @@ from .fields import make_field
 from .groups import groups_of_order
 from .units import UnitGroup
 
-InvariantBundle = namedtuple("InvariantBundle", [
-    "commutative", "unit_count", "unit_order_spectrum"])
-
 # comparison order is part of the output contract: the first differing
 # entry names the verdict, so it must not depend on dict ordering
-BUNDLE_COMPARE_FIELDS = InvariantBundle._fields
+BUNDLE_COMPARE_FIELDS = ("commutative", "unit_count", "unit_order_spectrum")
 
 
-def bundle(algebra: Algebra, units: UnitGroup) -> InvariantBundle:
-    """The compared invariants: commutativity from the group, the rest from
-    the unit group."""
-    return InvariantBundle(
-        commutative=algebra.group.is_abelian(),
-        unit_count=units.order,
-        unit_order_spectrum=units.unit_order_spectrum(),
-    )
+class InvariantBundle:
+    """One algebra's compared invariants, read lazily: ``commutative`` from
+    the group, ``unit_count`` and ``unit_order_spectrum`` from one UnitGroup,
+    built on the first read of either."""
+
+    def __init__(self, algebra: Algebra):
+        self.algebra = algebra
+        self.commutative = algebra.group.is_abelian()
+
+    @cached_property
+    def units(self) -> UnitGroup:
+        return UnitGroup(self.algebra)
+
+    unit_count = property(lambda self: self.units.order)
+    unit_order_spectrum = property(lambda self: self.units.unit_order_spectrum())
+
+
+def bundle(algebra: Algebra) -> InvariantBundle:
+    """The compared invariants of one algebra; no units are built yet."""
+    return InvariantBundle(algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +202,8 @@ def _pair_row(a: Algebra, b: Algebra,
     """The scan row of one pair of algebras over one field, from their bundles.
 
     The first invariant in BUNDLE_COMPARE_FIELDS that differs refutes the
-    pair; none past it is read, so the scan's lazy bundles build no units
-    for a pair that commutativity refutes.  A commutative tie where both
+    pair; none past it is read, so the bundles build no units for a pair
+    that commutativity refutes.  A commutative tie where both
     decompose into the same copies of K is certified by a verified witness;
     any other tie is inconclusive.
     """
@@ -249,23 +259,6 @@ def _scan_algebras(bound: int) -> list[tuple[int, int, int]]:
     return [(p, k, n) for _, _, p, k, n in sorted(combos)]
 
 
-class _LazyBundle:
-    """One algebra's InvariantBundle fields, read as ``bundle`` would give
-    them: ``commutative`` from the group, ``unit_count`` and
-    ``unit_order_spectrum`` from one UnitGroup, built on the first read."""
-
-    def __init__(self, algebra: Algebra):
-        self.algebra = algebra
-        self.commutative = algebra.group.is_abelian()
-
-    @cached_property
-    def units(self) -> UnitGroup:
-        return UnitGroup(self.algebra)
-
-    unit_count = property(lambda self: self.units.order)
-    unit_order_spectrum = property(lambda self: self.units.unit_order_spectrum())
-
-
 def scan_minimum_counterexample(bound: int = 1024) -> ScanReport:
     """Examine every same-field pair of non-isomorphic groups below the bound.
 
@@ -281,7 +274,7 @@ def scan_minimum_counterexample(bound: int = 1024) -> ScanReport:
         groups = groups_of_order(n)
         counts.append(len(groups))
         algebras = {g.label: Algebra(field, g) for g in groups}
-        bundles = {lbl: _LazyBundle(alg) for lbl, alg in algebras.items()}
+        bundles = {lbl: bundle(alg) for lbl, alg in algebras.items()}
         for ga, gb in combinations(groups, 2):
             pair = (algebras[ga.label], algebras[gb.label],
                     bundles[ga.label], bundles[gb.label])

@@ -17,21 +17,19 @@ here assumes any structure theory of the algebra; it only multiplies units.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, namedtuple
 from functools import cached_property
 
 from .algebra import Algebra, enumerate_units
-from .fields import prime_factors
+from .fields import prime_factors, valuation
 
 
 def _int_log(base: int, n: int) -> int:
     """Exact logarithm; raises if n is not a power of base."""
-    e = 0
-    while n > 1:
-        if n % base:
-            raise ValueError(f"{n} is not a power of {base}")
-        n //= base
-        e += 1
+    e, rest = valuation(n, base)
+    if rest != 1:
+        raise ValueError(f"{n} is not a power of {base}")
     return e
 
 
@@ -64,13 +62,8 @@ def primary_partitions(order: int, spectrum) -> dict[int, tuple[int, ...]]:
     parts: dict[int, tuple[int, ...]] = {}
     total = 1
     for r in prime_factors(order):
-        max_e = 0
-        o = order
-        while o % r == 0:
-            o //= r
-            max_e += 1
         counts = [sum(c for d, c in spectrum if r ** i % d == 0)
-                  for i in range(max_e + 1)]
+                  for i in range(valuation(order, r)[0] + 1)]
         parts[r] = partition_from_power_counts(r, counts)
         total *= r ** sum(parts[r])
     if total != order:
@@ -101,33 +94,19 @@ class AbelianType(namedtuple("AbelianType", "primary")):
             if n < 1:
                 raise ValueError("cyclic factor orders must be positive")
             for p in prime_factors(n):
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                parts.setdefault(p, []).append(e)
+                parts.setdefault(p, []).append(valuation(n, p)[0])
         return cls.from_primary({p: tuple(v) for p, v in parts.items()})
 
     def order(self) -> int:
-        n = 1
-        for p, lam in self.primary:
-            for e in lam:
-                n *= p ** e
-        return n
+        return math.prod(p ** e for p, lam in self.primary for e in lam)
 
     def render(self) -> str:
         """Canonical string: primes ascending, exponents ascending, e.g. C2^5 x C4."""
         if not self.primary:
             return "C1"
-        factors = []
-        for p, lam in self.primary:
-            mults: dict[int, int] = {}
-            for e in lam:
-                mults[e] = mults.get(e, 0) + 1
-            for e in sorted(mults):
-                base = f"C{p ** e}"
-                factors.append(base if mults[e] == 1 else f"{base}^{mults[e]}")
-        return " x ".join(factors)
+        return " x ".join(f"C{p ** e}" if m == 1 else f"C{p ** e}^{m}"
+                          for p, lam in self.primary
+                          for e, m in sorted(Counter(lam).items()))
 
     @classmethod
     def parse(cls, text: str) -> "AbelianType":
@@ -240,8 +219,9 @@ def structure_string(kind: str, payload) -> str:
     """Rendering grammar shared by catalog rows and reports.
 
     The payload is an AbelianType for "abelian", the group order for
-    "dihedral" and "unclassified", and (order, generator count) for
-    "presented".  parse_structure_order reads the order back.
+    "dihedral", and (order, generator count) for "presented".  Every
+    nonabelian algebra below 1024 has a published presentation, so no row
+    needs another kind.  parse_structure_order reads the order back.
     """
     if kind == "abelian":
         return payload.render()
@@ -250,8 +230,6 @@ def structure_string(kind: str, payload) -> str:
     if kind == "presented":
         order, generators = payload
         return f"presented(order {order}, {generators} generators)"
-    if kind == "unclassified":
-        return f"unclassified(order={payload})"
     raise ValueError(f"unknown structure kind {kind!r}")
 
 
@@ -261,8 +239,6 @@ def parse_structure_order(text: str) -> int | None:
     try:
         if text.startswith("presented(order "):
             return int(text[len("presented(order "):].split(",")[0].rstrip(")"))
-        if text.startswith("unclassified(order="):
-            return int(text[len("unclassified(order="):].rstrip(")"))
         if text.startswith("D") and text[1:].isdigit():
             return int(text[1:])
         return AbelianType.parse(text).order()

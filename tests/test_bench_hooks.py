@@ -4,7 +4,8 @@ bench/tracing.py patches kgunits by module and attribute path; a renamed
 function would fail only a traced benchmark run.  This loads that file by
 path, in this process, and resolves each of its targets.  It also checks
 that the unit census runs inside the traced enumerate_units, so that
-algebra.enumerate_units_s measures it.
+algebra.enumerate_units_s measures it, and that the isomorphism scan takes
+every algebra's invariants through the traced bundle.
 """
 
 import importlib.util
@@ -14,6 +15,7 @@ from pathlib import Path
 from kgunits.algebra import Algebra
 from kgunits.fields import make_field
 from kgunits.groups import group_by_label
+from kgunits.isoprobe import scan_minimum_counterexample
 from kgunits.units import UnitGroup
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -38,16 +40,21 @@ def test_every_tracing_target_resolves():
         assert attr == path.rsplit(".", 1)[-1] and callable(value), (module, path)
 
 
+def _trace(monkeypatch, tracing, tracer, name):
+    """Wrap one span target as tracing.rebind does: at every kgunits module
+    that binds the function."""
+    _, attr, original = tracing.resolve(*tracing.SPAN_TARGETS[name])
+    traced = tracer.span_wrapper(name, original)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "kgunits" and getattr(module, attr, None) is original:
+            monkeypatch.setattr(module, attr, traced)
+
+
 def test_unit_census_runs_under_the_traced_enumerate_units(monkeypatch):
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     name = "algebra.enumerate_units"
-    _, attr, original = tracing.resolve(*tracing.SPAN_TARGETS[name])
-    traced = tracer.span_wrapper(name, original)
-    # as tracing.rebind does: every kgunits module that binds the function
-    for module_name, module in list(sys.modules.items()):
-        if module_name.split(".")[0] == "kgunits" and getattr(module, attr, None) is original:
-            monkeypatch.setattr(module, attr, traced)
+    _trace(monkeypatch, tracing, tracer, name)
     alg = Algebra(make_field(2, 1), group_by_label("D8"))
     units = UnitGroup(alg)
     assert [span[0] for span in tracer.spans] == [name]
@@ -59,3 +66,13 @@ def test_unit_census_runs_under_the_traced_enumerate_units(monkeypatch):
     assert len(units._order_list()) == units.order == 128
     assert units.unit_order_spectrum()
     assert products == []
+
+
+def test_the_scan_takes_every_bundle_through_the_traced_bundle(monkeypatch):
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    _trace(monkeypatch, tracing, tracer, "isoprobe.bundle")
+    assert scan_minimum_counterexample(1024).pair_count == 17
+    # one span per scanned algebra: 19 algebras in 8 (field, order) shapes
+    assert [span[0] for span in tracer.spans] == ["isoprobe.bundle"] * 19
+    assert "isoprobe.bundle_s" in tracing.span_metrics(tracer.spans)

@@ -3,6 +3,7 @@ from math import prod
 
 import pytest
 
+import kgunits.catalog
 from kgunits.algebra import Algebra
 from kgunits.catalog import build_catalog, build_row, catalog_specs, verify_catalog
 from kgunits.decompose import decompose_abelian, predicted_unit_structure
@@ -189,9 +190,7 @@ def test_parse_structure_order():
     assert parse_structure_order("C2^5 x C4") == 128
     assert parse_structure_order("D12") == 12
     assert parse_structure_order("presented(order 324, 3 generators)") == 324
-    assert parse_structure_order("unclassified(order=7)") == 7
     assert parse_structure_order("what") is None
-    assert parse_structure_order("unclassified(order=x)") is None
     assert parse_structure_order("presented(order x, 3 generators)") is None
 
 
@@ -212,6 +211,15 @@ def test_catalog_specs_small_bound():
 
 def test_build_row_is_cached():
     assert build_row(2, 1, "C6") is build_row(2, 1, "C6")
+
+
+def test_a_nonabelian_row_past_the_bound_is_refused_before_its_units(monkeypatch):
+    built = []
+    monkeypatch.setattr(kgunits.catalog, "UnitGroup", built.append)
+    with pytest.raises(ValueError, match=r"^F5D6 has size 15625, outside the "
+                                         r"catalog bound 1024$"):
+        build_row.__wrapped__(5, 1, "D6")
+    assert built == []
 
 
 def test_parallel_build_agrees_with_sequential():

@@ -254,6 +254,17 @@ def test_field_labels_that_label_never_writes_exit_2(capsys, command, label):
     assert err == f"error: field label must look like F9, got {label!r}\n"
 
 
+@pytest.mark.parametrize("command", ["unit-group", "decompose"])
+@pytest.mark.parametrize("size", ["1000000000000000003", "1025"])
+def test_field_labels_past_the_bound_are_refused_before_factoring(
+        capsys, command, size):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, f"F{size}", "C1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: field size {size} out of supported range (< 1024)\n"
+
+
 @pytest.mark.parametrize("text", [
     "a | a^\u0663",   # an Arabic-Indic digit three
     "a | a^\u00b2",   # a superscript two

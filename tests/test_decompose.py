@@ -108,6 +108,10 @@ def test_block_invariants():
         Block(2, 1, (6,))
     with pytest.raises(ValueError):
         Block(3, 1, (2,))
+    # a zero order has no valuation, so it is refused, not divided out forever
+    for bad in (0, 1, -2):
+        with pytest.raises(ValueError):
+            Block(2, 1, (bad,))
 
 
 def test_summand_list_sorts_canonically():

@@ -3,8 +3,7 @@ import pytest
 import kgunits.expected
 from kgunits.algebra import Algebra
 from kgunits.expected import (MISPRINTS, PRESENTATION_SOURCES, ROW_INDEX,
-                              ROWS, expectation_for, prose_decomposition,
-                              prose_unit_structure)
+                              ROWS, expectation_for, prose_family)
 from kgunits.fields import make_field
 from kgunits.groups import group_by_label
 from kgunits.units import AbelianType
@@ -87,23 +86,25 @@ def test_prose_rules_spot_checks():
     assert expectation_for(7, 1, "C3")["unit_count"] == 216
     assert expectation_for(5, 2, "C2")["structure"] == "C8^2 x C3^2"
     assert expectation_for(5, 2, "C2")["unit_count"] == 576
+    def rendered(p, k, label):
+        structure, decomposition = prose_family(p, k, label)
+        return structure.render(), decomposition
+
     # trivial group: U = K^*
-    assert prose_unit_structure(2, 4, "C1").render() == "C3 x C5"
-    assert prose_unit_structure(3, 1, "C1").render() == "C2"
+    assert rendered(2, 4, "C1") == ("C3 x C5", "F16")
+    assert rendered(3, 1, "C1") == ("C2", "F3")
     # split vs inert C3 in odd characteristic away from 3
-    assert prose_unit_structure(7, 1, "C3").render() == "C2^3 x C3^3"
-    assert prose_unit_structure(5, 1, "C3").render() == "C4 x C8 x C3"
-    assert prose_unit_structure(2, 1, "D6") is None
-    assert prose_decomposition(7, 1, "C3") == "F7^3"
-    assert prose_decomposition(5, 1, "C3") == "F5 + F25"
-    assert prose_decomposition(2, 1, "C2") is None  # modular case
+    assert rendered(7, 1, "C3") == ("C2^3 x C3^3", "F7^3")
+    assert rendered(5, 1, "C3") == ("C4 x C8 x C3", "F5 + F25")
+    assert prose_family(2, 1, "D6") is None
+    assert rendered(2, 1, "C2") == ("C2", None)  # modular case
 
 
 def test_prose_agrees_with_enumeration_on_a_sample():
     from kgunits.units import UnitGroup
     for p, k, label in ((2, 2, "C3"), (5, 1, "C4"), (5, 1, "C2xC2"), (2, 3, "C2")):
         u = UnitGroup(Algebra(make_field(p, k), group_by_label(label)))
-        want = prose_unit_structure(p, k, label)
+        want, _ = prose_family(p, k, label)
         assert u.abelian_invariants() == want
         assert u.order == want.order()
 

@@ -11,7 +11,7 @@ from kgunits.fields import (SIZE_LIMIT, FieldElement, FieldSpec,
                             _first_primitive, factor_monic, is_prime,
                             make_field, monic_irreducibles, poly_divmod,
                             poly_mul, prime_factors, prime_power_split,
-                            x_power_minus_one)
+                            valuation, x_power_minus_one)
 from kgunits.groups import group_by_label
 from kgunits.units import UnitGroup
 
@@ -47,6 +47,21 @@ def test_prime_power_split():
     assert prime_power_split(6) is None
     assert prime_power_split(12) is None
     assert prime_power_split(1) is None
+    assert prime_power_split(0) is None
+
+
+@pytest.mark.parametrize("n,p,expected", [
+    (1, 2, (0, 1)), (8, 2, (3, 1)), (24, 2, (3, 3)), (7, 3, (0, 7)),
+    (625, 5, (4, 1)), (3 ** 20 * 10, 3, (20, 10)),
+])
+def test_valuation(n, p, expected):
+    assert valuation(n, p) == expected
+
+
+@pytest.mark.parametrize("n,p", [(0, 2), (-4, 2), (4, 1), (4, 0)])
+def test_valuation_refuses_what_has_none(n, p):
+    with pytest.raises(ValueError):
+        valuation(n, p)
 
 
 def test_prime_helpers():
@@ -67,6 +82,12 @@ def test_field_size_cap():
         make_field(2, 10)
     with pytest.raises(ValueError):
         make_field(1021, 2)
+    # refused by size before the characteristic is factored
+    with pytest.raises(ValueError, match=r"^field size 1000000000000000003 out "
+                                         r"of supported range \(< 1024\)$"):
+        make_field(1000000000000000003, 1)
+    with pytest.raises(ValueError, match="field size 1025 out of supported range"):
+        make_field(1025, 1)
 
 
 def test_field_labels():

@@ -1,5 +1,5 @@
 import json
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import combinations
 
 import pytest
@@ -9,42 +9,54 @@ from kgunits.algebra import Algebra
 from kgunits.catalog import build_row, catalog_specs
 from kgunits.fields import make_field
 from kgunits.groups import group_by_label, groups_of_order
-from kgunits.isoprobe import (BUNDLE_COMPARE_FIELDS, InvariantBundle, _LazyBundle,
-                              _pair_row, _scan_algebras, bundle, compare_unit_groups,
+from kgunits.isoprobe import (BUNDLE_COMPARE_FIELDS, InvariantBundle, _pair_row,
+                              _scan_algebras, bundle, compare_unit_groups,
                               explicit_isomorphism, scan_minimum_counterexample)
 from kgunits.units import UnitGroup
+
+# an eager reference for the lazy bundle: every compared invariant read
+# straight off the group and one UnitGroup
+Reference = namedtuple("Reference", BUNDLE_COMPARE_FIELDS)
 
 
 def _alg(p, k, label):
     return Algebra(make_field(p, k), group_by_label(label))
 
 
-def _bundle(alg):
-    return bundle(alg, UnitGroup(alg))
+def _reference(alg):
+    units = UnitGroup(alg)
+    return Reference(alg.group.is_abelian(), units.order, units.unit_order_spectrum())
+
+
+def _fields(b):
+    return tuple(getattr(b, f) for f in BUNDLE_COMPARE_FIELDS)
 
 
 def _row(p, label_a, label_b):
     a, b = _alg(p, 1, label_a), _alg(p, 1, label_b)
-    return _pair_row(a, b, _bundle(a), _bundle(b))
+    return _pair_row(a, b, bundle(a), bundle(b))
 
 
 def test_frozen_bundles_for_the_order_256_rivals():
-    assert _bundle(_alg(2, 1, "D8")) == InvariantBundle(
-        commutative=False, unit_count=128,
-        unit_order_spectrum=((1, 1), (2, 47), (4, 80)))
-    assert _bundle(_alg(2, 1, "Q8")) == InvariantBundle(
-        commutative=False, unit_count=128,
-        unit_order_spectrum=((1, 1), (2, 15), (4, 112)))
+    assert _fields(bundle(_alg(2, 1, "D8"))) == (
+        False, 128, ((1, 1), (2, 47), (4, 80)))
+    assert _fields(bundle(_alg(2, 1, "Q8"))) == (
+        False, 128, ((1, 1), (2, 15), (4, 112)))
 
 
 def test_bundle_is_deterministic():
-    assert _bundle(_alg(3, 1, "C4")) == _bundle(_alg(3, 1, "C4"))
+    assert _fields(bundle(_alg(3, 1, "C4"))) == _fields(bundle(_alg(3, 1, "C4")))
 
 
 def test_bundle_holds_exactly_the_compared_invariants_in_order():
     # the comparison order names the verdict, so it is part of the output
-    assert BUNDLE_COMPARE_FIELDS == InvariantBundle._fields == (
+    assert BUNDLE_COMPARE_FIELDS == (
         "commutative", "unit_count", "unit_order_spectrum")
+    b = bundle(_alg(2, 1, "C3"))
+    assert isinstance(b, InvariantBundle)
+    # no units until a unit invariant is read, then one UnitGroup for both
+    assert "units" not in vars(b)
+    assert _fields(b) == _reference(b.algebra) and "units" in vars(b)
 
 
 def test_pair_row_refutes_by_the_first_differing_invariant():
@@ -68,7 +80,7 @@ def test_pair_row_certifies_the_order_625_pair():
 
 def test_a_certified_pair_is_decomposed_once_per_algebra(monkeypatch):
     a, b = _alg(5, 1, "C4"), _alg(5, 1, "C2xC2")
-    ba, bb = _bundle(a), _bundle(b)
+    ba, bb = bundle(a), bundle(b)
     real = kgunits.isoprobe.decompose_abelian
     calls = []
     monkeypatch.setattr(kgunits.isoprobe, "decompose_abelian",
@@ -81,7 +93,7 @@ def test_a_commutative_tie_without_matching_decompositions_is_inconclusive():
     # the bundles tie by construction; F3 C4 and C2xC2 decompose differently,
     # so explicit_isomorphism refuses and the row says so
     a, b = _alg(3, 1, "C4"), _alg(3, 1, "C2xC2")
-    ba = _bundle(a)
+    ba = bundle(a)
     r = _pair_row(a, b, ba, ba)
     assert (r.verdict, r.detail) == (
         "inconclusive", "invariant bundle ties and no certified decomposition match")
@@ -109,8 +121,8 @@ def test_explicit_isomorphism_refuses_extension_field_blocks():
 
 def test_a_tie_with_an_extension_field_block_is_inconclusive():
     a, b = _alg(2, 1, "C3"), _alg(2, 1, "C3")
-    ba, bb = _bundle(a), _bundle(b)
-    assert ba == bb
+    ba, bb = bundle(a), bundle(b)
+    assert _fields(ba) == _fields(bb)
     r = _pair_row(a, b, ba, bb)
     assert (r.verdict, r.detail) == (
         "inconclusive", "invariant bundle ties and no certified decomposition match")
@@ -141,10 +153,9 @@ def test_the_lazy_scan_matches_rows_and_notes_from_full_bundles(scan_report):
     rows, notes = [], []
     for p, k, n in _scan_algebras(1024):
         algebras = [_alg(p, k, g.label) for g in groups_of_order(n)]
-        full = [(alg, _bundle(alg)) for alg in algebras]
+        full = [(alg, _reference(alg)) for alg in algebras]
         for alg, expected in full:
-            lazy = _LazyBundle(alg)
-            assert tuple(getattr(lazy, f) for f in BUNDLE_COMPARE_FIELDS) == expected
+            assert _fields(bundle(alg)) == expected
         for (a, ba), (b, bb) in combinations(full, 2):
             rows.append(tuple(_pair_row(a, b, ba, bb)))
             if not (a.group.is_abelian() or b.group.is_abelian()):
@@ -162,9 +173,9 @@ def test_the_scan_builds_units_and_bundles_only_where_a_verdict_reads_them(
         units[alg.label()] += 1
         return real_units(alg)
 
-    def counted_bundle(alg, unit_group):
+    def counted_bundle(alg):
         bundles[alg.label()] += 1
-        return real_bundle(alg, unit_group)
+        return real_bundle(alg)
 
     monkeypatch.setattr(kgunits.isoprobe, "UnitGroup", counted_units)
     monkeypatch.setattr(kgunits.isoprobe, "bundle", counted_bundle)
@@ -175,9 +186,10 @@ def test_the_scan_builds_units_and_bundles_only_where_a_verdict_reads_them(
     refuted_by_the_group = {"F2C6", "F2D6", "F3C6", "F3D6"}
     assert len(scanned) == 19 and refuted_by_the_group <= scanned
     assert units == Counter(scanned - refuted_by_the_group)
-    # the lazy bundles read all three fields without calling bundle; only
-    # the F5 pair ties through the spectrum, and a tie goes to the witness
-    assert bundles == Counter()
+    # one bundle call per scanned algebra; the bundles build units for the
+    # 15 algebras whose pairs commutativity does not refute
+    assert bundles == Counter(scanned) and sum(bundles.values()) == 19
+    assert sum(units.values()) == 15
 
 
 def _scan_algebras_from_the_catalog(bound):
@@ -203,7 +215,7 @@ def test_scan_below_the_minimum_finds_nothing():
 
 
 def _note(a, b):
-    return compare_unit_groups(a, b, _bundle(a), _bundle(b))
+    return compare_unit_groups(a, b, bundle(a), bundle(b))
 
 
 def test_compare_unit_groups_branches():
@@ -222,8 +234,8 @@ def test_compare_unit_groups_branches():
 
 def test_the_spectrum_is_one_object_from_units_to_rows_and_notes(monkeypatch):
     d8, q8 = _alg(2, 1, "D8"), _alg(2, 1, "Q8")
-    ua, ub = UnitGroup(d8), UnitGroup(q8)
-    ba, bb = bundle(d8, ua), bundle(q8, ub)
+    ba, bb = bundle(d8), bundle(q8)
+    ua, ub = ba.units, bb.units
     assert ba.unit_order_spectrum is ua.unit_order_spectrum()
     note = compare_unit_groups(d8, q8, ba, bb)
     assert note["spectra"][0] is ua.unit_order_spectrum()
