@@ -15,7 +15,7 @@ from functools import lru_cache
 from .algebra import Algebra
 from .decompose import decompose_abelian, predicted_unit_structure
 from .expected import MISPRINTS, PRESENTATION_SOURCES, expectation_for
-from .fields import SIZE_LIMIT, make_field, prime_power_split
+from .fields import algebra_shapes, check_algebra_size, make_field
 from .groups import group_by_label, groups_of_order
 from .presentations import Certificate, certify_from_source, coset_enumeration, \
     parse_presentation
@@ -41,16 +41,12 @@ class CatalogRow(namedtuple("CatalogRow", [
 
 @lru_cache(maxsize=None)
 def build_row(p: int, k: int, label: str) -> CatalogRow:
-    """One catalog row, always anchored on brute-force enumeration.  A
-    nonabelian row certifies its published presentation, which every such
-    algebra below 1024 has, so one past that bound is refused before its
-    units are built; an abelian row past it is still built."""
+    """One catalog row, always anchored on brute-force enumeration.  An
+    algebra of size 1024 or more is refused before its units are built."""
     field = make_field(p, k)
     group = group_by_label(label)
     algebra = Algebra(field, group)
-    if algebra.size >= SIZE_LIMIT and not group.is_abelian():
-        raise ValueError(f"{algebra.label()} has size {algebra.size}, outside "
-                         f"the catalog bound {SIZE_LIMIT}")
+    check_algebra_size(algebra.label(), algebra.size)
     units = UnitGroup(algebra)
 
     if group.is_abelian():
@@ -103,29 +99,6 @@ def build_row(p: int, k: int, label: str) -> CatalogRow:
                       method=method, method_detail=detail,
                       published=expectation_for(p, k, label),
                       spectrum=units.unit_order_spectrum())
-
-
-def check_bound(bound: int) -> int:
-    """bound, if it is a size bound from 2 to 1024; else ValueError.  The
-    catalog builds no algebra of size 1024 or more, so a larger bound would
-    give an incomplete catalog or scan."""
-    if bound < 2:
-        raise ValueError(f"must be at least 2, got {bound}")
-    if bound > SIZE_LIMIT:
-        raise ValueError(f"must be at most {SIZE_LIMIT} (the bound of the "
-                         f"published catalog), got {bound}")
-    return bound
-
-
-def algebra_shapes(bound: int):
-    """(q, p, k, n) for each prime power q = p^k and group order n with
-    q^n < bound; q ascends, and n within a q."""
-    for q in range(2, check_bound(bound)):
-        split = prime_power_split(q)
-        n = 1
-        while split and q ** n < bound:
-            yield (q, *split, n)
-            n += 1
 
 
 def catalog_specs(bound: int) -> list[tuple[int, int, str]]:

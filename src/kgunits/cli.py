@@ -8,17 +8,22 @@ files and scripting.  Errors print to stderr and exit with status 2.
 The argument parser is built on the first ``main`` call, not at import, and
 reused for every later call in the process; parsing keeps no state between
 calls, so ``main`` is safe to call repeatedly in-process.
+
+Every module a command runs is imported here, but isoprobe, which only
+scan-iso imports: a queries block of bench/ times each import a command defers.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .algebra import Algebra
-from .catalog import build_catalog, build_row, check_bound, verify_catalog
+from .catalog import build_catalog, build_row, verify_catalog
 from .decompose import decompose_abelian
-from .fields import SIZE_LIMIT, check_field_size, make_field, prime_power_split
+from .fields import SIZE_LIMIT, check_algebra_size, check_bound, make_field, \
+    parse_field_label
 from .groups import group_by_label
 from .presentations import DEFAULT_COSET_LIMIT, coset_enumeration, \
     parse_presentation
@@ -26,33 +31,6 @@ from .presentations import DEFAULT_COSET_LIMIT, coset_enumeration, \
 
 def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
-
-
-def _parse_field(text: str) -> tuple[int, int]:
-    """(p, k) from a label as FieldSpec.label writes it: F, then an ASCII
-    number without a leading zero.  A size of 1024 or more is refused
-    before it is factored."""
-    digits = text[1:]
-    if not (text.startswith("F") and digits.isascii() and digits.isdigit()
-            and digits[0] != "0"):
-        raise ValueError(f"field label must look like F9, got {text!r}")
-    split = prime_power_split(check_field_size(int(digits)))
-    if split is None:
-        raise ValueError(f"{digits} is not a prime power")
-    return split
-
-
-def _field_and_group(field_text: str, group_text: str):
-    """The field and group of an algebra within the catalog bound."""
-    p, k = _parse_field(field_text)
-    group = group_by_label(group_text)
-    field = make_field(p, k)
-    size = field.q ** group.order
-    if size >= SIZE_LIMIT:
-        raise ValueError(
-            f"{field.label()}{group.label} has size {size}, outside the catalog "
-            f"bound {SIZE_LIMIT}")
-    return field, group
 
 
 def _aligned(headers: list[str], rows: list[list[str]],
@@ -101,7 +79,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan_iso(args) -> int:
-    # imported here: scan-iso is the only command that needs isoprobe
     from .isoprobe import scan_minimum_counterexample
     report = scan_minimum_counterexample(args.bound)
     if args.format == "json":
@@ -126,8 +103,7 @@ def cmd_scan_iso(args) -> int:
 
 
 def cmd_unit_group(args) -> int:
-    field, _ = _field_and_group(args.field, args.group)
-    row = build_row(field.p, field.k, args.group)
+    row = build_row(*parse_field_label(args.field), args.group)
     if args.format == "json":
         _emit_json(row.as_dict() | {"spectrum": row.spectrum})
         return 0
@@ -139,7 +115,9 @@ def cmd_unit_group(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    algebra = Algebra(*_field_and_group(args.field, args.group))
+    algebra = Algebra(make_field(*parse_field_label(args.field)),
+                      group_by_label(args.group))
+    check_algebra_size(algebra.label(), algebra.size)
     summands = decompose_abelian(algebra)
     if args.format == "json":
         _emit_json({
@@ -242,15 +220,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except (KeyError, ValueError, RuntimeError) as exc:
         # str() of a KeyError quotes its message as a repr
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
-        return 2
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 2
+        message = "out of memory"
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        message = "output closed before the command finished"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -30,6 +30,10 @@ Polynomials are tuples of codes over a given FieldSpec, index = degree.  The
 one polynomial layer (``poly_*``, ``monic_irreducibles``, ``factor_monic``)
 serves both the prime field, for moduli and code tables, and F_q, for the
 factors of x^n - 1 that split an abelian group algebra into field blocks.
+
+Every rule of the catalog bound |K[G]| < 1024 (``SIZE_LIMIT``) is here: the
+``check_*`` refusals, the shapes (q, p, k, |G|) below a bound
+(``algebra_shapes``), and ``parse_field_label``, which inverts ``label``.
 """
 
 from __future__ import annotations
@@ -91,6 +95,50 @@ def check_field_size(q: int) -> int:
     if q >= SIZE_LIMIT:
         raise ValueError(f"field size {q} out of supported range (< {SIZE_LIMIT})")
     return q
+
+
+def check_algebra_size(label: str, size: int) -> None:
+    """ValueError if the algebra labelled label is too large for the catalog."""
+    if size >= SIZE_LIMIT:
+        raise ValueError(f"{label} has size {size}, outside the catalog bound "
+                         f"{SIZE_LIMIT}")
+
+
+def check_bound(bound: int) -> int:
+    """bound, if it is a size bound from 2 to 1024; else ValueError.  The
+    catalog builds no algebra of size 1024 or more, so a larger bound would
+    give an incomplete catalog or scan."""
+    if bound < 2:
+        raise ValueError(f"must be at least 2, got {bound}")
+    if bound > SIZE_LIMIT:
+        raise ValueError(f"must be at most {SIZE_LIMIT} (the bound of the "
+                         f"published catalog), got {bound}")
+    return bound
+
+
+def algebra_shapes(bound: int):
+    """(q, p, k, n) for each prime power q = p^k and group order n with
+    q^n < bound; q ascends, and n within a q."""
+    for q in range(2, check_bound(bound)):
+        split = prime_power_split(q)
+        n = 1
+        while split and q ** n < bound:
+            yield (q, *split, n)
+            n += 1
+
+
+def parse_field_label(text: str) -> tuple[int, int]:
+    """(p, k) from a label as FieldSpec.label writes it: F, then an ASCII
+    number without a leading zero.  A size of 1024 or more is refused
+    before it is factored."""
+    digits = text[1:]
+    if not (text.startswith("F") and digits.isascii() and digits.isdigit()
+            and digits[0] != "0"):
+        raise ValueError(f"field label must look like F9, got {text!r}")
+    split = prime_power_split(check_field_size(int(digits)))
+    if split is None:
+        raise ValueError(f"{digits} is not a prime power")
+    return split
 
 
 class FieldSpec:
@@ -322,12 +370,8 @@ def make_field(p: int, k: int) -> FieldSpec:
     """F_{p^k} with the canonical minimal modulus.  Requires p**k < 1024,
     checked before p is factored."""
     check_field_size(p ** k)
-    if not is_prime(p):
-        raise ValueError(f"characteristic must be prime, got {p}")
-    if k < 1:
-        raise ValueError(f"extension degree must be positive, got {k}")
-    if k == 1:
-        return FieldSpec(p, 1, (0, 1))
+    if k <= 1:  # FieldSpec refuses a p that is not prime, then a k below 1
+        return FieldSpec(p, k, (0, 1))
     prime = make_field(p, 1)
     return FieldSpec(p, k, next(f for f in _monics(p, k) if is_irreducible(prime, f)))
 

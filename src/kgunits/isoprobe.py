@@ -25,9 +25,8 @@ from functools import cached_property
 from itertools import combinations
 
 from .algebra import Algebra, AlgebraElement, row_reduce
-from .catalog import algebra_shapes
 from .decompose import decompose_abelian
-from .fields import make_field
+from .fields import algebra_shapes, make_field
 from .groups import groups_of_order
 from .units import UnitGroup
 

@@ -222,6 +222,17 @@ def test_a_nonabelian_row_past_the_bound_is_refused_before_its_units(monkeypatch
     assert built == []
 
 
+@pytest.mark.parametrize("p,k,label", [(2, 5, "C2"), (2, 2, "C5")])
+def test_an_abelian_row_past_the_bound_is_refused_before_its_units(
+        monkeypatch, p, k, label):
+    built = []
+    monkeypatch.setattr(kgunits.catalog, "UnitGroup", built.append)
+    with pytest.raises(ValueError, match=rf"^F{p ** k}{label} has size 1024, "
+                                         r"outside the catalog bound 1024$"):
+        build_row.__wrapped__(p, k, label)
+    assert built == []
+
+
 def test_parallel_build_agrees_with_sequential():
     seq = build_catalog(100)
     par = build_catalog(100, jobs=2)

@@ -265,6 +265,29 @@ def test_field_labels_past_the_bound_are_refused_before_factoring(
     assert err == f"error: field size {size} out of supported range (< 1024)\n"
 
 
+@pytest.mark.parametrize("command", ["unit-group", "decompose"])
+@pytest.mark.parametrize("field,group,size", [
+    ("F4", "C5", 1024), ("F32", "C2", 1024), ("F5", "D6", 15625)])
+def test_algebras_past_the_bound_are_refused_in_one_message(
+        capsys, command, field, group, size):
+    code, out, err = run_cli(capsys, command, field, group)
+    assert code == 2 and out == ""
+    assert err == (f"error: {field}{group} has size {size}, outside the "
+                   "catalog bound 1024\n")
+
+
+def test_the_coset_count_depends_on_relator_order(capsys):
+    """C30 x C30 with its commutator last defines more cosets than the
+    default cap of 20,000 (it needs --limit 24419); with the commutator
+    first, or written as a*b = b*a, it fits."""
+    code, out, err = run_cli(capsys, "coset-count", "a, b | a^30, b^30, [a,b]")
+    assert code == 2 and out == ""
+    assert err == ("error: coset cap 20000 exceeded; group is possibly "
+                   "infinite or the cap too low\n")
+    for text in ("a, b | [a,b], a^30, b^30", "a, b | a^30, b^30, a*b = b*a"):
+        assert run_cli(capsys, "coset-count", text) == (0, "900\n", "")
+
+
 @pytest.mark.parametrize("text", [
     "a | a^\u0663",   # an Arabic-Indic digit three
     "a | a^\u00b2",   # a superscript two
@@ -385,6 +408,28 @@ def test_installed_script(capsys, tmp_path):
     assert bad.returncode == 2
     assert bad.stderr.startswith(b"error:")
     assert bad.stdout == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify",), ("table", "--format", "json"),
+    ("unit-group", "F2", "C2"),  # short enough to reach the pipe only when flushed
+])
+def test_a_closed_output_exits_2_with_one_error_line(tmp_path, argv):
+    """The reader of stdout is gone before the command writes: the command
+    exits 2 with one error line, and neither its writes nor the exit flush
+    print a traceback.  stdout is block-buffered, as from a shell."""
+    env = _uninstalled_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "kgunits", *argv],
+                              stdout=write, stderr=subprocess.PIPE, cwd=tmp_path,
+                              env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: output closed before the command finished\n"
 
 
 def _fresh_run_matches_golden(tmp_path, command, *argv):

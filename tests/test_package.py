@@ -72,14 +72,36 @@ def test_only_scan_iso_loads_isoprobe_and_no_command_loads_dataclasses(tmp_path)
     assert "kgunits.isoprobe" in out["seen"]["scan-iso"]
 
 
-def test_presentations_loads_no_unit_group_code(tmp_path):
-    """presentations.py names UnitGroup only in annotations, so importing it
-    in a fresh process loads neither units nor algebra."""
+def _modules_loaded_by(tmp_path, module: str) -> list[str]:
+    """The package's modules, without the package prefix, that importing
+    module loads in a fresh process."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
-    script = ("import json, sys, kgunits.presentations; "
-              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('kgunits'))))")
+    script = (f"import json, sys, {module}; print(json.dumps(sorted("
+              "m[8:] for m in sys.modules if m.startswith('kgunits.'))))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           cwd=tmp_path, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == ["kgunits", "kgunits.presentations"]
+    return json.loads(proc.stdout)
+
+
+def test_presentations_loads_no_unit_group_code(tmp_path):
+    """presentations.py names UnitGroup only in annotations, so importing it
+    in a fresh process loads neither units nor algebra."""
+    assert _modules_loaded_by(tmp_path, "kgunits.presentations") == ["presentations"]
+
+
+def test_the_scan_loads_no_catalog_stack(tmp_path):
+    """isoprobe takes the algebra shapes from fields, so the scan loads
+    neither the catalog nor the published data and presentations behind it."""
+    assert _modules_loaded_by(tmp_path, "kgunits.isoprobe") == [
+        "algebra", "decompose", "fields", "groups", "isoprobe", "units"]
+
+
+def test_the_cli_imports_what_its_commands_run_except_isoprobe(tmp_path):
+    """cli imports every module of its small commands up front, because a
+    queries block of bench/ times whatever cli defers; only scan-iso's
+    isoprobe waits for its command."""
+    assert _modules_loaded_by(tmp_path, "kgunits.cli") == [
+        "algebra", "catalog", "cli", "decompose", "expected", "fields",
+        "groups", "presentations", "units"]
