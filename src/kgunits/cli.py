@@ -1,9 +1,12 @@
 """Command-line surface for the unit-group catalog.
 
 Commands: table, verify, scan-iso, unit-group, decompose, coset-count.
-Text output is aligned for reading; --format json emits one deterministic
-JSON document per run (sorted keys, fixed indentation), suitable for golden
-files and scripting.  Errors print to stderr and exit with status 2.
+Each ``cmd_*`` returns ``(payload, lines, code)``: the JSON payload, the
+text lines and the exit code.  ``main`` alone picks the format, so text is
+aligned for reading and --format json is one deterministic JSON document
+(sorted keys, fixed indentation), suitable for golden files and scripting.
+stdout is written once, after the command finished, so a failed command
+writes nothing there; errors print one line to stderr and exit with status 2.
 
 The argument parser is built on the first ``main`` call, not at import, and
 reused for every later call in the process; parsing keeps no state between
@@ -29,10 +32,6 @@ from .presentations import DEFAULT_COSET_LIMIT, coset_enumeration, \
     parse_presentation
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
-
-
 def _aligned(headers: list[str], rows: list[list[str]],
              right: set[int] = frozenset()) -> list[str]:
     widths = [len(h) for h in headers]
@@ -47,100 +46,76 @@ def _aligned(headers: list[str], rows: list[list[str]],
     return [fmt(headers)] + [fmt(r) for r in rows]
 
 
-def cmd_table(args) -> int:
+def cmd_table(args):
     catalog = build_catalog(args.bound, args.jobs)
-    if args.format == "json":
-        _emit_json(catalog.as_dict())
-        return 0
-    print(f"unit groups of group algebras with size below {catalog.bound} "
-          f"({len(catalog.rows)} rows)")
     headers = ["field", "group", "size", "|U|", "decomposition", "structure",
                "method"]
     body = [[r.field, r.group, str(r.size), str(r.unit_count),
              r.decomposition or "-", r.structure, r.method]
             for r in catalog.rows]
-    for line in _aligned(headers, body, right={2, 3}):
-        print(line)
-    return 0
+    return catalog.as_dict(), [
+        f"unit groups of group algebras with size below {catalog.bound} "
+        f"({len(catalog.rows)} rows)",
+        *_aligned(headers, body, right={2, 3})], 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     report = verify_catalog(args.bound, args.jobs)
-    if args.format == "json":
-        _emit_json(report.as_dict())
-        return report.exit_code
-    for line in report.lines + report.inconsistency_lines:
-        print(line)
-    print(f"{report.matched}/{report.row_count} rows match the published "
-          f"values; {len(report.typo_lines)} misprints adjudicated; "
-          f"{len(report.mismatch_lines)} mismatches; "
-          f"{len(report.inconsistency_lines)} inconsistencies")
-    return report.exit_code
+    return report.as_dict(), [
+        *report.lines, *report.inconsistency_lines,
+        f"{report.matched}/{report.row_count} rows match the published "
+        f"values; {len(report.typo_lines)} misprints adjudicated; "
+        f"{len(report.mismatch_lines)} mismatches; "
+        f"{len(report.inconsistency_lines)} inconsistencies"], report.exit_code
 
 
-def cmd_scan_iso(args) -> int:
+def cmd_scan_iso(args):
     from .isoprobe import scan_minimum_counterexample
     report = scan_minimum_counterexample(args.bound)
-    if args.format == "json":
-        _emit_json(report.as_dict())
-        return 0
-    print(report.headline())
-    print(f"pairs examined: {report.pair_count} "
-          f"(expected {report.expected_pair_count}); "
-          f"inconclusive: {len(report.inconclusive)}")
     headers = ["size", "field", "pair", "verdict", "detail"]
     body = [[str(r.size), r.field, f"{r.group_a} / {r.group_b}", r.verdict,
              r.detail] for r in report.rows]
-    for line in _aligned(headers, body, right={0}):
-        print(line)
+    lines = [report.headline(),
+             f"pairs examined: {report.pair_count} "
+             f"(expected {report.expected_pair_count}); "
+             f"inconclusive: {len(report.inconclusive)}",
+             *_aligned(headers, body, right={0})]
     if report.notes:
-        print("notes on unit groups of the nonabelian pairs:")
+        lines.append("notes on unit groups of the nonabelian pairs:")
         for n in report.notes:
             (label_a, label_b), (order_a, order_b) = n["pair"], n["orders"]
-            print(f"  {label_a} vs {label_b}: {n['verdict']} "
-                  f"(orders {order_a} and {order_b})")
-    return 0
+            lines.append(f"  {label_a} vs {label_b}: {n['verdict']} "
+                         f"(orders {order_a} and {order_b})")
+    return report.as_dict(), lines, 0
 
 
-def cmd_unit_group(args) -> int:
+def cmd_unit_group(args):
     row = build_row(*parse_field_label(args.field), args.group)
-    if args.format == "json":
-        _emit_json(row.as_dict() | {"spectrum": row.spectrum})
-        return 0
-    print(f"U({row.field}{row.group}): order {row.unit_count}")
-    print(f"structure: {row.structure}")
-    print(f"method: {row.method} ({row.method_detail})")
-    print("spectrum: " + " ".join(f"{o}:{c}" for o, c in row.spectrum))
-    return 0
+    return row.as_dict() | {"spectrum": row.spectrum}, [
+        f"U({row.field}{row.group}): order {row.unit_count}",
+        f"structure: {row.structure}",
+        f"method: {row.method} ({row.method_detail})",
+        "spectrum: " + " ".join(f"{o}:{c}" for o, c in row.spectrum)], 0
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args):
     algebra = Algebra(make_field(*parse_field_label(args.field)),
                       group_by_label(args.group))
     check_algebra_size(algebra.label(), algebra.size)
     summands = decompose_abelian(algebra)
-    if args.format == "json":
-        _emit_json({
-            "algebra": algebra.label(),
-            "decomposition": summands.render(),
-            "blocks": [{"render": b.render(), "dimension": b.dimension(),
-                        "unit_order": b.unit_order()} for b in summands.blocks],
-            "unit_order": summands.unit_order(),
-        })
-        return 0
-    print(f"{algebra.label()} = {summands.render()}")
-    print(f"unit order from blocks: {summands.unit_order()}")
-    return 0
+    return {
+        "algebra": algebra.label(),
+        "decomposition": summands.render(),
+        "blocks": [{"render": b.render(), "dimension": b.dimension(),
+                    "unit_order": b.unit_order()} for b in summands.blocks],
+        "unit_order": summands.unit_order(),
+    }, [f"{algebra.label()} = {summands.render()}",
+        f"unit order from blocks: {summands.unit_order()}"], 0
 
 
-def cmd_coset_count(args) -> int:
-    presentation = parse_presentation(args.presentation)
-    order = coset_enumeration(presentation, args.limit)
-    if args.format == "json":
-        _emit_json({"presentation": args.presentation, "order": order})
-        return 0
-    print(order)
-    return 0
+def cmd_coset_count(args):
+    order = coset_enumeration(parse_presentation(args.presentation), args.limit)
+    return {"presentation": args.presentation, "order": order}, [str(order)], 0
 
 
 def _int_arg(check):
@@ -218,11 +193,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed pipe raises here, not at exit
-        return code
+        try:
+            args = _build_parser().parse_args(argv)
+            payload, lines, code = args.func(args)
+            if args.format == "json":
+                lines = [json.dumps(payload, sort_keys=True, indent=2)]
+            print(*lines, sep="\n")
+            return code
+        finally:
+            # a closed pipe raises here, not at exit, after --help too
+            sys.stdout.flush()
     except (KeyError, ValueError, RuntimeError) as exc:
         # str() of a KeyError quotes its message as a repr
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

@@ -93,13 +93,13 @@ def _combine_names(na: str, nb: str) -> str:
     return f"{na}*{nb}"
 
 
-def cyclic(n: int, label: str | None = None) -> Group:
+def cyclic(n: int) -> Group:
     if n < 1:
         raise ValueError(f"cyclic group order must be positive, got {n}")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     names = ["1"] + ["x" if i == 1 else f"x^{i}" for i in range(1, n)]
     gens = [("x", 1)] if n > 1 else []
-    return Group(label or f"C{n}", table, names, gens)
+    return Group(f"C{n}", table, names, gens)
 
 
 def direct_product(a: Group, b: Group, label: str | None = None) -> Group:

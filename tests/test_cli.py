@@ -224,7 +224,7 @@ def test_scan_iso_json(capsys):
     assert payload["pair_count"] == 14
 
 
-@pytest.mark.parametrize("argv", [
+ERROR_ARGVS = [
     ("unit-group", "F6", "C2"),
     ("unit-group", "F2", "C37"),
     ("unit-group", "F5", "C5"),      # size 3125 is past the enumeration cap
@@ -233,11 +233,18 @@ def test_scan_iso_json(capsys):
     ("coset-count", "x y | x"),      # each generator is one name token
     ("coset-count", "1a | a"),
     ("coset-count", "a,,b | a"),     # an empty name, rejected before enumeration
-])
+]
+
+
+# each case runs once more with --format json
+@pytest.mark.parametrize("argv", ERROR_ARGVS + [argv + ("--format", "json")
+                                                for argv in ERROR_ARGVS])
 def test_error_paths_exit_2(capsys, argv):
+    """A failed command writes one error line and no output, whichever
+    format was asked for."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
     assert out == ""
 
 
@@ -413,6 +420,7 @@ def test_installed_script(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ("verify",), ("table", "--format", "json"),
     ("unit-group", "F2", "C2"),  # short enough to reach the pipe only when flushed
+    ("--help",), ("table", "--help"),  # written by argparse, which then exits
 ])
 def test_a_closed_output_exits_2_with_one_error_line(tmp_path, argv):
     """The reader of stdout is gone before the command writes: the command
