@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -15,6 +16,15 @@ def test_catalog_of_groups_is_frozen():
     assert [g.label for g in groups_up_to_order(9)] == CANONICAL_LABELS
     counts = {n: len(groups_of_order(n)) for n in range(1, 10)}
     assert counts == {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2}
+
+
+def test_group_tables_and_names_are_pinned():
+    # element numbering and names fix the code tuples, the counting order and
+    # the witness checksum, so no rewrite of the builders may move them
+    gs = list(groups_up_to_order(9)) + [dihedral(n) for n in range(6, 25, 2)]
+    record = repr([(g.label, g.table, g.element_names) for g in gs]).encode()
+    assert hashlib.sha256(record).hexdigest() == (
+        "3077cd2eb0355356edbcf2864053526b069d3a02b8595f5d37ae5980c5763724")
 
 
 def test_group_by_label():
