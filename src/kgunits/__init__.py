@@ -11,8 +11,7 @@ names need.
 # public name -> home module
 _HOME = {name: module for module, names in (
     ("fields", "FieldSpec FieldElement make_field factor_monic monic_irreducibles"),
-    ("groups", "Group cyclic direct_product dihedral quaternion8 "
-               "groups_up_to_order group_by_label"),
+    ("groups", "Group abelian dihedral quaternion8 all_groups group_by_label"),
     ("algebra", "Algebra AlgebraElement enumerate_units"),
     ("units", "UnitGroup AbelianType structure_string"),
     ("presentations", "FpGroup Certificate Refutation parse_presentation "

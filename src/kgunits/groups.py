@@ -1,28 +1,27 @@
 """Finite groups of order at most nine as explicit multiplication tables.
 
-Element 0 is always the identity.  Every constructor names elements in terms
-of the presentation generators (x of order n for cyclic and dihedral groups,
-x and y for Q8 with x^2 = y^2), and those names double as the display basis
-for group-algebra elements.
+One rule numbers and names the elements of every group here.  A group with
+generators x, y, z of orders n1, n2, n3 has the elements x^e1*y^e2*z^e3,
+numbered with e1 varying fastest, so element 0 is the identity.  Each is
+named by its nonzero exponents ("1", "x", "x^2", "x*y", "x^2*y", ...), and
+those names double as the display basis for group-algebra elements.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-
-_GEN_LETTERS = "xyzwvu"
+from itertools import product
 
 
 class Group:
     """A finite group given by its full multiplication table."""
 
-    def __init__(self, label: str, table, element_names, generators):
+    def __init__(self, label: str, table, element_names):
         self.label = label
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
         self.element_names = tuple(element_names)
-        self.generators = tuple(generators)  # (name, index) pairs
         self._validate()
         self.identity = 0
         self.inverses = tuple(row.index(0) for row in self.table)
@@ -33,8 +32,8 @@ class Group:
         n = self.order
         if n < 1:
             raise ValueError("empty group")
-        if len(self.element_names) != n:
-            raise ValueError("one name per element required")
+        if len(self.element_names) != n or len(set(self.element_names)) != n:
+            raise ValueError("one distinct name per element required")
         rng = set(range(n))
         for row in self.table:
             if set(row) != rng:
@@ -51,9 +50,6 @@ class Group:
                 for c in range(n):
                     if t[ab][c] != t[a][t[b][c]]:
                         raise ValueError(f"associativity fails at ({a},{b},{c})")
-        for name, idx in self.generators:
-            if not (0 <= idx < n):
-                raise ValueError(f"generator {name} out of range")
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -85,59 +81,30 @@ class Group:
         return f"Group({self.label}, order={self.order})"
 
 
-def _combine_names(na: str, nb: str) -> str:
-    if na == "1":
-        return nb
-    if nb == "1":
-        return na
-    return f"{na}*{nb}"
+def _group(label: str, orders, mul) -> Group:
+    """The group on exponent tuples (e1, e2, ...), 0 <= ei < orders[i], where
+    mul maps two exponent tuples to their product's."""
+    codes = [c[::-1] for c in product(*(range(o) for o in reversed(orders)))]
+    index = {c: i for i, c in enumerate(codes)}
+    table = [[index[mul(a, b)] for b in codes] for a in codes]
+    names = ["*".join(g if e == 1 else f"{g}^{e}" for g, e in zip("xyz", c) if e) or "1"
+             for c in codes]
+    return Group(label, table, names)
 
 
-def cyclic(n: int) -> Group:
-    if n < 1:
-        raise ValueError(f"cyclic group order must be positive, got {n}")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    names = ["1"] + ["x" if i == 1 else f"x^{i}" for i in range(1, n)]
-    gens = [("x", 1)] if n > 1 else []
-    return Group(f"C{n}", table, names, gens)
-
-
-def direct_product(a: Group, b: Group, label: str | None = None) -> Group:
-    """A x B with A's element varying fastest; B's generators get fresh letters."""
-    na, nb = a.order, b.order
-    table = [[0] * (na * nb) for _ in range(na * nb)]
-    for i1 in range(na):
-        for j1 in range(nb):
-            for i2 in range(na):
-                for j2 in range(nb):
-                    table[j1 * na + i1][j2 * na + i2] = b.table[j1][j2] * na + a.table[i1][i2]
-    used = [n for n, _ in a.generators]
-    fresh = [c for c in _GEN_LETTERS if c not in used]
-    rename = {}
-    for (gname, _), new in zip(b.generators, fresh):
-        rename[gname] = new
-    trans = str.maketrans(rename)
-    b_names = [n.translate(trans) for n in b.element_names]
-    names = [_combine_names(a.element_names[i], b_names[j])
-             for j in range(nb) for i in range(na)]
-    gens = [(n, i) for n, i in a.generators]
-    gens += [(rename[n], i * na) for n, i in b.generators]
-    return Group(label or f"{a.label}x{b.label}", table, names, gens)
+def abelian(label: str, *orders: int) -> Group:
+    """C_n1 x C_n2 x ... with generators x, y, z of orders n1, n2, n3; past
+    three factors the names repeat, and Group refuses them."""
+    return _group(label, orders,
+                  lambda a, b: tuple((i + j) % o for i, j, o in zip(a, b, orders)))
 
 
 def _dihedral_type(label: str, n: int, t: int) -> Group:
-    """<x, y | x^n, y^2 = x^t, y x = x^-1 y> for x^t central (t = 0 or n/2);
-    element e*n + i is x^i y^e."""
-    table = [[0] * (2 * n) for _ in range(2 * n)]
-    for e1 in range(2):
-        for i1 in range(n):
-            for e2 in range(2):
-                for i2 in range(n):
-                    i = (i1 - i2 + t * e2 if e1 else i1 + i2) % n
-                    table[e1 * n + i1][e2 * n + i2] = ((e1 + e2) % 2) * n + i
-    names = ["1"] + ["x" if i == 1 else f"x^{i}" for i in range(1, n)]
-    names += ["y"] + [f"{name}*y" for name in names[1:]]
-    return Group(label, table, names, [("x", 1), ("y", n)])
+    """<x, y | x^n, y^2 = x^t, y x = x^-1 y> for x^t central (t = 0 or n/2)."""
+    def mul(a, b):
+        (i1, e1), (i2, e2) = a, b
+        return (i1 - i2 + t * e2 if e1 else i1 + i2) % n, (e1 + e2) % 2
+    return _group(label, (n, 2), mul)
 
 
 def dihedral(order: int) -> Group:
@@ -153,42 +120,37 @@ def quaternion8() -> Group:
 
 
 @lru_cache(maxsize=None)
-def groups_up_to_order(n: int) -> tuple[Group, ...]:
-    """One representative per isomorphism class of order <= n (n <= 9).
+def all_groups() -> tuple[Group, ...]:
+    """One representative per isomorphism class of order at most 9.
 
     tests/test_groups.py checks the classes by brute-force isomorphism search.
     """
-    if not (1 <= n <= 9):
-        raise ValueError(f"supported orders are 1..9, got {n}")
-    c2, c3, c4 = cyclic(2), cyclic(3), cyclic(4)
-    all_groups = [
-        cyclic(1),
-        c2,
-        c3,
-        c4,
-        direct_product(c2, c2, label="C2xC2"),
-        cyclic(5),
-        cyclic(6),
+    return (
+        abelian("C1", 1),
+        abelian("C2", 2),
+        abelian("C3", 3),
+        abelian("C4", 4),
+        abelian("C2xC2", 2, 2),
+        abelian("C5", 5),
+        abelian("C6", 6),
         dihedral(6),
-        cyclic(7),
-        cyclic(8),
-        direct_product(c4, c2, label="C4xC2"),
-        direct_product(direct_product(c2, c2), c2, label="C2^3"),
+        abelian("C7", 7),
+        abelian("C8", 8),
+        abelian("C4xC2", 4, 2),
+        abelian("C2^3", 2, 2, 2),
         dihedral(8),
         quaternion8(),
-        cyclic(9),
-        direct_product(c3, c3, label="C3xC3"),
-    ]
-    return tuple(g for g in all_groups if g.order <= n)
+        abelian("C9", 9),
+        abelian("C3xC3", 3, 3),
+    )
 
 
 def groups_of_order(n: int) -> tuple[Group, ...]:
-    return tuple(g for g in groups_up_to_order(9) if g.order == n)
+    return tuple(g for g in all_groups() if g.order == n)
 
 
 def group_by_label(label: str) -> Group:
-    for g in groups_up_to_order(9):
+    for g in all_groups():
         if g.label == label:
             return g
     raise KeyError(f"unknown group label {label!r}")
-

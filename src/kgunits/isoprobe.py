@@ -169,7 +169,7 @@ class ScanReport(namedtuple("ScanReport", [
         "minimum",  # a ScanRow, or None
         "inconclusive", "pair_count", "expected_pair_count",
         # compare_unit_groups notes on the pairs of nonabelian groups, in row order
-        "notes"], defaults=[()])):
+        "notes"])):
     __slots__ = ()
 
     def headline(self) -> str:

@@ -644,11 +644,7 @@ def certify_unit_group_presentation(unit_group: UnitGroup,
     return Certificate(pres, order)
 
 
-def certify_from_source(unit_group: UnitGroup,
-                        source: str,
-                        gens: Mapping[str, object],
-                        limit: int = DEFAULT_COSET_LIMIT):
+def certify_from_source(unit_group: UnitGroup, source: str, gens: Mapping[str, object]):
     """Certify a presentation source string: a Certificate, or the
     Refutation that names the failed step."""
-    return certify_unit_group_presentation(unit_group, parse_presentation(source),
-                                           gens, limit)
+    return certify_unit_group_presentation(unit_group, parse_presentation(source), gens)

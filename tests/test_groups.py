@@ -3,8 +3,10 @@ import itertools
 
 import pytest
 
-from kgunits.groups import (Group, cyclic, dihedral, direct_product, group_by_label,
-                            groups_of_order, groups_up_to_order, quaternion8)
+from kgunits.algebra import Algebra
+from kgunits.fields import make_field
+from kgunits.groups import (Group, abelian, all_groups, dihedral, group_by_label,
+                            groups_of_order, quaternion8)
 
 CANONICAL_LABELS = [
     "C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "D6", "C7",
@@ -13,7 +15,7 @@ CANONICAL_LABELS = [
 
 
 def test_catalog_of_groups_is_frozen():
-    assert [g.label for g in groups_up_to_order(9)] == CANONICAL_LABELS
+    assert [g.label for g in all_groups()] == CANONICAL_LABELS
     counts = {n: len(groups_of_order(n)) for n in range(1, 10)}
     assert counts == {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2}
 
@@ -21,7 +23,7 @@ def test_catalog_of_groups_is_frozen():
 def test_group_tables_and_names_are_pinned():
     # element numbering and names fix the code tuples, the counting order and
     # the witness checksum, so no rewrite of the builders may move them
-    gs = list(groups_up_to_order(9)) + [dihedral(n) for n in range(6, 25, 2)]
+    gs = list(all_groups()) + [dihedral(n) for n in range(6, 25, 2)]
     record = repr([(g.label, g.table, g.element_names) for g in gs]).encode()
     assert hashlib.sha256(record).hexdigest() == (
         "3077cd2eb0355356edbcf2864053526b069d3a02b8595f5d37ae5980c5763724")
@@ -35,7 +37,7 @@ def test_group_by_label():
 
 
 def test_group_axioms_hold_everywhere():
-    for g in groups_up_to_order(9):
+    for g in all_groups():
         n = g.order
         for a in range(n):
             assert g.mul(a, g.inv(a)) == 0
@@ -60,9 +62,24 @@ def test_commutativity():
 
 
 def test_direct_product_shape():
-    g = direct_product(cyclic(4), cyclic(2))
+    g = abelian("C4xC2", 4, 2)
     assert g.order == 8 and g.is_abelian()
     assert g.order_spectrum() == group_by_label("C4xC2").order_spectrum()
+
+
+def test_repeated_element_names_are_refused():
+    c3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    # a repeated name would let group_element("a") pick one of two elements
+    with pytest.raises(ValueError, match="distinct name"):
+        Group("G", c3, ["1", "a", "a"])
+    a = Algebra(make_field(2, 1), Group("G", c3, ["1", "a", "b"]))
+    assert a.group_element("b") == a.basis_element(2)
+
+
+@pytest.mark.parametrize("factors", [4, 7])
+def test_abelian_refuses_more_factors_than_generator_letters(factors):
+    with pytest.raises(ValueError, match="distinct name"):
+        abelian(f"C2^{factors}", *[2] * factors)
 
 
 def test_dihedral_and_quaternion():
@@ -86,7 +103,7 @@ def _old_dihedral(order):
                     table[e1 * n + i1][e2 * n + i2] = ((e1 + e2) % 2) * n + i
     names = ["1"] + ["x" if i == 1 else f"x^{i}" for i in range(1, n)]
     names += ["y"] + [("x" if i == 1 else f"x^{i}") + "*y" for i in range(1, n)]
-    return Group(f"D{order}", table, names, [("x", 1), ("y", n)])
+    return Group(f"D{order}", table, names)
 
 
 def _old_quaternion8():
@@ -103,13 +120,13 @@ def _old_quaternion8():
                         i = (i + 2) % n  # y^2 = x^2
                     table[e1 * n + i1][e2 * n + i2] = e * n + i
     names = ["1", "x", "x^2", "x^3", "y", "x*y", "x^2*y", "x^3*y"]
-    return Group("Q8", table, names, [("x", 1), ("y", 4)])
+    return Group("Q8", table, names)
 
 
 def test_shared_builder_matches_the_separate_dihedral_and_quaternion():
     # element indices are code positions: the witness checksum depends on them
     def record(g):
-        return g.label, g.table, g.element_names, g.generators
+        return g.label, g.table, g.element_names
 
     pairs = [(dihedral(order), _old_dihedral(order)) for order in range(6, 25, 2)]
     for new, old in pairs + [(quaternion8(), _old_quaternion8())]:
@@ -168,7 +185,7 @@ def isomorphic_by_search(a: Group, b: Group) -> bool:
 
 def test_isomorphism_test_is_complete_up_to_nine():
     # one group per isomorphism class, so the scan may pair any two of one order
-    groups = groups_up_to_order(9)
+    groups = all_groups()
     for a in groups:
         for b in groups:
             assert isomorphic_by_search(a, b) == (a.label == b.label)

@@ -30,7 +30,7 @@ def test_package_imports_only_the_standard_library():
 
 def test_all_names_exactly_what_the_package_imports():
     import kgunits
-    assert len(set(kgunits.__all__)) == len(kgunits.__all__) == 40
+    assert len(set(kgunits.__all__)) == len(kgunits.__all__) == 39
     assert kgunits.__all__ == list(kgunits._HOME)
     for name in kgunits.__all__:
         home = importlib.import_module(f"kgunits.{kgunits._HOME[name]}")
