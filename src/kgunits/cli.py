@@ -119,15 +119,15 @@ def cmd_coset_count(args):
 
 
 def _int_arg(check):
-    """argparse type: an int that check returns; its ValueError, or text that
-    is no int, exits 2 with a message."""
+    """argparse type: an int, written as ASCII digits with an optional minus
+    sign, that check returns; other text, or check's ValueError, exits 2
+    with a message."""
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
+        digits = text.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
         try:
-            return check(value)
+            return check(int(text))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc))
     return parse

@@ -1,9 +1,9 @@
 """Structure of commutative group algebras as sums of field blocks.
 
-When the characteristic does not divide |G| (Maschke), KG splits into a
-direct sum of finite fields.  Otherwise G is split as P x H with P the
-Sylow subgroup for the characteristic, KH is decomposed into fields, and
-each field summand F contributes a local block F[P].
+G is split as P x H with P the Sylow subgroup for the characteristic p of
+K = F_q.  KH is a sum of fields (Maschke), one F_{q^d} for each orbit of
+x -> x^q on H, counted off G's order spectrum (see ``decompose_abelian``),
+and each field summand F contributes a local block F[P].
 
 Rendering grammar (fixed, used in reports and golden files):
 field blocks as "F4", modular blocks as "F4[C2]" or "F2[C2^2]", equal
@@ -15,8 +15,7 @@ from collections import namedtuple
 from itertools import groupby
 
 from .algebra import Algebra
-from .fields import factor_monic, make_field, prime_power_split, valuation, \
-    x_power_minus_one
+from .fields import prime_power_split, valuation
 from .units import AbelianType, primary_partitions
 
 
@@ -28,7 +27,11 @@ class Block(namedtuple("Block", "q_base degree p_part")):
     __slots__ = ()
 
     def __new__(cls, q_base: int, degree: int, p_part: tuple[int, ...] = ()):
-        p = prime_power_split(q_base)[0]
+        split = prime_power_split(q_base)
+        if split is None or degree < 1:
+            raise ValueError(f"a block needs a prime power q_base and a degree "
+                             f"of at least 1, got {q_base} and {degree}")
+        p = split[0]
         for o in p_part:
             if valuation(o, p)[1] != 1 or o == 1:
                 raise ValueError(f"p-part order {o} is not a power of {p}")
@@ -81,32 +84,28 @@ class SummandList(namedtuple("SummandList", "blocks")):
 
 
 def decompose_abelian(algebra: Algebra) -> SummandList:
-    """Split KG (G abelian) into field blocks, with the Sylow part attached.
+    """Split KG (G abelian, K = F_q) into field blocks with the Sylow part
+    attached, without factoring a polynomial.
 
-    The coprime part H is processed one cyclic factor C_n at a time: every
-    current field summand F refines along the irreducible factors of
-    x^n - 1 over F, multiplying block degrees accordingly.
+    The n elements of H of an order o (p does not divide o) fall into n / d
+    orbits of x -> x^q, where d = ord_o(q) is the least d with o | q^d - 1.
+    Each orbit gives one block F_{q^d}[P]: over F_q the cyclotomic
+    polynomial of order o splits into phi(o) / ord_o(q) irreducibles of
+    degree ord_o(q) (Lidl & Niederreiter, Finite Fields, Thm 2.47).
     """
     group = algebra.group
     if not group.is_abelian():
         raise ValueError(f"{group.label} is not abelian")
-    field = algebra.field
-    p = field.p
-    primary = primary_partitions(group.order, group.order_spectrum())
+    p, q = algebra.field.p, algebra.field.q
+    spectrum = group.order_spectrum()
+    primary = primary_partitions(group.order, spectrum)
     p_part = tuple(p ** e for e in primary.get(p, ()))
-    coprime = sorted(r ** e for r, lam in primary.items() if r != p for e in lam)
-
-    degrees = [1]
-    for n in coprime:
-        refined = []
-        for d in degrees:
-            sub = make_field(p, field.k * d)
-            for f, mult in factor_monic(sub, x_power_minus_one(sub, n)):
-                if mult != 1:
-                    raise RuntimeError("repeated factor in a coprime cyclotomic split")
-                refined.append(d * (len(f) - 1))
-        degrees = refined
-    out = SummandList(tuple(Block(field.q, d, p_part) for d in degrees))
+    blocks = []
+    for o, n in spectrum:
+        if o % p:
+            d = next(d for d in range(1, o + 1) if (q ** d - 1) % o == 0)
+            blocks += [Block(q, d, p_part)] * (n // d)
+    out = SummandList(blocks)
     if out.dimension() != group.order:
         raise RuntimeError("block dimensions do not sum to |G|")
     return out

@@ -2,10 +2,10 @@
 polynomial factorization.
 
 A field is fixed by (p, k) and a monic degree-k defining polynomial over F_p.
-``make_field`` picks the modulus deterministically: the monic irreducible whose
-coefficient tuple (c0, ..., c_{k-1}), read as a base-p integer with c0 least
-significant, is smallest.  For k = 1 that rule yields the polynomial x, so
-prime fields are plain residues.
+``FieldSpec(p, k)`` picks the modulus deterministically: the monic irreducible
+whose coefficient tuple (c0, ..., c_{k-1}), read as a base-p integer with c0
+least significant, is smallest.  For k = 1 that rule yields the polynomial x,
+so prime fields are plain residues.  ``make_field`` caches one per (p, k).
 
 Every computation runs on that base-p integer, the element's code:
 ``FieldSpec.add``, ``sub``, ``neg``, ``mul`` and ``inv`` take and return codes.
@@ -27,9 +27,9 @@ for display: its text, and operators that call the ``FieldSpec`` code
 operations.
 
 Polynomials are tuples of codes over a given FieldSpec, index = degree.  The
-one polynomial layer (``poly_*``, ``monic_irreducibles``, ``factor_monic``)
-serves both the prime field, for moduli and code tables, and F_q, for the
-factors of x^n - 1 that split an abelian group algebra into field blocks.
+one polynomial layer (``poly_*``, ``monic_irreducibles``) serves the prime
+field, for moduli and code tables.  ``factor_monic``, trial division over any
+FieldSpec, stays public; no command calls it.
 
 Every rule of the catalog bound |K[G]| < 1024 (``SIZE_LIMIT``) is here: the
 ``check_*`` refusals, the shapes (q, p, k, |G|) below a bound
@@ -142,27 +142,23 @@ def parse_field_label(text: str) -> tuple[int, int]:
 
 
 class FieldSpec:
-    """The finite field F_{p^k} presented as F_p[t] / (modulus)."""
+    """The finite field F_{p^k} presented as F_p[t] / (modulus), modulus the
+    first monic irreducible of degree k in counting order.  The size is
+    checked before p is factored."""
 
     __slots__ = ("p", "k", "q", "modulus", "_tabs", "_sq")
 
-    def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+    def __init__(self, p: int, k: int):
+        check_field_size(p ** k)
         if not is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
         if k < 1:
             raise ValueError(f"extension degree must be positive, got {k}")
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[k] != 1:
-            raise ValueError("modulus must be monic of degree k")
-        if k == 1:
-            if modulus != (0, 1):
-                raise ValueError("degree-1 modulus is normalized to x")
-        elif not is_irreducible(make_field(p, 1), modulus):
-            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.k = k
         self.q = p ** k
-        self.modulus = modulus
+        self.modulus = (0, 1) if k == 1 else next(
+            f for f in _monics(p, k) if is_irreducible(make_field(p, 1), f))
         self._tabs = None
         self._sq = None
 
@@ -367,13 +363,8 @@ class FieldElement:
 
 @lru_cache(maxsize=None)
 def make_field(p: int, k: int) -> FieldSpec:
-    """F_{p^k} with the canonical minimal modulus.  Requires p**k < 1024,
-    checked before p is factored."""
-    check_field_size(p ** k)
-    if k <= 1:  # FieldSpec refuses a p that is not prime, then a k below 1
-        return FieldSpec(p, k, (0, 1))
-    prime = make_field(p, 1)
-    return FieldSpec(p, k, next(f for f in _monics(p, k) if is_irreducible(prime, f)))
+    """F_{p^k} with the canonical modulus, one FieldSpec per (p, k)."""
+    return FieldSpec(p, k)
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +411,6 @@ def poly_divmod(spec: FieldSpec, a, b):
             for j, bj in enumerate(b):
                 rem[i - db + j] = sub(rem[i - db + j], mul(f, bj))
     return poly_strip(quo), poly_strip(rem)
-
-
-def x_power_minus_one(spec: FieldSpec, n: int) -> tuple[int, ...]:
-    if n < 1:
-        raise ValueError("exponent must be positive")
-    return (spec.neg(1),) + (0,) * (n - 1) + (1,)
 
 
 def _monics(q: int, d: int):

@@ -1,15 +1,20 @@
-"""Facts about the published reference data that only tests read.
+"""Facts about the published reference data, and reference derivations,
+that only tests read.
 
 kgunits.expected holds what the commands use: the rows, the misprints and
 the presentation texts with their generators.  This module holds what the
 tests check on top of them: which relators of each published presentation
 are provably redundant, the alternate printed texts in circulation, the
 commutator form of the dihedral presentation, and the consistency check of
-the transcription.
+the transcription.  It also holds ``tower_blocks``, the field blocks of an
+abelian K[G] found by factoring x^n - 1 over a tower of fields, which
+``decompose_abelian`` must match.
 """
 
 from kgunits import expected
-from kgunits.units import parse_structure_order
+from kgunits.decompose import Block, SummandList
+from kgunits.fields import factor_monic, make_field
+from kgunits.units import parse_structure_order, primary_partitions
 
 # 0-based relators of each published presentation that the others imply
 REDUNDANT_RELATORS: dict[tuple[str, str], tuple[int, ...]] = {
@@ -60,3 +65,34 @@ def validate_reference_data() -> None:
         if m.key is not None and m.kind == "decomposition":
             if row_index[m.key].decomposition != m.corrected:
                 raise RuntimeError(f"row {m.key} does not store the corrected value")
+
+
+def x_power_minus_one(spec, n: int) -> tuple[int, ...]:
+    """x^n - 1 over spec, as a tuple of codes (index = degree)."""
+    return (spec.neg(1),) + (0,) * (n - 1) + (1,)
+
+
+def tower_blocks(algebra, calls=None):
+    """The SummandList of an abelian K[G], K = F_{p^k}, by factoring: the
+    coprime part of G is taken one cyclic factor C_n at a time, and every
+    field summand F_{p^(k d)} refines along the irreducible factors of
+    x^n - 1 over it, multiplying block degrees accordingly.  Each (field,
+    x^n - 1) factored is appended to calls, when given."""
+    group, field = algebra.group, algebra.field
+    p = field.p
+    primary = primary_partitions(group.order, group.order_spectrum())
+    p_part = tuple(p ** e for e in primary.get(p, ()))
+    coprime = sorted(r ** e for r, lam in primary.items() if r != p for e in lam)
+    degrees = [1]
+    for n in coprime:
+        refined = []
+        for d in degrees:
+            sub = make_field(p, field.k * d)
+            f = x_power_minus_one(sub, n)
+            if calls is not None:
+                calls.append((sub, f))
+            for g, mult in factor_monic(sub, f):
+                assert mult == 1, "repeated factor in a coprime cyclotomic split"
+                refined.append(d * (len(g) - 1))
+        degrees = refined
+    return SummandList(Block(field.q, d, p_part) for d in degrees)

@@ -312,6 +312,20 @@ def test_unknown_label_message_is_not_quoted(capsys):
     assert err == "error: unknown group label 'X'\n"
 
 
+# int options take ASCII digits with an optional minus sign, as field labels
+# and exponents do; int() alone reads each of these as a number
+LENIENT_INTS = [
+    (("table", "--bound", "\u0665\u0660\u0660"),
+     "argument --bound: invalid int value: '\u0665\u0660\u0660'"),
+    (("table", "--bound", "1_0"), "argument --bound: invalid int value: '1_0'"),
+    (("table", "--bound", " 12 "), "argument --bound: invalid int value: ' 12 '"),
+    (("table", "--bound", "+9"), "argument --bound: invalid int value: '+9'"),
+    (("verify", "--jobs", "\u0662"), "argument --jobs: invalid int value: '\u0662'"),
+    (("coset-count", "x | x^3", "--limit", "\u0663"),
+     "argument --limit: invalid int value: '\u0663'"),
+]
+
+
 @pytest.mark.parametrize("argv,message", [
     (("table", "--bound", "0"), "argument --bound: must be at least 2, got 0"),
     (("table", "--bound", "1"), "argument --bound: must be at least 2, got 1"),
@@ -325,7 +339,8 @@ def test_unknown_label_message_is_not_quoted(capsys):
     (("coset-count", "x | x", "--limit", "0"), "argument --limit: must be at least 1, got 0"),
     (("coset-count", "x | x^3", "--limit", "-5"),
      "argument --limit: must be at least 1, got -5"),
-])
+] + LENIENT_INTS + [(argv + ("--format", "json"), message)
+                    for argv, message in LENIENT_INTS])
 def test_bad_bound_and_jobs_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))

@@ -1,12 +1,14 @@
 import pytest
 
 from kgunits.algebra import Algebra
+from kgunits.catalog import catalog_specs
 from kgunits.decompose import (Block, SummandList, decompose_abelian,
                                predicted_unit_structure)
 from kgunits.fields import make_field
 from kgunits.groups import group_by_label
 from kgunits.isoprobe import primitive_idempotents_by_search
 from kgunits.units import UnitGroup, primary_partitions
+from reference_checks import tower_blocks
 
 
 def _alg(p, k, label):
@@ -31,6 +33,17 @@ GOLDEN_DECOMPOSITIONS = [
 @pytest.mark.parametrize("key,want", GOLDEN_DECOMPOSITIONS)
 def test_golden_decompositions(key, want):
     assert decompose_abelian(_alg(*key)).render() == want
+
+
+def test_orbit_count_matches_the_tower_of_factorizations_on_the_catalog():
+    """The blocks read off the order spectrum equal those found by factoring
+    x^n - 1 over a tower of fields, on every abelian catalog algebra."""
+    abelian = [spec for spec in catalog_specs(1024)
+               if group_by_label(spec[2]).is_abelian()]
+    assert len(abelian) == 239
+    for spec in abelian:
+        alg = _alg(*spec)
+        assert decompose_abelian(alg) == tower_blocks(alg), spec
 
 
 def test_decompose_rejects_nonabelian():
@@ -112,6 +125,15 @@ def test_block_invariants():
     for bad in (0, 1, -2):
         with pytest.raises(ValueError):
             Block(2, 1, (bad,))
+
+
+@pytest.mark.parametrize("q_base,degree", [
+    (6, 1), (1, 1), (0, 1), (-4, 1), (12, 2), (4, 0), (4, -1), (2, 0)])
+def test_block_refuses_what_is_no_field(q_base, degree):
+    """A block needs a prime-power q_base and a degree of at least 1: 6 is
+    no prime power, and F4 of degree 0 or -1 would render as F1 or F0.25."""
+    with pytest.raises(ValueError, match="^a block needs a prime power q_base"):
+        Block(q_base, degree)
 
 
 def test_summand_list_sorts_canonically():

@@ -1,19 +1,20 @@
 import random
+import re
 from functools import lru_cache
 from math import gcd, lcm
 
 import pytest
 
-from kgunits import decompose as decompose_module
 from kgunits.algebra import Algebra
 from kgunits.catalog import build_row, catalog_specs
 from kgunits.fields import (SIZE_LIMIT, FieldElement, FieldSpec,
                             _first_primitive, factor_monic, is_prime,
                             make_field, monic_irreducibles, poly_divmod,
                             poly_mul, prime_factors, prime_power_split,
-                            valuation, x_power_minus_one)
+                            valuation)
 from kgunits.groups import group_by_label
 from kgunits.units import UnitGroup
+from reference_checks import tower_blocks, x_power_minus_one
 
 FIELD_SIZES = [q for q in range(2, SIZE_LIMIT) if prime_power_split(q)]
 
@@ -75,6 +76,25 @@ def test_minimal_moduli_are_frozen():
     assert make_field(2, 2).modulus == (1, 1, 1)
     assert make_field(3, 2).modulus == (1, 0, 1)
     assert make_field(2, 3).modulus == (1, 1, 0, 1)
+
+
+def test_field_constructor_chooses_its_own_modulus():
+    """FieldSpec(p, k) picks the modulus; make_field only caches it."""
+    assert len(FIELD_SIZES) == 197
+    for q in FIELD_SIZES:
+        fresh, cached = make_field.__wrapped__(*prime_power_split(q)), field_for_size(q)
+        assert fresh is not cached and fresh == cached
+        assert fresh.modulus == cached.modulus
+    with pytest.raises(TypeError):
+        FieldSpec(2, 2, (1, 1, 1))  # no caller chooses a modulus
+    # the size first, before p is factored, then p, then k
+    for args, message in (((1025, 1), "field size 1025 out of supported range"),
+                          ((2, 10), "field size 1024 out of supported range"),
+                          ((6, 1), "characteristic must be prime, got 6"),
+                          ((4, 0), "characteristic must be prime, got 4"),
+                          ((2, 0), "extension degree must be positive, got 0")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            FieldSpec(*args)
 
 
 def test_field_size_cap():
@@ -536,21 +556,15 @@ def _ref_factor_monic(coeffs):
     return out
 
 
-def test_code_factorization_matches_the_field_element_layer_on_the_catalog(monkeypatch):
+def test_code_factorization_matches_the_field_element_layer_on_the_catalog():
     calls = []
-    real = decompose_module.factor_monic
-
-    def recording(spec, f):
-        calls.append((spec, f))
-        return real(spec, f)
-    monkeypatch.setattr(decompose_module, "factor_monic", recording)
     cyclic_semisimple = 0
     for p, k, label in catalog_specs(1024):
         group = group_by_label(label)
         if not group.is_abelian():
             continue
         alg = Algebra(make_field(p, k), group)
-        decompose_module.decompose_abelian(alg)
+        tower_blocks(alg, calls)
         if lcm(*map(group.element_order, range(group.order))) == group.order \
                 and group.order % p:
             # x^|G| - 1 over K itself: the splitting of a cyclic semisimple K[G]
