@@ -13,7 +13,7 @@ _HOME = {name: module for module, names in (
     ("fields", "FieldSpec FieldElement make_field factor_monic monic_irreducibles"),
     ("groups", "Group abelian dihedral quaternion8 all_groups group_by_label"),
     ("algebra", "Algebra AlgebraElement enumerate_units"),
-    ("units", "UnitGroup AbelianType structure_string"),
+    ("units", "UnitGroup AbelianType"),
     ("presentations", "FpGroup Certificate Refutation parse_presentation "
                       "coset_enumeration certify_unit_group_presentation "
                       "certify_from_source"),

@@ -6,6 +6,10 @@ method, meaning the prediction was computed and matched the enumeration
 (dual certification).  Nonabelian rows additionally certify a published
 presentation.  verify_catalog compares the computed rows against the
 published reference data and adjudicates the known misprints live.
+
+build_row alone writes a row's structure, and parse_structure_order reads its
+order back: abelian invariants ("C2 x C4"), "D2m" when the certified relators
+are r^m, s^2, s r s = r^(m-1), else "presented(order N, g generators)".
 """
 
 import os
@@ -19,7 +23,7 @@ from .fields import algebra_shapes, check_algebra_size, make_field
 from .groups import group_by_label, groups_of_order
 from .presentations import Certificate, certify_from_source, coset_enumeration, \
     parse_presentation
-from .units import UnitGroup, parse_structure_order, structure_string
+from .units import AbelianType, UnitGroup
 
 
 class CatalogRow(namedtuple("CatalogRow", [
@@ -62,7 +66,7 @@ def build_row(p: int, k: int, label: str) -> CatalogRow:
             raise RuntimeError(
                 f"predicted structure {predicted.render()} disagrees with "
                 f"enumerated {invariants.render()} on {algebra.label()}")
-        structure = structure_string("abelian", invariants)
+        structure = invariants.render()
         if predicted is None:
             method = "enumeration"
             detail = "brute-force enumeration; no closed form for this block shape"
@@ -82,12 +86,11 @@ def build_row(p: int, k: int, label: str) -> CatalogRow:
             raise RuntimeError(
                 f"published presentation fails on {algebra.label()}: "
                 f"{cert.summary()}")
-        dihedral, _ = units.recognize_dihedral()
-        if dihedral:
-            structure = structure_string("dihedral", units.order)
-        else:
-            structure = structure_string(
-                "presented", (cert.order, len(cert.presentation.generator_names)))
+        # U is the presented group, so the dihedral relators make it D_|U|
+        pres, m = cert.presentation, cert.order // 2
+        dihedral = parse_presentation(f"r, s | r^{m}, s^2, s*r*s = r^{m - 1}")
+        structure = f"D{cert.order}" if pres.relators == dihedral.relators else \
+            f"presented(order {cert.order}, {len(pres.generator_names)} generators)"
         method = "presentation"
         detail = (f"relators verified in U, generators close over the full "
                   f"group, coset enumeration gives {cert.order} "
@@ -99,6 +102,19 @@ def build_row(p: int, k: int, label: str) -> CatalogRow:
                       method=method, method_detail=detail,
                       published=expectation_for(p, k, label),
                       spectrum=units.unit_order_spectrum())
+
+
+def parse_structure_order(text: str) -> int | None:
+    """Group order a structure string of build_row names, None if the text
+    is none of its three forms."""
+    try:
+        if text.startswith("presented(order "):
+            return int(text[len("presented(order "):].split(",")[0].rstrip(")"))
+        if text.startswith("D") and text[1:].isdigit():
+            return int(text[1:])
+        return AbelianType.parse(text).order()
+    except ValueError:
+        return None
 
 
 def catalog_specs(bound: int) -> list[tuple[int, int, str]]:

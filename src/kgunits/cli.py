@@ -26,7 +26,7 @@ from .algebra import Algebra
 from .catalog import build_catalog, build_row, verify_catalog
 from .decompose import decompose_abelian
 from .fields import SIZE_LIMIT, check_algebra_size, check_bound, make_field, \
-    parse_field_label
+    parse_field_label, read_int
 from .groups import group_by_label
 from .presentations import DEFAULT_COSET_LIMIT, coset_enumeration, \
     parse_presentation
@@ -119,15 +119,11 @@ def cmd_coset_count(args):
 
 
 def _int_arg(check):
-    """argparse type: an int, written as ASCII digits with an optional minus
-    sign, that check returns; other text, or check's ValueError, exits 2
-    with a message."""
+    """argparse type: the int that fields.read_int reads and check returns;
+    their ValueError exits 2 with its message."""
     def parse(text: str) -> int:
-        digits = text.removeprefix("-")
-        if not (digits.isascii() and digits.isdigit()):
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
         try:
-            return check(int(text))
+            return check(read_int(text, "int value"))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc))
     return parse
@@ -204,9 +200,8 @@ def main(argv=None) -> int:
         finally:
             # a closed pipe raises here, not at exit, after --help too
             sys.stdout.flush()
-    except (KeyError, ValueError, RuntimeError) as exc:
-        # str() of a KeyError quotes its message as a repr
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+    except (ValueError, RuntimeError) as exc:
+        message = exc
     except MemoryError:
         message = "out of memory"
     except BrokenPipeError:

@@ -33,7 +33,8 @@ FieldSpec, stays public; no command calls it.
 
 Every rule of the catalog bound |K[G]| < 1024 (``SIZE_LIMIT``) is here: the
 ``check_*`` refusals, the shapes (q, p, k, |G|) below a bound
-(``algebra_shapes``), and ``parse_field_label``, which inverts ``label``.
+(``algebra_shapes``), ``parse_field_label``, which inverts ``label``, and
+``read_int``, the one reader of a number the user types.
 """
 
 from __future__ import annotations
@@ -127,6 +128,17 @@ def algebra_shapes(bound: int):
             n += 1
 
 
+def read_int(text: str, what: str) -> int:
+    """text read as -?[0-9]+ of at most 4,300 digits (CPython's default limit),
+    else ValueError naming what; the length is checked before int() is."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid {what}: {text!r}")
+    if len(digits) > 4300:
+        raise ValueError(f"{what} {text[:6]}... has {len(digits)} digits, more than 4300")
+    return int(text)
+
+
 def parse_field_label(text: str) -> tuple[int, int]:
     """(p, k) from a label as FieldSpec.label writes it: F, then an ASCII
     number without a leading zero.  A size of 1024 or more is refused
@@ -135,7 +147,7 @@ def parse_field_label(text: str) -> tuple[int, int]:
     if not (text.startswith("F") and digits.isascii() and digits.isdigit()
             and digits[0] != "0"):
         raise ValueError(f"field label must look like F9, got {text!r}")
-    split = prime_power_split(check_field_size(int(digits)))
+    split = prime_power_split(check_field_size(read_int(digits, "field size")))
     if split is None:
         raise ValueError(f"{digits} is not a prime power")
     return split

@@ -153,4 +153,4 @@ def group_by_label(label: str) -> Group:
     for g in all_groups():
         if g.label == label:
             return g
-    raise KeyError(f"unknown group label {label!r}")
+    raise ValueError(f"unknown group label {label!r}")

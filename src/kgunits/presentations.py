@@ -57,6 +57,8 @@ from collections import namedtuple
 from itertools import accumulate
 from typing import TYPE_CHECKING, Mapping
 
+from .fields import read_int
+
 if TYPE_CHECKING:
     from .units import UnitGroup
 
@@ -126,7 +128,7 @@ def power_word(w: Word, n: int) -> Word:
 #
 # A name is a letter or '_', then letters, digits or '_' (str.isalpha and
 # str.isalnum, so not only ASCII); an integer is an optional '-' and ASCII
-# digits 0-9.  Commutator brackets nest left-normed: [a,b,c] = [[a,b],c].
+# digits 0-9, at most 4,300.  Brackets nest left-normed: [a,b,c] = [[a,b],c].
 
 _TOKEN = re.compile(r"(-?[0-9]+)|(\w+)|(\S)")
 
@@ -150,7 +152,7 @@ def parse_presentation(text: str) -> "FpGroup":
     for m in _TOKEN.finditer(rel_part):
         integer, word, char = m.groups()
         if integer:
-            tokens.append(("int", int(integer)))
+            tokens.append(("int", read_int(integer, "exponent")))
         elif word and _is_name(word):
             tokens.append(("name", word))
         elif char and char in "^*,()[]=|":

@@ -1,4 +1,4 @@
-"""Unit-group structure: order spectra, abelian invariants, dihedral shapes.
+"""Unit-group structure: order spectra and abelian invariants.
 
 The units and their multiplicative orders come from one call to
 ``enumerate_units``, the element census of algebra.py: it maps each unit's
@@ -13,6 +13,7 @@ Abelian invariants are recovered purely from order statistics by
 solutions of u^(r^i) = 1 determine the partition of the r-primary component,
 and the recovered partition is checked by reproducing the counts.  Nothing
 here assumes any structure theory of the algebra; it only multiplies units.
+``recognize_dihedral`` searches for a dihedral witness; no catalog row calls it.
 """
 
 from __future__ import annotations
@@ -213,34 +214,3 @@ class UnitGroup:
                     seen.add(nxt)
                     frontier.append(nxt)
         return len(seen)
-
-
-def structure_string(kind: str, payload) -> str:
-    """Rendering grammar shared by catalog rows and reports.
-
-    The payload is an AbelianType for "abelian", the group order for
-    "dihedral", and (order, generator count) for "presented".  Every
-    nonabelian algebra below 1024 has a published presentation, so no row
-    needs another kind.  parse_structure_order reads the order back.
-    """
-    if kind == "abelian":
-        return payload.render()
-    if kind == "dihedral":
-        return f"D{payload}"
-    if kind == "presented":
-        order, generators = payload
-        return f"presented(order {order}, {generators} generators)"
-    raise ValueError(f"unknown structure kind {kind!r}")
-
-
-def parse_structure_order(text: str) -> int | None:
-    """Group order a structure string names, None if not parseable: the
-    inverse of structure_string, up to the order."""
-    try:
-        if text.startswith("presented(order "):
-            return int(text[len("presented(order "):].split(",")[0].rstrip(")"))
-        if text.startswith("D") and text[1:].isdigit():
-            return int(text[1:])
-        return AbelianType.parse(text).order()
-    except ValueError:
-        return None

@@ -12,9 +12,10 @@ abelian K[G] found by factoring x^n - 1 over a tower of fields, which
 """
 
 from kgunits import expected
+from kgunits.catalog import parse_structure_order
 from kgunits.decompose import Block, SummandList
 from kgunits.fields import factor_monic, make_field
-from kgunits.units import parse_structure_order, primary_partitions
+from kgunits.units import primary_partitions
 
 # 0-based relators of each published presentation that the others imply
 REDUNDANT_RELATORS: dict[tuple[str, str], tuple[int, ...]] = {

@@ -5,11 +5,14 @@ import pytest
 
 import kgunits.catalog
 from kgunits.algebra import Algebra
-from kgunits.catalog import build_catalog, build_row, catalog_specs, verify_catalog
+from kgunits.catalog import build_catalog, build_row, catalog_specs, \
+    parse_structure_order, verify_catalog
 from kgunits.decompose import decompose_abelian, predicted_unit_structure
+from kgunits.expected import PRESENTATION_SOURCES
 from kgunits.fields import SIZE_LIMIT, make_field, prime_power_split
 from kgunits.groups import group_by_label, groups_of_order
-from kgunits.units import AbelianType, parse_structure_order, primary_partitions
+from kgunits.presentations import parse_presentation
+from kgunits.units import AbelianType, UnitGroup, primary_partitions
 
 
 def test_row_count_and_order(catalog_rows):
@@ -152,6 +155,33 @@ def test_presentation_rows_match_the_sources(catalog_rows):
         if r.method == "presentation":
             assert "coset enumeration gives" in r.method_detail
             assert "left commutators" in r.method_detail
+
+
+def _dihedral_relators(m):
+    return parse_presentation(f"r, s | r^{m}, s^2, s*r*s = r^{m - 1}").relators
+
+
+def test_only_the_f2_d6_source_has_the_dihedral_relators(catalog_by_key):
+    # w, y | w^6, y^2, y*w*y = w^5 is the standard presentation of D12
+    assert parse_presentation(PRESENTATION_SOURCES["F2", "D6"].text).relators == \
+        _dihedral_relators(6)
+    # no other source matches the template at any m up to its order
+    matches = {(key, m) for key, src in PRESENTATION_SOURCES.items()
+               for m in range(1, catalog_by_key[key].unit_count + 1)
+               if parse_presentation(src.text).relators == _dihedral_relators(m)}
+    assert matches == {(("F2", "D6"), 6)}
+
+
+def test_nonabelian_structures_come_from_the_certificate_alone(monkeypatch):
+    def no_search(self):
+        raise AssertionError("build_row searched for a dihedral witness")
+    monkeypatch.setattr(UnitGroup, "recognize_dihedral", no_search)
+    assert {key: build_row.__wrapped__(*key).structure for key in
+            [(2, 1, "D6"), (2, 1, "D8"), (2, 1, "Q8"), (3, 1, "D6")]} == {
+        (2, 1, "D6"): "D12",
+        (2, 1, "D8"): "presented(order 128, 3 generators)",
+        (2, 1, "Q8"): "presented(order 128, 3 generators)",
+        (3, 1, "D6"): "presented(order 324, 3 generators)"}
 
 
 def test_fixed_rows(catalog_by_key):

@@ -368,6 +368,56 @@ def test_extreme_accepted_bounds(capsys):
                 f"1024 (the bound of the published catalog), got {bound}")
 
 
+# past 4,300 digits a number is refused by its length, before int() sees it,
+# so neither the interpreter's int-conversion limit nor its message decides
+LONG = "9" * 5000
+LONG_NUMBERS = [
+    (("decompose", "F" + LONG, "C2"),
+     "error: field size 999999... has 5000 digits, more than 4300"),
+    (("coset-count", "x | x^" + LONG),
+     "error: exponent 999999... has 5000 digits, more than 4300"),
+    (("table", "--bound", LONG),
+     "kgunits table: error: argument --bound: int value 999999... has 5000 "
+     "digits, more than 4300"),
+    (("coset-count", "x | x^3", "--limit", "-" + LONG),
+     "kgunits coset-count: error: argument --limit: int value -99999... has "
+     "5000 digits, more than 4300"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv,message", LONG_NUMBERS)
+def test_a_number_past_4300_digits_is_refused_under_any_int_limit(tmp_path, argv,
+                                                                  message, fmt):
+    runs = []
+    for limit in (None, "0"):
+        env = _uninstalled_env()
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        proc = subprocess.run([sys.executable, "-m", "kgunits", *argv, "--format", fmt],
+                              capture_output=True, cwd=tmp_path, env=env, timeout=120)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert code == 2 and out == b""
+    # argparse writes its usage line first; the refusal itself is one line
+    assert err.decode().splitlines()[-1] == message
+
+
+def test_numbers_of_4300_digits_keep_their_answers(capsys):
+    nines = "9" * 4300
+    assert run_cli(capsys, "coset-count", f"x | x, x^{nines}") == (0, "1\n", "")
+    assert run_cli(capsys, "coset-count", f"x | x, x^-{nines}") == (0, "1\n", "")
+    assert run_cli(capsys, "decompose", "F" + nines, "C2") == (
+        2, "", f"error: field size {nines} out of supported range (< 1024)\n")
+    with pytest.raises(SystemExit):
+        main(["table", "--bound", nines])
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "kgunits table: error: argument --bound: must be at most 1024 (the "
+        f"bound of the published catalog), got {nines}")
+
+
 def test_verify_text_names_each_inconsistency(capsys, monkeypatch):
     bad = CatalogRow(field="F2", p=2, k=1, group="C2", size=4,
                      decomposition=None, unit_count=2, structure="C3",

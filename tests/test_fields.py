@@ -11,7 +11,7 @@ from kgunits.fields import (SIZE_LIMIT, FieldElement, FieldSpec,
                             _first_primitive, factor_monic, is_prime,
                             make_field, monic_irreducibles, poly_divmod,
                             poly_mul, prime_factors, prime_power_split,
-                            valuation)
+                            read_int, valuation)
 from kgunits.groups import group_by_label
 from kgunits.units import UnitGroup
 from reference_checks import tower_blocks, x_power_minus_one
@@ -108,6 +108,17 @@ def test_field_size_cap():
         make_field(1000000000000000003, 1)
     with pytest.raises(ValueError, match="field size 1025 out of supported range"):
         make_field(1025, 1)
+
+
+def test_read_int_checks_the_length_before_int():
+    assert read_int("0", "n") == 0 and read_int("-12", "n") == -12
+    assert read_int("9" * 4300, "n") == 10 ** 4300 - 1
+    assert read_int("-" + "9" * 4300, "n") == 1 - 10 ** 4300
+    with pytest.raises(ValueError, match=r"^n 999999\.\.\. has 4301 digits, more than 4300$"):
+        read_int("9" * 4301, "n")
+    for text in ("", "-", "+9", "1_0", " 12 ", "\u0665", "12a", "--1"):
+        with pytest.raises(ValueError, match=r"^invalid n: "):
+            read_int(text, "n")
 
 
 def test_field_labels():

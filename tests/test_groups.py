@@ -32,7 +32,7 @@ def test_group_tables_and_names_are_pinned():
 def test_group_by_label():
     assert group_by_label("Q8").order == 8
     assert group_by_label("C3xC3").order == 9
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown group label 'C10'"):
         group_by_label("C10")
 
 

@@ -3,11 +3,10 @@ from math import gcd
 import pytest
 
 from kgunits.algebra import Algebra
-from kgunits.catalog import catalog_specs
+from kgunits.catalog import build_row, catalog_specs
 from kgunits.fields import make_field, prime_factors
 from kgunits.groups import group_by_label
-from kgunits.units import (AbelianType, UnitGroup, partition_from_power_counts,
-                           structure_string)
+from kgunits.units import AbelianType, UnitGroup, partition_from_power_counts
 
 
 def _alg(p, k, label):
@@ -236,11 +235,8 @@ def test_closure_sizes():
 
 
 def test_structure_string_grammar():
-    assert structure_string("abelian", AbelianType.from_cyclic_orders([4, 2])) == "C2 x C4"
-    assert structure_string("dihedral", 12) == "D12"
-    assert structure_string("presented", (324, 3)) == \
-        "presented(order 324, 3 generators)"
-    # every nonabelian row below 1024 is presented, so no other kind exists
-    for kind in ("unclassified", "mystery"):
-        with pytest.raises(ValueError):
-            structure_string(kind, 1)
+    # build_row writes the three forms: invariants, D2m, presented(...)
+    assert build_row(2, 1, "C4").structure == \
+        AbelianType.from_cyclic_orders([4, 2]).render() == "C2 x C4"
+    assert build_row(2, 1, "D6").structure == "D12"
+    assert build_row(3, 1, "D6").structure == "presented(order 324, 3 generators)"
