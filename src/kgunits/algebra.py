@@ -18,9 +18,10 @@ o / gcd(k, o) (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
 every power in the walk is a non-unit: by cancellation a unit's first repeat
 is 1, a unit's powers are units, and a one-sided inverse is two-sided in a
 finite-dimensional algebra.  Over G = C1, K[G] = K is a field, and the
-census is one walk: the first primitive element g (``FieldSpec.primitive``)
-meets every unit once on its way back to 1, and g^t has the order
-(q - 1) / gcd(t, q - 1) (Lidl & Niederreiter, Finite Fields).
+census multiplies nothing: it reads the walk of the first primitive element
+g that the field made (``FieldSpec.primitive_powers``), which meets every
+unit once on its way back to 1, checks that it does, and gives g^t the
+order (q - 1) / gcd(t, q - 1) (Lidl & Niederreiter, Finite Fields).
 
 One routine, ``row_reduce``, does every elimination, on rows of field codes,
 through the FieldSpec code operations ``mul``, ``inv`` and ``sub`` over every
@@ -286,8 +287,7 @@ def enumerate_units(algebra: Algebra) -> dict[tuple[int, ...], int]:
 
     Raises ValueError if a walk runs past |K[G]| steps, if a walk that met a
     unit leaves the units, or if an order does not divide |U|; over G = C1,
-    also if the walk of g repeats a power or meets 0 before 1, or reaches 1
-    before step q - 1.
+    where nothing is multiplied, if the powers of g are not the q - 1 units.
     """
     if algebra.group.order == 1:
         return _field_census(algebra)
@@ -308,33 +308,17 @@ def enumerate_units(algebra: Algebra) -> dict[tuple[int, ...], int]:
 
 
 def _field_census(algebra: Algebra) -> dict[tuple[int, ...], int]:
-    """The census of K[C1] = K from one walk of its first primitive element
-    g: the powers g, g^2, ..., g^(q-1) = 1 are the q - 1 units, each met
-    once, and g^t has the order (q - 1) / gcd(t, q - 1)."""
-    n, mul, one = algebra.size - 1, algebra.mul_codes, algebra._one_key
-    g = (algebra.field.primitive(),)
-    # order[c]: the order of the power of g with code c, 0 until the walk
-    # meets it; code 0 is no power, so it starts marked as met
-    order, acc = [-1] + [0] * n, one
-    for t in range(1, algebra.size + 1):
-        acc = mul(acc, g)
-        if acc == one:
-            break
-        try:
-            c, = acc
-        except ValueError:  # a product outside K meets no code; walk on
-            continue
-        if order[c]:
-            raise ValueError(f"power walk of {algebra.from_key(g)} repeats a "
-                             f"power or meets 0 at step {t}, before 1")
+    """The census of K[C1] = K off the walk of its first primitive element
+    g, ``FieldSpec.primitive_powers``: g^0, ..., g^(q-2) are the q - 1
+    units, each met once, and g^t has the order (q - 1) / gcd(t, q - 1)."""
+    field, n = algebra.field, algebra.size - 1
+    powers = field.primitive_powers()
+    if sorted(powers) != list(range(1, n + 1)):
+        raise ValueError(f"the powers of the primitive element of {field.label()} "
+                         f"are not its {n} units")
+    order = [0] * (n + 1)
+    for t, c in enumerate(powers):
         order[c] = n // gcd(t, n)
-    else:
-        raise ValueError(f"power walk of {algebra.from_key(g)} does not return "
-                         f"to 1 within |K[G]| = {algebra.size} steps")
-    if t != n:
-        why = "does not divide" if n % t else "is a proper divisor of"
-        raise ValueError(f"order {t} of {algebra.from_key(g)} {why} |U| = {n}")
-    order[one[0]] = 1
     return {(c,): order[c] for c in range(1, n + 1)}
 
 

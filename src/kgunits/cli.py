@@ -135,9 +135,16 @@ def _positive(value: int) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refusals raise ValueError, for ``main`` to write as its one error
+    line; subparsers inherit the class."""
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kgunits",
         description="unit groups of small group algebras: catalog, "
                     "verification, and the minimal isomorphic pair")

@@ -14,12 +14,13 @@ builds, on first use, three code tables of O(q) entries: exp and log to the
 first primitive element g in counting order, and the Zech (add-one)
 logarithm Z(n) = log(1 + g^n), so that g^i + g^j = g^(i + Z(j - i)) (Lidl &
 Niederreiter, Finite Fields).  Its sums, products and inverses read these
-tables, with no extended Euclidean inverse.  g is found by the test
-g^((q-1)/r) != 1 for every prime r | q - 1 on powers taken with
-``poly_mul`` and ``poly_divmod`` over the prime field, and walked once as
-the F_p-linear map "times g" on digit vectors.  ``FieldSpec.primitive``
-hands g to the census of K[C1]; a prime field runs the same test on ints
-there, with no table.  The one q x q table, ``_square_tables`` (sums and
+tables, with no extended Euclidean inverse.  Each code c in counting order
+is walked through its powers, as the F_p-linear map "times c" on digit
+vectors, until they come back to 1; the first walk that meets all q - 1
+units is g's, and is exp.  ``FieldSpec.primitive_powers`` hands that walk
+to the census of K[C1]; a prime field finds g there by the test
+g^((p-1)/r) != 1 mod p for every prime r | p - 1 and walks it on ints,
+with no table.  The one q x q table, ``_square_tables`` (sums and
 products), is for the product of a group algebra K[G] with |G| >= 2 and
 k > 1, which has at least q^2 elements itself (q <= 31 below the published
 bound 1024); no other field builds one.  ``FieldElement`` wraps one code
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from functools import lru_cache
 
 SIZE_LIMIT = 1024
@@ -63,15 +65,6 @@ def prime_factors(n: int) -> tuple[int, ...]:
 
 def is_prime(n: int) -> bool:
     return prime_factors(n) == (n,)
-
-
-def _first_primitive(q: int, power) -> int:
-    """The first code g in counting order with power(g, (q-1)/r) != 1 for
-    every prime r | q - 1, so the first primitive element of F_q, given
-    its power map on codes (1 for F_2, where q - 1 has no prime factor)."""
-    n = q - 1
-    return next(g for g in range(1, q)
-                if all(power(g, n // r) != 1 for r in prime_factors(n)))
 
 
 def valuation(n: int, p: int) -> tuple[int, int]:
@@ -129,13 +122,17 @@ def algebra_shapes(bound: int):
 
 
 def read_int(text: str, what: str) -> int:
-    """text read as -?[0-9]+ of at most 4,300 digits (CPython's default limit),
-    else ValueError naming what; the length is checked before int() is."""
+    """text read as -?[0-9]+ of at most 4,300 digits (CPython's default limit)
+    or the interpreter's lower int limit, else ValueError naming what; the
+    length is checked before int() is, so int() and str() take the result."""
     digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid {what}: {text!r}")
-    if len(digits) > 4300:
-        raise ValueError(f"{what} {text[:6]}... has {len(digits)} digits, more than 4300")
+    # a limit of 0 is none; CPython before 3.10.7 has no limit to read
+    limit = min(4300, getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300)
+    if len(digits) > limit:
+        raise ValueError(f"{what} {text[:6]}... has {len(digits)} digits, "
+                         f"more than {limit}")
     return int(text)
 
 
@@ -197,51 +194,37 @@ class FieldSpec:
             out.append(c)
         return tuple(out)
 
-    def _code_of(self, coeffs: tuple[int, ...]) -> int:
-        code = 0
-        for c in reversed(coeffs):
-            code = code * self.p + c
-        return code
-
     # -- arithmetic on codes
 
     def _tables(self):
         """(exp, log, zech) code tables, built on first use from one walk.
 
-        g is the first primitive element, found by ``_first_primitive`` on
-        powers of polynomials over the prime field, and its powers are
-        walked once, multiplying by g as a k x k matrix over F_p.  exp[t] =
-        g^t is stored twice over (2(q - 1) entries) so a sum of two logs
-        needs no reduction; log[0] and a Zech entry for 1 + g^n = 0 are
-        None.
+        Each code c in counting order is walked, multiplying by c as a
+        k x k matrix over F_p, until its powers come back to 1; the first
+        c whose walk meets all q - 1 units is the first primitive element
+        g, and its walk is exp.  exp[t] = g^t is stored twice over
+        (2(q - 1) entries) so a sum of two logs needs no reduction; log[0]
+        and a Zech entry for 1 + g^n = 0 are None.
         """
         if self._tabs is None:
-            p, q, n = self.p, self.q, self.q - 1
+            p, q, k = self.p, self.q, self.k
             prime = make_field(p, 1)
-
-            def times(a, b):
-                return poly_divmod(prime, poly_mul(prime, a, b), self.modulus)[1]
-
-            def power(c, e):
-                a, acc = self._digits(c), (1,)
-                for bit in bin(e)[2:]:
-                    acc = times(acc, acc)
-                    if bit == "1":
-                        acc = times(acc, a)
-                return self._code_of(acc)
-
-            g = self._digits(_first_primitive(q, power))
-            # times g is F_p-linear on digit vectors: digit i of g * x is
-            # sum_j x_j * (digit i of g * t^j), read off k precomputed columns
-            cols = [g]
-            while len(cols) < self.k:
-                cols.append(times(cols[-1], (0, 1)))
-            rows = tuple(zip(*(c + (0,) * (self.k - len(c)) for c in cols)))
-            place, dot = tuple(p ** i for i in range(self.k)), operator.mul
-            powers, cur = [], (1,) + (0,) * (self.k - 1)
-            for _ in range(n):
-                powers.append(sum(map(dot, cur, place)))
-                cur = [sum(map(dot, cur, row)) % p for row in rows]
+            place, dot = tuple(p ** i for i in range(k)), operator.mul
+            one = [1] + [0] * (k - 1)
+            for c in range(1, q):
+                # times c is F_p-linear on digit vectors: digit i of c * x is
+                # sum_j x_j * (digit i of c * t^j), read off k columns
+                cols = [self._digits(c)]
+                while len(cols) < k:
+                    cols.append(poly_divmod(prime, poly_mul(prime, cols[-1], (0, 1)),
+                                            self.modulus)[1])
+                rows = tuple(zip(*(col + (0,) * (k - len(col)) for col in cols)))
+                powers, cur = [1], list(cols[0])
+                while cur != one:
+                    powers.append(sum(map(dot, cur, place)))
+                    cur = [sum(map(dot, cur, row)) % p for row in rows]
+                if len(powers) == q - 1:
+                    break
             log: list = [None] * q
             for t, c in enumerate(powers):
                 log[c] = t
@@ -250,13 +233,20 @@ class FieldSpec:
             self._tabs = (powers + powers, log, zech)
         return self._tabs
 
-    def primitive(self) -> int:
-        """The code of the first primitive element in counting order: exp[1]
-        of the code tables when k > 1, and for a prime field the first
-        primitive root mod p, found by the same test on ints."""
+    def primitive_powers(self) -> list[int]:
+        """[g^0, ..., g^(q-2)] as codes, g the first primitive element in
+        counting order: exp of the code tables when k > 1, and for a prime
+        field the walk of the first g with g^((p-1)/r) != 1 mod p for every
+        prime r | p - 1 (g = 1 for F_2, where p - 1 has no prime factor)."""
         if self.k > 1:
-            return self._tables()[0][1]
-        return _first_primitive(self.q, lambda g, e: pow(g, e, self.p))
+            return self._tables()[0][:self.q - 1]
+        p, n = self.p, self.p - 1
+        g = next(g for g in range(1, p)
+                 if all(pow(g, n // r, p) != 1 for r in prime_factors(n)))
+        powers = [1]
+        for _ in range(n - 1):
+            powers.append(powers[-1] * g % p)
+        return powers
 
     def _square_tables(self):
         """(add, mul) as q x q tuples of code tuples, built on first use for

@@ -342,12 +342,19 @@ LENIENT_INTS = [
 ] + LENIENT_INTS + [(argv + ("--format", "json"), message)
                     for argv, message in LENIENT_INTS])
 def test_bad_bound_and_jobs_exit_2(capsys, argv, message):
+    # main writes an option refusal as it writes every refusal: one line,
+    # with no usage line before it, and returns 2
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(list(argv))
+        main(["table", "--help"])
     captured = capsys.readouterr()
-    assert exc.value.code == 2
-    assert message in captured.err
-    assert captured.out == ""
+    assert exc.value.code == 0 and captured.err == ""
+    assert captured.out.startswith("usage: kgunits table")
 
 
 def test_extreme_accepted_bounds(capsys):
@@ -359,13 +366,9 @@ def test_extreme_accepted_bounds(capsys):
         assert parse([command, "--bound", "1024"]).bound == 1024
         # the catalog stops at 1024, so a larger bound would drop algebras
         for bound in ("1025", "1100"):
-            with pytest.raises(SystemExit) as exc:
-                main([command, "--bound", bound])
-            captured = capsys.readouterr()
-            assert exc.value.code == 2 and captured.out == ""
-            assert captured.err.splitlines()[-1] == (
-                f"kgunits {command}: error: argument --bound: must be at most "
-                f"1024 (the bound of the published catalog), got {bound}")
+            assert run_cli(capsys, command, "--bound", bound) == (
+                2, "", "error: argument --bound: must be at most 1024 (the bound "
+                f"of the published catalog), got {bound}\n")
 
 
 # past 4,300 digits a number is refused by its length, before int() sees it,
@@ -377,11 +380,9 @@ LONG_NUMBERS = [
     (("coset-count", "x | x^" + LONG),
      "error: exponent 999999... has 5000 digits, more than 4300"),
     (("table", "--bound", LONG),
-     "kgunits table: error: argument --bound: int value 999999... has 5000 "
-     "digits, more than 4300"),
+     "error: argument --bound: int value 999999... has 5000 digits, more than 4300"),
     (("coset-count", "x | x^3", "--limit", "-" + LONG),
-     "kgunits coset-count: error: argument --limit: int value -99999... has "
-     "5000 digits, more than 4300"),
+     "error: argument --limit: int value -99999... has 5000 digits, more than 4300"),
 ]
 
 
@@ -401,8 +402,37 @@ def test_a_number_past_4300_digits_is_refused_under_any_int_limit(tmp_path, argv
     assert runs[0] == runs[1]
     code, out, err = runs[0]
     assert code == 2 and out == b""
-    # argparse writes its usage line first; the refusal itself is one line
-    assert err.decode().splitlines()[-1] == message
+    assert err.decode().splitlines() == [message]
+
+
+# under a lower int limit read_int lets through no more digits than that
+# limit, so int() and str() take every number it reads; 640 is the lowest
+# limit CPython accepts
+NINES_640, NINES_1000 = "9" * 640, "9" * 1000
+LIMIT_640 = [
+    (("decompose", "F" + NINES_1000, "C2"),
+     "", "error: field size 999999... has 1000 digits, more than 640\n"),
+    (("coset-count", "x | x^" + NINES_1000),
+     "", "error: exponent 999999... has 1000 digits, more than 640\n"),
+    (("table", "--bound", NINES_1000), "", "error: argument --bound: int value "
+     "999999... has 1000 digits, more than 640\n"),
+    (("coset-count", "x | x^3", "--limit", "-" + NINES_1000), "", "error: argument "
+     "--limit: int value -99999... has 1000 digits, more than 640\n"),
+    (("coset-count", f"x | x, x^-{NINES_640}"), "1\n", ""),
+    (("table", "--bound", NINES_640), "", "error: argument --bound: must be at "
+     f"most 1024 (the bound of the published catalog), got {NINES_640}\n"),
+]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="CPython before 3.10.7 has no int limit")
+@pytest.mark.parametrize("argv,out,err", LIMIT_640)
+def test_a_lowered_int_limit_lowers_the_refusal(tmp_path, argv, out, err):
+    env = _uninstalled_env() | {"PYTHONINTMAXSTRDIGITS": "640"}
+    proc = subprocess.run([sys.executable, "-m", "kgunits", *argv],
+                          capture_output=True, cwd=tmp_path, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == \
+        (2 if err else 0, out, err)
 
 
 def test_numbers_of_4300_digits_keep_their_answers(capsys):
@@ -411,11 +441,9 @@ def test_numbers_of_4300_digits_keep_their_answers(capsys):
     assert run_cli(capsys, "coset-count", f"x | x, x^-{nines}") == (0, "1\n", "")
     assert run_cli(capsys, "decompose", "F" + nines, "C2") == (
         2, "", f"error: field size {nines} out of supported range (< 1024)\n")
-    with pytest.raises(SystemExit):
-        main(["table", "--bound", nines])
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "kgunits table: error: argument --bound: must be at most 1024 (the "
-        f"bound of the published catalog), got {nines}")
+    assert run_cli(capsys, "table", "--bound", nines) == (
+        2, "", "error: argument --bound: must be at most 1024 (the bound of "
+        f"the published catalog), got {nines}\n")
 
 
 def test_verify_text_names_each_inconsistency(capsys, monkeypatch):

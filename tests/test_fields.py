@@ -8,7 +8,7 @@ import pytest
 from kgunits.algebra import Algebra
 from kgunits.catalog import build_row, catalog_specs
 from kgunits.fields import (SIZE_LIMIT, FieldElement, FieldSpec,
-                            _first_primitive, factor_monic, is_prime,
+                            factor_monic, is_prime,
                             make_field, monic_irreducibles, poly_divmod,
                             poly_mul, prime_factors, prime_power_split,
                             read_int, valuation)
@@ -398,28 +398,39 @@ def test_code_tables_match_the_field_element_walk():
         assert spec._tables() == _reference_tables(spec), spec
 
 
+def _first_primitive(q: int, power) -> int:
+    """The first code g in counting order with power(g, (q-1)/r) != 1 for
+    every prime r | q - 1, so the first primitive element of F_q, given
+    its power map on codes (1 for F_2, where q - 1 has no prime factor):
+    the rule the code tables used before their walk found g itself."""
+    n = q - 1
+    return next(g for g in range(1, q)
+                if all(power(g, n // r) != 1 for r in prime_factors(n)))
+
+
 def _polynomial_walk_tables(spec):
     """(exp, log, zech) from the walk that multiplies by g with poly_mul and
     poly_divmod at every power, as the tables were built before the walk
     became a linear map on digit vectors."""
     p, q, n = spec.p, spec.q, spec.q - 1
     prime = make_field(p, 1)
+    digits, code = _base_p(spec)
 
     def times(a, b):
         return poly_divmod(prime, poly_mul(prime, a, b), spec.modulus)[1]
 
     def power(c, e):
-        a, acc = spec._digits(c), (1,)
+        a, acc = digits(c), (1,)
         for bit in bin(e)[2:]:
             acc = times(acc, acc)
             if bit == "1":
                 acc = times(acc, a)
-        return spec._code_of(acc)
+        return code(acc)
 
-    g = spec._digits(_first_primitive(q, power))
+    g = digits(_first_primitive(q, power))
     powers, cur = [], (1,)
     for _ in range(n):
-        powers.append(spec._code_of(cur))
+        powers.append(code(cur))
         cur = times(cur, g)
     log = [None] * q
     for t, c in enumerate(powers):
@@ -442,13 +453,14 @@ def test_linear_walk_tables_match_the_polynomial_walk():
 
 
 def test_primitive_is_the_first_element_of_the_tables_in_every_field():
-    # a prime field finds it on ints, and its tables find it on polynomials
+    # a prime field finds g by the pow test on ints, and the tables find it
+    # by walking each code with its matrix until a walk meets every unit
     assert len(FIELD_SIZES) == 197
     for q in FIELD_SIZES:
         spec = make_field(*prime_power_split(q))
-        exp = spec._tables()[0]
-        assert spec.primitive() == exp[1], spec
-        assert len(set(exp[:q - 1])) == q - 1, spec  # g has the order q - 1
+        powers = spec.primitive_powers()
+        assert powers == spec._tables()[0][:q - 1], spec
+        assert sorted(powers) == list(range(1, q)), spec  # g has the order q - 1
 
 
 def test_fields_and_code_census_build_no_field_element(monkeypatch):

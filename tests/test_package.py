@@ -28,6 +28,12 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_every_module_parses_as_the_oldest_python_pyproject_allows():
+    # requires-python = ">=3.10": no module may use grammar added after 3.10
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
 def test_all_names_exactly_what_the_package_imports():
     import kgunits
     assert len(set(kgunits.__all__)) == len(kgunits.__all__) == 38

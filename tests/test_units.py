@@ -211,9 +211,11 @@ def test_order_list_rejects_a_walk_leaving_the_unit_list(faulty_mul):
 
 
 def test_order_list_rejects_an_order_not_dividing_the_group_order(faulty_mul):
-    # U(F5) = {1, 2, 3, 4}; 4 * 2 = 1 walks 2 -> 4 -> 1, so 2 gets the order 3
-    alg = faulty_mul(_alg(5, 1, "C1"), lambda a, b, ab: (1,) if (a, b) == ((4,), (2,)) else ab)
-    with pytest.raises(ValueError, match="order 3 of 2 does not divide"):
+    # U(F2[C3]) = {1, x, x^2}; x * x = 1 walks x -> 1, so x gets the order 2
+    alg = _alg(2, 1, "C3")
+    x, one = alg.group_element("x").key(), alg.one().key()
+    faulty_mul(alg, lambda a, b, ab: one if (a, b) == (x, x) else ab)
+    with pytest.raises(ValueError, match=r"order 2 of x does not divide \|U\| = 3"):
         UnitGroup(alg)
 
 
