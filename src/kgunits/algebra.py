@@ -6,7 +6,7 @@ returns it.  Every operation runs on those tuples with the FieldSpec code
 operations.  Products go through ``Algebra.mul_codes``, which ``_product``
 makes on first use: one of two kinds of function written out from the group
 table (the convolution unrolled, one expression per output coefficient), or
-over F_q[C1] with k > 1 a closure on the exp/log tables.  Only
+over F_q[C1] with k > 1 ``FieldSpec.mul`` itself.  Only
 ``AlgebraElement.__str__`` reads a code as a FieldElement, to print it.
 
 ``enumerate_units`` decides every unit and its order in one element census,
@@ -212,13 +212,13 @@ def _product(field: FieldSpec, group: Group):
     g_i g_j = g_k, written out.  A prime field reduces one int sum,
     ``(... + a_i*b_j ...) % p``; a field with k > 1 and |G| >= 2 reads the
     q x q add and mul code tables, no larger than K[G].  Over G = C1 with
-    k > 1 it is a closure on the exp/log tables, as fast as generated code.
+    k > 1 it is the field's own product, ``FieldSpec.mul``, on the one code.
     """
     if field.k == 1:
         return _product_maker("prime", group.table)(field.p)
     if group.order == 1:
-        exp, log, _ = field._tables()
-        return lambda a, b: (exp[log[a[0]] + log[b[0]]] if a[0] and b[0] else 0,)
+        mul = field.mul
+        return lambda a, b: (mul(a[0], b[0]),)
     return _product_maker("table", group.table)(*field._square_tables())
 
 

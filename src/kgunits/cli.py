@@ -207,14 +207,14 @@ def main(argv=None) -> int:
         finally:
             # a closed pipe raises here, not at exit, after --help too
             sys.stdout.flush()
-    except (ValueError, RuntimeError) as exc:
-        message = exc
-    except MemoryError:
-        message = "out of memory"
     except BrokenPipeError:
         # the interpreter flushes stdout again at exit: send that to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         message = "output closed before the command finished"
+    except (ValueError, RuntimeError, OSError) as exc:
+        message = exc
+    except MemoryError:
+        message = "out of memory"
     print(f"error: {message}", file=sys.stderr)
     return 2
 

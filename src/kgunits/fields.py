@@ -29,7 +29,7 @@ operations.
 
 Polynomials are tuples of codes over a given FieldSpec, index = degree.  The
 one polynomial layer (``poly_*``, ``monic_irreducibles``) serves the prime
-field, for moduli and code tables.  ``factor_monic``, trial division over any
+field's search for moduli.  ``factor_monic``, trial division over any
 FieldSpec, stays public; no command calls it.
 
 Every rule of the catalog bound |K[G]| < 1024 (``SIZE_LIMIT``) is here: the
@@ -208,19 +208,19 @@ class FieldSpec:
         """
         if self._tabs is None:
             p, q, k = self.p, self.q, self.k
-            prime = make_field(p, 1)
             place, dot = tuple(p ** i for i in range(k)), operator.mul
             one = [1] + [0] * (k - 1)
             for c in range(1, q):
-                # times c is F_p-linear on digit vectors: digit i of c * x is
-                # sum_j x_j * (digit i of c * t^j), read off k columns
+                # times c is F_p-linear on digit vectors, with column j the
+                # digits of c t^j: t times column j - 1, t^k reduced by the modulus
                 cols = [self._digits(c)]
                 while len(cols) < k:
-                    cols.append(poly_divmod(prime, poly_mul(prime, cols[-1], (0, 1)),
-                                            self.modulus)[1])
-                rows = tuple(zip(*(col + (0,) * (k - len(col)) for col in cols)))
+                    *low, top = cols[-1]
+                    cols.append(tuple((x - top * m) % p
+                                      for x, m in zip((0, *low), self.modulus)))
+                rows = tuple(zip(*cols))
                 powers, cur = [1], list(cols[0])
-                while cur != one:
+                while cur != one and len(powers) < q:  # a unit returns in q - 1 steps
                     powers.append(sum(map(dot, cur, place)))
                     cur = [sum(map(dot, cur, row)) % p for row in rows]
                 if len(powers) == q - 1:
@@ -271,12 +271,7 @@ class FieldSpec:
         return 0 if z is None else exp[i + z]
 
     def neg(self, a: int) -> int:
-        if self.k == 1:
-            return -a % self.p
-        if not a or self.p == 2:
-            return a
-        exp, log, _ = self._tables()
-        return exp[log[a] + (self.q - 1) // 2]  # -1 = g^((q-1)/2)
+        return self.mul(self.p - 1, a)  # the code p - 1 is the constant -1
 
     def sub(self, a: int, b: int) -> int:
         if self.k == 1:

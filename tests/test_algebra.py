@@ -383,6 +383,20 @@ def test_generated_product_matches_the_loop_on_every_catalog_and_scan_algebra():
                 assert alg.mul_codes(a, b) == loop_mul(alg, a, b), (p, k, label, a, b)
 
 
+def test_a_field_with_k_above_1_multiplies_by_its_field_product():
+    # every pair where q <= 64, else a seeded sample of 2,000 pairs
+    fields = [(p, k) for p, k, label in catalog_specs(1024) if k > 1 and label == "C1"]
+    assert len(fields) == 25
+    rng = random.Random(961)
+    for p, k in fields:
+        alg = _alg(p, k, "C1")
+        q, mul = alg.field.q, alg.field.mul
+        pairs = ([(a, b) for a in range(q) for b in range(q)] if q <= 64 else
+                 [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)])
+        for a, b in pairs:
+            assert alg.mul_codes((a,), (b,)) == (mul(a, b),), (q, a, b)
+
+
 @pytest.fixture
 def products_made(monkeypatch):
     """The labels of the groups whose product is generated from then on."""

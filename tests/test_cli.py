@@ -189,6 +189,44 @@ def test_every_child_is_reaped_when_the_callers_share_raises():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _fork_failing_at_call(monkeypatch, n):
+    """os.fork forks for real until its n-th call, which raises EAGAIN as a
+    process limit would; no real limit is lowered."""
+    calls, real_fork = [], os.fork
+
+    def fork():
+        calls.append(None)
+        if len(calls) == n:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def test_a_failed_fork_exits_2_with_one_error_line(capsys, monkeypatch):
+    """Exit 1 means a mismatch; a fork that fails is an error, exit 2."""
+    _fork_failing_at_call(monkeypatch, 1)
+    code, out, err = run_cli(capsys, "verify", "--jobs", "2", "--bound", "10")
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 11] Resource temporarily unavailable\n"
+
+
+def test_a_fork_failing_after_one_child_leaves_no_child(capsys, monkeypatch):
+    _fork_failing_at_call(monkeypatch, 2)
+    code, out, err = run_cli(capsys, "verify", "--jobs", "3", "--bound", "10")
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 11] Resource temporarily unavailable\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_pipe_exits_2_with_one_error_line(capsys, monkeypatch):
+    def no_pipe():
+        raise OSError(24, "Too many open files")
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    code, out, err = run_cli(capsys, "verify", "--jobs", "2", "--bound", "10")
+    assert (code, out, err) == (2, "", "error: [Errno 24] Too many open files\n")
+
+
 def test_fork_split_leaves_no_warning_in_dev_mode(tmp_path):
     """Under -X dev -W error an unclosed pipe or file would be a
     ResourceWarning turned into an error on stderr."""

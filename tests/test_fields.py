@@ -343,6 +343,27 @@ def test_code_kernel_matches_raw_polynomials_for_every_field():
             _check_pair(spec, ref, a, b)
 
 
+def _log_rule_neg(spec, a):
+    """-a by the rule FieldSpec.neg had before it became a product with the
+    code p - 1: -a mod p in a prime field, a in characteristic 2, and else
+    g^(log a + (q - 1) / 2), since -1 = g^((q - 1) / 2)."""
+    if spec.k == 1:
+        return -a % spec.p
+    if not a or spec.p == 2:
+        return a
+    exp, log, _ = spec._tables()
+    return exp[log[a] + (spec.q - 1) // 2]
+
+
+def test_neg_is_the_log_rule_and_zero_minus_a_on_every_code_of_every_field():
+    assert len(FIELD_SIZES) == 197
+    for q in FIELD_SIZES:
+        spec = make_field(*prime_power_split(q))
+        for a in range(q):
+            assert spec.neg(a) == _log_rule_neg(spec, a) == spec.sub(0, a), (spec, a)
+            assert spec.add(a, spec.neg(a)) == 0, (spec, a)
+
+
 def test_mult_order_matches_power_walk():
     # g^t has the order (q - 1) / gcd(t, q - 1), read off the log table
     for p, k in ((2, 1), (2, 4), (3, 3), (5, 2), (7, 1), (2, 5), (31, 1)):

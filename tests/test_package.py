@@ -113,3 +113,55 @@ def test_the_cli_imports_what_its_commands_run_except_isoprobe(tmp_path):
     assert _modules_loaded_by(tmp_path, "kgunits.cli") == [
         "algebra", "catalog", "cli", "decompose", "expected", "fields",
         "groups", "presentations", "units"]
+
+
+# Every function, class and method in src that no src module names, with the
+# reason it stays.  A name that becomes dead must be deleted or listed here.
+UNNAMED_IN_SRC = {
+    "__getattr__": "PEP 562: Python calls it for a missing module attribute",
+    "__dir__": "PEP 562: dir(kgunits) calls it",
+    "_Parser.error": "argparse calls it on every refusal",
+    "factor_monic": "bench hook (bench/tracing.py span), ROADMAP items 14 and 18",
+    "UnitGroup.recognize_dihedral": "bench hook (bench/tracing.py span), "
+                                    "ROADMAP items 14 and 18",
+}
+
+
+def _unnamed_definitions(sources) -> dict[str, str]:
+    """Qualified name -> file:line of each function, class and method, at
+    any depth, whose name no source names by a Name, an Attribute or an
+    import alias.  Strings name nothing, so __init__'s export table is no
+    use; methods spelled __x__ are Python's data model and not counted."""
+    defined, named = {}, set()
+
+    def visit(node, prefix, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = child.name
+                dunder = name.startswith("__") and name.endswith("__")
+                if not (dunder and isinstance(node, ast.ClassDef)):
+                    defined[prefix + name] = f"{path.name}:{child.lineno}"
+                visit(child, f"{prefix}{name}.", path)
+            else:
+                visit(child, prefix, path)
+
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        visit(tree, "", path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.update((node.asname or node.name, node.name.split(".")[-1]))
+    return {q: where for q, where in defined.items()
+            if q.rsplit(".", 1)[-1] not in named}
+
+
+def test_every_definition_is_named_in_src_or_listed_with_its_reason():
+    unnamed = _unnamed_definitions(sorted(SRC.glob("*.py")))
+    dead = {q: where for q, where in unnamed.items() if q not in UNNAMED_IN_SRC}
+    assert dead == {}, "named nowhere in src: delete, or list with a reason"
+    assert set(unnamed) == set(UNNAMED_IN_SRC), "a listed name is now named in src"
+

@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 from kgunits.presentations import parse_presentation
@@ -92,3 +93,25 @@ def test_bench_pairs_summary_arithmetic():
     # every parent run; the medians differ by 2.4, under that IQR of 3
     assert wall_verdict([4, 5, 6, 7, 8], [3.9, 3.5, 3.0, 3.6, 3.8]) == "no regression"
     assert wall_verdict([4, 5, 6, 7, 8], [3.9, 3.5, 4.5, 3.6, 3.8]) == "unresolved"
+
+
+def test_check_interpreters_matches_the_goldens_under_this_python(capsys):
+    check_interpreters = _load("check_interpreters")
+    assert check_interpreters.main([sys.executable]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{sys.executable} {name}: ok"
+                     for name in ("table", "verify", "scan-iso")]
+
+
+def test_check_interpreters_exits_1_on_a_difference_or_a_missing_python(
+        capsys, monkeypatch, tmp_path):
+    check_interpreters = _load("check_interpreters")
+    missing = str(tmp_path / "no-python")
+    assert check_interpreters.main([missing]) == 1
+    assert capsys.readouterr().out.startswith(f"{missing}: cannot run: ")
+    monkeypatch.setattr(check_interpreters, "run",
+                        lambda python, argv: {"exit": 1, "sha256": "0" * 64})
+    assert check_interpreters.main(["python"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("python table: exit 1, sha256 000000000000 (golden: exit 0, ")
