@@ -8,14 +8,19 @@ are provably redundant, the alternate printed texts in circulation, the
 commutator form of the dihedral presentation, and the consistency check of
 the transcription.  It also holds ``tower_blocks``, the field blocks of an
 abelian K[G] found by factoring x^n - 1 over a tower of fields, which
-``decompose_abelian`` must match.
+``decompose_abelian`` must match, and the helpers that more than one test
+module uses: ``make_algebra``, ``make_units`` and ``load_by_path``.
 """
 
+import importlib.util
+
 from kgunits import expected
+from kgunits.algebra import Algebra
 from kgunits.catalog import parse_structure_order
 from kgunits.decompose import Block, SummandList
 from kgunits.fields import factor_monic, make_field
-from kgunits.units import primary_partitions
+from kgunits.groups import group_by_label
+from kgunits.units import UnitGroup, primary_partitions
 
 # 0-based relators of each published presentation that the others imply
 REDUNDANT_RELATORS: dict[tuple[str, str], tuple[int, ...]] = {
@@ -97,3 +102,21 @@ def tower_blocks(algebra, calls=None):
                 refined.append(d * (len(g) - 1))
         degrees = refined
     return SummandList(Block(field.q, d, p_part) for d in degrees)
+
+
+def make_algebra(p, k, label):
+    """F_{p^k}[G] for the group G of the given label."""
+    return Algebra(make_field(p, k), group_by_label(label))
+
+
+def make_units(p, k, label):
+    """The unit group of make_algebra(p, k, label), enumerated."""
+    return UnitGroup(make_algebra(p, k, label))
+
+
+def load_by_path(path):
+    """The Python file at path, loaded as a module of its own, in this process."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

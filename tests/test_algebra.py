@@ -10,10 +10,7 @@ from kgunits.algebra import Algebra, enumerate_units, row_reduce
 from kgunits.catalog import build_row, catalog_specs
 from kgunits.fields import FieldElement, FieldSpec, make_field
 from kgunits.groups import group_by_label, groups_of_order
-
-
-def _alg(p, k, label):
-    return Algebra(make_field(p, k), group_by_label(label))
+from reference_checks import make_algebra
 
 
 def coeffs(u):
@@ -27,14 +24,14 @@ def augmentation(u):
 
 
 def test_size_and_label():
-    a = _alg(3, 1, "C4")
+    a = make_algebra(3, 1, "C4")
     assert a.size == 81
     assert a.label() == "F3C4"
-    assert _alg(2, 2, "C2xC2").size == 256
+    assert make_algebra(2, 2, "C2xC2").size == 256
 
 
 def test_ring_laws_exhaustive_f2c2():
-    a = _alg(2, 1, "C2")
+    a = make_algebra(2, 1, "C2")
     els = list(map(a.from_key, a.keys()))
     assert len(els) == 4
     one = a.one()
@@ -50,7 +47,7 @@ def test_ring_laws_exhaustive_f2c2():
 
 
 def test_ring_laws_sampled_f3c2():
-    a = _alg(3, 1, "C2")
+    a = make_algebra(3, 1, "C2")
     els = list(map(a.from_key, a.keys()))
     probes = els[::7]
     for x in els:
@@ -61,7 +58,7 @@ def test_ring_laws_sampled_f3c2():
 
 
 def test_noncommutative_multiplication():
-    a = _alg(2, 1, "D6")
+    a = make_algebra(2, 1, "D6")
     x = a.group_element("x")
     y = a.group_element("y")
     assert x * y != y * x
@@ -79,14 +76,14 @@ def test_noncommutative_multiplication():
 def test_element_text_over_fields_with_k_above_one(p, k, label, key, text):
     # a coefficient of several terms is parenthesized, a coefficient 1 is
     # omitted before a group element, and the zero element prints as 0
-    alg = _alg(p, k, label)
+    alg = make_algebra(p, k, label)
     x = alg.from_key(key)
     assert str(x) == text
     assert repr(x) == f"F{p ** k}{label}<{text}>"
 
 
 def test_augmentation_is_a_ring_homomorphism():
-    a = _alg(2, 1, "C3")
+    a = make_algebra(2, 1, "C3")
     add, mul = a.field.add, a.field.mul
     els = list(map(a.from_key, a.keys()))
     for u in els:
@@ -97,17 +94,17 @@ def test_augmentation_is_a_ring_homomorphism():
 
 
 def test_unit_counts_for_small_algebras():
-    assert len(enumerate_units(_alg(2, 1, "C4"))) == 8
-    assert len(enumerate_units(_alg(3, 1, "C2"))) == 4
-    assert len(enumerate_units(_alg(2, 1, "C2xC2"))) == 8
-    assert len(enumerate_units(_alg(5, 1, "C2"))) == 16
+    assert len(enumerate_units(make_algebra(2, 1, "C4"))) == 8
+    assert len(enumerate_units(make_algebra(3, 1, "C2"))) == 4
+    assert len(enumerate_units(make_algebra(2, 1, "C2xC2"))) == 8
+    assert len(enumerate_units(make_algebra(5, 1, "C2"))) == 16
 
 
 def test_local_algebra_units_are_nonzero_augmentation():
     # for a p-group in characteristic p the units are exactly aug != 0, and
     # for abelian G, a^|G| collapses to the scalar aug(a)^|G|
     for p, k, label in ((2, 1, "C4"), (2, 2, "C2"), (3, 1, "C3"), (3, 2, "C3")):
-        a = _alg(p, k, label)
+        a = make_algebra(p, k, label)
         n = a.group.order
         for el in map(a.from_key, a.keys()):
             aug = augmentation(el)
@@ -117,7 +114,7 @@ def test_local_algebra_units_are_nonzero_augmentation():
 
 
 def test_try_inverse_agrees_with_multiplication():
-    a = _alg(3, 1, "C4")
+    a = make_algebra(3, 1, "C4")
     one = a.one()
     for el in map(a.from_key, a.keys()):
         inv = el.try_inverse()
@@ -134,7 +131,7 @@ def left_mult_matrix(u):
 
 
 def test_left_mult_matrix_represents_multiplication():
-    a = _alg(3, 1, "C2")
+    a = make_algebra(3, 1, "C2")
     for u in list(map(a.from_key, a.keys()))[:12]:
         m = left_mult_matrix(u)
         for v in list(map(a.from_key, a.keys()))[:12]:
@@ -165,7 +162,7 @@ def test_row_reduce_returns_the_rank():
 
 
 def test_pow_matches_repeated_multiplication():
-    a = _alg(2, 1, "C3")
+    a = make_algebra(2, 1, "C3")
     x = a.group_element("x") + a.one()
     acc = a.one()
     for n in range(9):
@@ -201,7 +198,7 @@ def test_unit_kernel_matches_reference_elimination_on_the_catalog():
     specs = catalog_specs(1024)
     assert len(specs) == 243
     for p, k, label in specs:
-        alg = _alg(p, k, label)
+        alg = make_algebra(p, k, label)
         one = alg.one()
         want = []
         for a in map(alg.from_key, alg.keys()):
@@ -223,7 +220,7 @@ def test_a_wrong_elimination_is_caught_by_the_inverse_check(monkeypatch):
         rows[0][-1] = field.add(rows[0][-1], 1)  # a wrong solution
         return rank
     monkeypatch.setattr(algebra_module, "row_reduce", wrong)
-    x = _alg(3, 1, "C4").group_element("x")
+    x = make_algebra(3, 1, "C4").group_element("x")
     with pytest.raises(RuntimeError, match="inverse verification failed"):
         x.try_inverse()
 
@@ -231,7 +228,7 @@ def test_a_wrong_elimination_is_caught_by_the_inverse_check(monkeypatch):
 @pytest.mark.parametrize("p,k,label", [(3, 1, "C4"), (2, 2, "C2")])
 def test_a_census_walk_that_never_returns_to_one_is_caught(faulty_mul, p, k, label):
     # products that leave K[G] never repeat, so no walk can end
-    alg = faulty_mul(_alg(p, k, label), lambda a, b, ab: a + b)
+    alg = faulty_mul(make_algebra(p, k, label), lambda a, b, ab: a + b)
     with pytest.raises(ValueError, match=r"does not return to 1 within \|K\[G\]\| = "
                                          f"{alg.size} steps"):
         enumerate_units(alg)
@@ -239,7 +236,7 @@ def test_a_census_walk_that_never_returns_to_one_is_caught(faulty_mul, p, k, lab
 
 def test_a_census_order_not_dividing_the_unit_count_is_caught(faulty_mul):
     # F2[C4] has 8 units; x^2 * x = 1 gives x the order 3
-    alg = _alg(2, 1, "C4")
+    alg = make_algebra(2, 1, "C4")
     x, x2 = (alg.group_element(g).key() for g in ("x", "x^2"))
     one = alg.one().key()
     faulty_mul(alg, lambda a, b, ab: one if (a, b) == (x2, x) else ab)
@@ -270,12 +267,12 @@ def test_field_census_matches_the_power_walk_census_on_every_catalog_field():
     fields = [spec for spec in catalog_specs(1024) if spec[2] == "C1"]
     assert len(fields) == 197
     for p, k, label in fields:
-        alg = _alg(p, k, label)
+        alg = make_algebra(p, k, label)
         assert list(enumerate_units(alg).items()) == \
             list(power_walk_census(alg).items()), (p, k)
     # the reference is the census the element walks give on any algebra
     for p, k, label in ((2, 1, "C4"), (3, 1, "D6"), (2, 2, "C2")):
-        alg = _alg(p, k, label)
+        alg = make_algebra(p, k, label)
         assert list(enumerate_units(alg).items()) == \
             list(power_walk_census(alg).items()), (p, k, label)
 
@@ -308,7 +305,7 @@ def test_a_field_census_from_a_non_primitive_element_is_caught(monkeypatch, p, k
     monkeypatch.setattr(FieldSpec, "primitive_powers", lambda self: powers)
     with pytest.raises(ValueError, match=f"^the powers of the primitive element of "
                                          f"F{p ** k} are not its {p ** k - 1} units$"):
-        enumerate_units(_alg(p, k, "C1"))
+        enumerate_units(make_algebra(p, k, "C1"))
 
 
 def reference_mul(x, y):
@@ -331,7 +328,7 @@ def reference_mul(x, y):
 def test_ring_axioms_on_random_elements_of_every_catalog_algebra():
     rng = random.Random(2009)
     for p, k, label in catalog_specs(1024):
-        alg = _alg(p, k, label)
+        alg = make_algebra(p, k, label)
         q, n = alg.field.q, alg.group.order
         one = alg.one()
         for _ in range(3):
@@ -373,7 +370,7 @@ def test_generated_product_matches_the_loop_on_every_catalog_and_scan_algebra():
     assert len(catalog) == 243 and len(scan) == 19
     rng = random.Random(1024)
     for p, k, label in catalog + scan:
-        alg = _alg(p, k, label)
+        alg = make_algebra(p, k, label)
         q, n = alg.field.q, alg.group.order
         basis = [alg.basis_element(i).key() for i in range(n)]
         keys = basis + [(0,) * n] + [tuple(rng.randrange(q) for _ in range(n))
@@ -389,7 +386,7 @@ def test_a_field_with_k_above_1_multiplies_by_its_field_product():
     assert len(fields) == 25
     rng = random.Random(961)
     for p, k in fields:
-        alg = _alg(p, k, "C1")
+        alg = make_algebra(p, k, "C1")
         q, mul = alg.field.q, alg.field.mul
         pairs = ([(a, b) for a in range(q) for b in range(q)] if q <= 64 else
                  [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)])
@@ -411,7 +408,7 @@ def products_made(monkeypatch):
 
 
 def test_products_are_generated_on_first_use_and_left_tables_on_first_inverse(products_made):
-    alg = _alg(3, 1, "D6")
+    alg = make_algebra(3, 1, "D6")
     assert products_made == [] and "_left" not in vars(alg)
     x = alg.group_element("x")
     assert (x * x * x).key() == alg.one().key() and products_made == ["D6"]

@@ -8,28 +8,18 @@ algebra.enumerate_units_s measures it, and that the isomorphism scan takes
 every algebra's invariants through the traced bundle.
 """
 
-import importlib.util
 import sys
 from pathlib import Path
 
-from kgunits.algebra import Algebra
-from kgunits.fields import make_field
-from kgunits.groups import group_by_label
 from kgunits.isoprobe import scan_minimum_counterexample
 from kgunits.units import UnitGroup
+from reference_checks import load_by_path, make_algebra
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("kgunits_bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_tracing_target_resolves():
-    tracing = _load_tracing()
+    tracing = load_by_path(TRACING)
     targets = list(tracing.SPAN_TARGETS.values())
     for pairs in tracing.COUNTER_TARGETS.values():
         targets.extend(pairs)
@@ -51,11 +41,11 @@ def _trace(monkeypatch, tracing, tracer, name):
 
 
 def test_unit_census_runs_under_the_traced_enumerate_units(monkeypatch):
-    tracing = _load_tracing()
+    tracing = load_by_path(TRACING)
     tracer = tracing.Tracer()
     name = "algebra.enumerate_units"
     _trace(monkeypatch, tracing, tracer, name)
-    alg = Algebra(make_field(2, 1), group_by_label("D8"))
+    alg = make_algebra(2, 1, "D8")
     units = UnitGroup(alg)
     assert [span[0] for span in tracer.spans] == [name]
     assert tracing.span_metrics(tracer.spans)["algebra.enumerate_units_s"] > 0
@@ -69,7 +59,7 @@ def test_unit_census_runs_under_the_traced_enumerate_units(monkeypatch):
 
 
 def test_the_scan_takes_every_bundle_through_the_traced_bundle(monkeypatch):
-    tracing = _load_tracing()
+    tracing = load_by_path(TRACING)
     tracer = tracing.Tracer()
     _trace(monkeypatch, tracing, tracer, "isoprobe.bundle")
     assert scan_minimum_counterexample(1024).pair_count == 17

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import multiprocessing
 import os
@@ -57,10 +56,9 @@ def test_decompose_json(capsys):
 
 def test_coset_count(capsys):
     code, out, err = run_cli(capsys, "coset-count", "w,y | w^6, y^2, y*w*y*w^-5")
-    assert code == 0
-    assert "12" in out
+    assert (code, out) == (0, "12\n")
     code, out, err = run_cli(capsys, "coset-count", "x, y | x^3, y^2, [x,y] = x")
-    assert "6" in out
+    assert (code, out) == (0, "6\n")
 
 
 def test_coset_count_limit(capsys):
@@ -118,22 +116,6 @@ def test_table_text_shape(capsys):
                                 "structure", "method"]
     assert len(lines) == 26
     assert lines[2].split() == ["F2", "C1", "2", "1", "F2", "C1", "decomposition"]
-
-
-def test_table_json_is_deterministic(capsys):
-    _, first, _ = run_cli(capsys, "table", "--bound", "100", "--format", "json")
-    _, second, _ = run_cli(capsys, "table", "--bound", "100", "--format", "json")
-    assert first == second
-    rows = json.loads(first)["rows"]
-    assert len(rows) == 52
-    assert rows == sorted(rows, key=lambda r: (r["size"], r["p"] ** r["k"], r["group"]))
-
-
-def test_table_jobs_equality(capsys):
-    _, seq, _ = run_cli(capsys, "table", "--bound", "64", "--format", "json")
-    _, par, _ = run_cli(capsys, "table", "--bound", "64", "--format", "json",
-                        "--jobs", "2")
-    assert seq == par
 
 
 @pytest.mark.parametrize("argv,started", [
@@ -241,7 +223,8 @@ def test_fork_split_leaves_no_warning_in_dev_mode(tmp_path):
 def test_verify_exit_zero(capsys):
     code, out, err = run_cli(capsys, "verify", "--bound", "200")
     assert code == 0
-    assert "81/81" in out or "matched 81" in out or "81 of 81" in out
+    assert out.splitlines()[-1] == ("81/81 rows match the published values; 5 misprints "
+                                    "adjudicated; 0 mismatches; 0 inconsistencies")
 
 
 def test_scan_iso_text(capsys):
@@ -569,31 +552,6 @@ def test_a_closed_output_exits_2_with_one_error_line(tmp_path, argv):
         os.close(write)
     assert proc.returncode == 2
     assert proc.stderr == b"error: output closed before the command finished\n"
-
-
-def _fresh_run_matches_golden(tmp_path, command, *argv):
-    golden = json.loads((Path(__file__).resolve().parents[1] / "bench"
-                         / "golden.json").read_text())[command]
-    proc = subprocess.run([sys.executable, "-m", "kgunits", command, *argv,
-                           "--format", "json"],
-                          capture_output=True, cwd=tmp_path, env=_uninstalled_env(),
-                          timeout=120)
-    assert proc.stderr == b""
-    assert {"exit": proc.returncode,
-            "sha256": hashlib.sha256(proc.stdout).hexdigest()} == golden
-
-
-def test_scan_iso_in_a_fresh_process_matches_golden(tmp_path):
-    """scan-iso in its own process, with only the imports that command
-    makes, prints the bytes bench/golden.json records for it."""
-    _fresh_run_matches_golden(tmp_path, "scan-iso")
-
-
-def test_verify_on_two_workers_in_a_fresh_process_matches_golden(tmp_path):
-    """verify --jobs 2 in its own process, its 243 rows built half by the
-    process and half by one forked child, prints the bytes bench/golden.json
-    records for it."""
-    _fresh_run_matches_golden(tmp_path, "verify", "--jobs", "2")
 
 
 def test_reused_parser_keeps_no_state_between_calls(capsys, tmp_path):

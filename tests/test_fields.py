@@ -1,7 +1,7 @@
 import random
 import re
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 import pytest
 
@@ -364,59 +364,10 @@ def test_neg_is_the_log_rule_and_zero_minus_a_on_every_code_of_every_field():
             assert spec.add(a, spec.neg(a)) == 0, (spec, a)
 
 
-def test_mult_order_matches_power_walk():
-    # g^t has the order (q - 1) / gcd(t, q - 1), read off the log table
-    for p, k in ((2, 1), (2, 4), (3, 3), (5, 2), (7, 1), (2, 5), (31, 1)):
-        spec = make_field(p, k)
-        n, log = spec.q - 1, spec._tables()[1]
-        for a in range(1, spec.q):
-            o, acc = 1, a
-            while acc != 1:
-                acc = spec.mul(acc, a)
-                o += 1
-            assert n // gcd(n, log[a]) == o, (spec, a)
-
-
 def test_field_tables_stay_linear_in_q():
     for q in (4, 9, 64, 243, 512, 961, 1021):
         spec = make_field(*prime_power_split(q))
         assert all(len(t) <= 2 * q for t in spec._tables()), spec
-
-
-def _reference_tables(spec):
-    """(exp, log, zech) as they were built over FieldElement coefficients:
-    powers of each candidate g by poly_mul and poly_divmod on digit tuples."""
-    prime = make_field(spec.p, 1)
-    digits, code = _base_p(spec)
-
-    def mul(a, b):
-        prod = poly_mul(prime, digits(a), digits(b))
-        return code(poly_divmod(prime, prod, spec.modulus)[1])
-
-    for g in range(1, spec.q):
-        powers = [1]
-        cur = g
-        while cur != 1:
-            powers.append(cur)
-            cur = mul(cur, g)
-        if len(powers) == spec.q - 1:
-            break
-    log = [None] * spec.q
-    for t, c in enumerate(powers):
-        log[c] = t
-    zech = []
-    for c in powers:
-        c0, *rest = digits(c)
-        zech.append(log[code(((c0 + 1) % spec.p, *rest))])
-    return powers + powers, log, zech
-
-
-def test_code_tables_match_the_field_element_walk():
-    sizes = [q for q in FIELD_SIZES if prime_power_split(q)[1] > 1]
-    assert len(sizes) == 25
-    for q in sizes + [2, 3, 5, 31, 1021]:
-        spec = make_field(*prime_power_split(q))
-        assert spec._tables() == _reference_tables(spec), spec
 
 
 def _first_primitive(q: int, power) -> int:
@@ -456,15 +407,16 @@ def _polynomial_walk_tables(spec):
     log = [None] * q
     for t, c in enumerate(powers):
         log[c] = t
-    zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in powers]
+    # 1 + c is c with its constant digit raised by 1 mod p
+    zech = [log[code(((c0 + 1) % p, *rest))] for c0, *rest in map(digits, powers)]
     return powers + powers, log, zech
 
 
 def test_linear_walk_tables_match_the_polynomial_walk():
     fresh = make_field.__wrapped__  # a new FieldSpec, tables not yet built
-    specs = [fresh(*prime_power_split(q)) for q in FIELD_SIZES
-             if prime_power_split(q)[1] > 1]
-    assert len(specs) == 25
+    sizes = [q for q in FIELD_SIZES if prime_power_split(q)[1] > 1]
+    assert len(sizes) == 25
+    specs = [fresh(*prime_power_split(q)) for q in sizes + [2, 3, 5, 31, 1021]]
     for spec in specs:
         exp, log, zech = spec._tables()
         ref_exp, ref_log, ref_zech = _polynomial_walk_tables(spec)

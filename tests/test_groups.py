@@ -91,48 +91,6 @@ def test_dihedral_and_quaternion():
         dihedral(5)
 
 
-def _old_dihedral(order):
-    """dihedral as it was before D_n and Q8 shared one builder."""
-    n = order // 2
-    table = [[0] * order for _ in range(order)]
-    for e1 in range(2):
-        for i1 in range(n):
-            for e2 in range(2):
-                for i2 in range(n):
-                    i = (i1 + i2) % n if e1 == 0 else (i1 - i2) % n
-                    table[e1 * n + i1][e2 * n + i2] = ((e1 + e2) % 2) * n + i
-    names = ["1"] + ["x" if i == 1 else f"x^{i}" for i in range(1, n)]
-    names += ["y"] + [("x" if i == 1 else f"x^{i}") + "*y" for i in range(1, n)]
-    return Group(f"D{order}", table, names)
-
-
-def _old_quaternion8():
-    """quaternion8 as it was before D_n and Q8 shared one builder."""
-    n = 4
-    table = [[0] * 8 for _ in range(8)]
-    for e1 in range(2):
-        for i1 in range(n):
-            for e2 in range(2):
-                for i2 in range(n):
-                    i = (i1 + i2) % n if e1 == 0 else (i1 - i2) % n
-                    e = (e1 + e2) % 2
-                    if e1 and e2:
-                        i = (i + 2) % n  # y^2 = x^2
-                    table[e1 * n + i1][e2 * n + i2] = e * n + i
-    names = ["1", "x", "x^2", "x^3", "y", "x*y", "x^2*y", "x^3*y"]
-    return Group("Q8", table, names)
-
-
-def test_shared_builder_matches_the_separate_dihedral_and_quaternion():
-    # element indices are code positions: the witness checksum depends on them
-    def record(g):
-        return g.label, g.table, g.element_names
-
-    pairs = [(dihedral(order), _old_dihedral(order)) for order in range(6, 25, 2)]
-    for new, old in pairs + [(quaternion8(), _old_quaternion8())]:
-        assert record(new) == record(old), old.label
-
-
 def _generating_words(g: Group):
     """A small generating tuple plus, for each element, a word over it."""
     chosen: list[int] = []

@@ -5,22 +5,17 @@ from itertools import combinations
 import pytest
 
 import kgunits.isoprobe
-from kgunits.algebra import Algebra
 from kgunits.catalog import build_row, catalog_specs
-from kgunits.fields import make_field
 from kgunits.groups import group_by_label, groups_of_order
 from kgunits.isoprobe import (BUNDLE_COMPARE_FIELDS, InvariantBundle, _pair_row,
                               _scan_algebras, bundle, compare_unit_groups,
                               explicit_isomorphism, scan_minimum_counterexample)
 from kgunits.units import UnitGroup
+from reference_checks import make_algebra
 
 # an eager reference for the lazy bundle: every compared invariant read
 # straight off the group and one UnitGroup
 Reference = namedtuple("Reference", BUNDLE_COMPARE_FIELDS)
-
-
-def _alg(p, k, label):
-    return Algebra(make_field(p, k), group_by_label(label))
 
 
 def _reference(alg):
@@ -33,26 +28,20 @@ def _fields(b):
 
 
 def _row(p, label_a, label_b):
-    a, b = _alg(p, 1, label_a), _alg(p, 1, label_b)
+    a, b = make_algebra(p, 1, label_a), make_algebra(p, 1, label_b)
     return _pair_row(a, b, bundle(a), bundle(b))
 
 
-def test_frozen_bundles_for_the_order_256_rivals():
-    assert _fields(bundle(_alg(2, 1, "D8"))) == (
-        False, 128, ((1, 1), (2, 47), (4, 80)))
-    assert _fields(bundle(_alg(2, 1, "Q8"))) == (
-        False, 128, ((1, 1), (2, 15), (4, 112)))
-
-
 def test_bundle_is_deterministic():
-    assert _fields(bundle(_alg(3, 1, "C4"))) == _fields(bundle(_alg(3, 1, "C4")))
+    assert _fields(bundle(make_algebra(3, 1, "C4"))) == \
+        _fields(bundle(make_algebra(3, 1, "C4")))
 
 
 def test_bundle_holds_exactly_the_compared_invariants_in_order():
     # the comparison order names the verdict, so it is part of the output
     assert BUNDLE_COMPARE_FIELDS == (
         "commutative", "unit_count", "unit_order_spectrum")
-    b = bundle(_alg(2, 1, "C3"))
+    b = bundle(make_algebra(2, 1, "C3"))
     assert isinstance(b, InvariantBundle)
     # no units until a unit invariant is read, then one UnitGroup for both
     assert "units" not in vars(b)
@@ -79,7 +68,7 @@ def test_pair_row_certifies_the_order_625_pair():
 
 
 def test_a_certified_pair_is_decomposed_once_per_algebra(monkeypatch):
-    a, b = _alg(5, 1, "C4"), _alg(5, 1, "C2xC2")
+    a, b = make_algebra(5, 1, "C4"), make_algebra(5, 1, "C2xC2")
     ba, bb = bundle(a), bundle(b)
     real = kgunits.isoprobe.decompose_abelian
     calls = []
@@ -92,7 +81,7 @@ def test_a_certified_pair_is_decomposed_once_per_algebra(monkeypatch):
 def test_a_commutative_tie_without_matching_decompositions_is_inconclusive():
     # the bundles tie by construction; F3 C4 and C2xC2 decompose differently,
     # so explicit_isomorphism refuses and the row says so
-    a, b = _alg(3, 1, "C4"), _alg(3, 1, "C2xC2")
+    a, b = make_algebra(3, 1, "C4"), make_algebra(3, 1, "C2xC2")
     ba = bundle(a)
     r = _pair_row(a, b, ba, ba)
     assert (r.verdict, r.detail) == (
@@ -109,18 +98,18 @@ def test_pair_row_is_symmetric_in_verdict():
 
 def test_explicit_isomorphism_requires_matching_decompositions():
     with pytest.raises(ValueError):
-        explicit_isomorphism(_alg(3, 1, "C4"), _alg(3, 1, "C2xC2"))
+        explicit_isomorphism(make_algebra(3, 1, "C4"), make_algebra(3, 1, "C2xC2"))
 
 
 def test_explicit_isomorphism_refuses_extension_field_blocks():
     # F2C3 = F2 + F4: the decompositions match, but F4 is no copy of K
-    a = _alg(2, 1, "C3")
+    a = make_algebra(2, 1, "C3")
     with pytest.raises(ValueError, match="copies of the coefficient field only"):
         explicit_isomorphism(a, a)
 
 
 def test_a_tie_with_an_extension_field_block_is_inconclusive():
-    a, b = _alg(2, 1, "C3"), _alg(2, 1, "C3")
+    a, b = make_algebra(2, 1, "C3"), make_algebra(2, 1, "C3")
     ba, bb = bundle(a), bundle(b)
     assert _fields(ba) == _fields(bb)
     r = _pair_row(a, b, ba, bb)
@@ -152,7 +141,7 @@ def test_scan_report(scan_report):
 def test_the_lazy_scan_matches_rows_and_notes_from_full_bundles(scan_report):
     rows, notes = [], []
     for p, k, n in _scan_algebras(1024):
-        algebras = [_alg(p, k, g.label) for g in groups_of_order(n)]
+        algebras = [make_algebra(p, k, g.label) for g in groups_of_order(n)]
         full = [(alg, _reference(alg)) for alg in algebras]
         for alg, expected in full:
             assert _fields(bundle(alg)) == expected
@@ -180,7 +169,7 @@ def test_the_scan_builds_units_and_bundles_only_where_a_verdict_reads_them(
     monkeypatch.setattr(kgunits.isoprobe, "UnitGroup", counted_units)
     monkeypatch.setattr(kgunits.isoprobe, "bundle", counted_bundle)
     assert scan_minimum_counterexample(1024).pair_count == 17
-    scanned = {_alg(p, k, g.label).label()
+    scanned = {make_algebra(p, k, g.label).label()
                for p, k, n in _scan_algebras(1024) for g in groups_of_order(n)}
     # C6 and D6 differ in commutativity, which the group alone decides
     refuted_by_the_group = {"F2C6", "F2D6", "F3C6", "F3D6"}
@@ -219,7 +208,7 @@ def _note(a, b):
 
 
 def test_compare_unit_groups_branches():
-    d8, q8 = _alg(2, 1, "D8"), _alg(2, 1, "Q8")
+    d8, q8 = make_algebra(2, 1, "D8"), make_algebra(2, 1, "Q8")
     assert _note(d8, q8) == {
         "pair": ["U(F2D8)", "U(F2Q8)"], "orders": [128, 128],
         "spectra": [((1, 1), (2, 47), (4, 80)), ((1, 1), (2, 15), (4, 112))],
@@ -227,13 +216,13 @@ def test_compare_unit_groups_branches():
         "verdict": "not isomorphic (element order spectra differ)"}
     assert _note(d8, d8)["verdict"] == \
         "inconclusive (equal orders and spectra, both nonabelian)"
-    assert _note(_alg(2, 1, "D6"), _alg(3, 1, "D6"))["verdict"] == \
+    assert _note(make_algebra(2, 1, "D6"), make_algebra(3, 1, "D6"))["verdict"] == \
         "not isomorphic (orders differ)"
     json.dumps(_note(d8, q8))
 
 
 def test_the_spectrum_is_one_object_from_units_to_rows_and_notes(monkeypatch):
-    d8, q8 = _alg(2, 1, "D8"), _alg(2, 1, "Q8")
+    d8, q8 = make_algebra(2, 1, "D8"), make_algebra(2, 1, "Q8")
     ba, bb = bundle(d8), bundle(q8)
     ua, ub = ba.units, bb.units
     assert ba.unit_order_spectrum is ua.unit_order_spectrum()

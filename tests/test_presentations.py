@@ -4,11 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from kgunits.algebra import Algebra
 from kgunits.expected import (D6_PRESENTATION_CORRECTED,
                               D6_PRESENTATION_PRINTED, PRESENTATION_SOURCES)
-from kgunits.fields import make_field
-from kgunits.groups import group_by_label
 from kgunits.presentations import (DEFAULT_COSET_LIMIT, Certificate,
                                    CosetLimitExceeded, FpGroup, Refutation,
                                    certify_from_source,
@@ -17,13 +14,9 @@ from kgunits.presentations import (DEFAULT_COSET_LIMIT, Certificate,
                                    coset_enumeration, coset_table, free_reduce,
                                    invert_word, parse_presentation, power_word,
                                    relator_columns)
-from kgunits.units import UnitGroup
 from reference_checks import (D6_PRESENTATION_COMMUTATOR,
-                              PRESENTATION_VARIANTS, REDUNDANT_RELATORS)
-
-
-def _units(p, k, label):
-    return UnitGroup(Algebra(make_field(p, k), group_by_label(label)))
+                              PRESENTATION_VARIANTS, REDUNDANT_RELATORS,
+                              make_units)
 
 
 def parse_word(text, names):
@@ -423,7 +416,7 @@ CERTIFIABLE = [
 def certified():
     out = {}
     for (p, k, label), key, order in CERTIFIABLE:
-        u = _units(p, k, label)
+        u = make_units(p, k, label)
         src = PRESENTATION_SOURCES[key]
         gens = src.build_generators(u.algebra)
         out[key] = (u, src, gens, certify_from_source(u, src.text, gens), order)
@@ -438,7 +431,7 @@ def test_published_presentations_certify(certified):
 
 def test_certification_reads_the_left_convention_only():
     # in U(F2D6), w y w^-1 y^-1 = w^2 holds and w^-1 y^-1 w y = w^2 does not
-    u = _units(2, 1, "D6")
+    u = make_units(2, 1, "D6")
     gens = PRESENTATION_SOURCES["F2", "D6"].build_generators(u.algebra)
     right_only = certify_from_source(u, "w, y | w^6, y^2, [w,y] = w^2", gens)
     assert isinstance(right_only, Refutation)
@@ -555,7 +548,7 @@ def test_relator_order_is_irrelevant(certified):
 
 
 def test_missing_generator_image_is_an_error():
-    u = _units(2, 1, "D6")
+    u = make_units(2, 1, "D6")
     pres = parse_presentation("w, y | w^6, y^2")
     with pytest.raises(ValueError):
         certify_unit_group_presentation(u, pres, {"w": u.algebra.one()})
@@ -563,7 +556,7 @@ def test_missing_generator_image_is_an_error():
 
 def test_certify_steps_on_the_cyclic_unit_group_of_f2c3():
     # U(F2C3) = C3, generated by the group element x
-    u = _units(2, 1, "C3")
+    u = make_units(2, 1, "C3")
     x = u.algebra.group_element("x")
     assert u.order == 3
     cert = certify_unit_group_presentation(u, parse_presentation("x | x^3"), {"x": x})

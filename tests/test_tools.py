@@ -1,21 +1,15 @@
-import importlib.util
+import json
 import sys
 from pathlib import Path
 
 from kgunits.presentations import parse_presentation
+from reference_checks import load_by_path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_kernel_counts_on_a_cyclic_group(capsys):
-    kernel_counts = _load("kernel_counts")
+    kernel_counts = load_by_path(TOOLS / "kernel_counts.py")
     outcome, calls, opcodes = kernel_counts.kernel_counts(parse_presentation("a | a^12"), 100)
     assert outcome == 12
     assert calls["coset_table"] == calls["check_coset_table"] == 1
@@ -43,7 +37,7 @@ def _entry(pair, side, wall, rss, cpu=()):
 
 
 def test_bench_pairs_summary_arithmetic():
-    bench_pairs = _load("bench_pairs")
+    bench_pairs = load_by_path(TOOLS / "bench_pairs.py")
     walls = {"parent": [1.0, 2.0, 3.0, 4.0, 5.0], "change": [0.5, 2.0, 4.0, 2.5, 4.5]}
     entries = [_entry(k + 1, side, walls[side][k], 20.0, cpu=(walls[side][k],))
                for k in range(5) for side in ("change", "parent")]
@@ -95,8 +89,24 @@ def test_bench_pairs_summary_arithmetic():
     assert wall_verdict([4, 5, 6, 7, 8], [3.9, 3.5, 4.5, 3.6, 3.8]) == "unresolved"
 
 
+def test_bench_pairs_keeps_the_first_set_when_a_workload_is_repeated():
+    bench_pairs = load_by_path(TOOLS / "bench_pairs.py")
+    # a file from before set numbers: its entries are of set 1
+    first = {w: [_entry(1, side, 1.0, 20.0) for side in ("parent", "change")]
+             for w in ("catalog", "scan", "queries")}
+    repeat = {"queries": [_entry(1, side, 2.0, 21.0) for side in ("change", "parent")]}
+    merged = bench_pairs.merge_sets(first, repeat)
+    assert merged == {**first, "queries": first["queries"] + [
+        {**e, "set": 2} for e in repeat["queries"]]}
+    third = bench_pairs.merge_sets(merged, repeat)
+    assert [e.get("set", 1) for e in third["queries"]] == [1, 1, 2, 2, 3, 3]
+    # with no file yet, the runs are set 1
+    assert bench_pairs.merge_sets({}, repeat) == {
+        "queries": [{**e, "set": 1} for e in repeat["queries"]]}
+
+
 def test_check_interpreters_matches_the_goldens_under_this_python(capsys):
-    check_interpreters = _load("check_interpreters")
+    check_interpreters = load_by_path(TOOLS / "check_interpreters.py")
     assert check_interpreters.main([sys.executable]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"{sys.executable} {name}: ok"
@@ -105,13 +115,21 @@ def test_check_interpreters_matches_the_goldens_under_this_python(capsys):
 
 def test_check_interpreters_exits_1_on_a_difference_or_a_missing_python(
         capsys, monkeypatch, tmp_path):
-    check_interpreters = _load("check_interpreters")
+    check_interpreters = load_by_path(TOOLS / "check_interpreters.py")
     missing = str(tmp_path / "no-python")
     assert check_interpreters.main([missing]) == 1
     assert capsys.readouterr().out.startswith(f"{missing}: cannot run: ")
     monkeypatch.setattr(check_interpreters, "run",
-                        lambda python, argv: {"exit": 1, "sha256": "0" * 64})
+                        lambda python, argv: ({"exit": 1, "sha256": "0" * 64}, b""))
     assert check_interpreters.main(["python"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("python table: exit 1, sha256 000000000000 (golden: exit 0, ")
+    # the golden stdout, but one line on stderr from the verify run
+    golden = json.loads((TOOLS.parent / "bench" / "golden.json").read_text())
+    monkeypatch.setattr(check_interpreters, "run", lambda python, argv: (
+        golden[argv[0]], b"warning: child\n" if argv[0] == "verify" else b""))
+    assert check_interpreters.main(["python"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "python table: ok", "python verify: stderr b'warning: child'",
+        "python scan-iso: ok"]

@@ -2,31 +2,9 @@ from math import gcd
 
 import pytest
 
-from kgunits.algebra import Algebra
-from kgunits.catalog import build_row, catalog_specs
-from kgunits.fields import make_field, prime_factors
-from kgunits.groups import group_by_label
+from kgunits.catalog import catalog_specs
 from kgunits.units import AbelianType, UnitGroup, partition_from_power_counts
-
-
-def _alg(p, k, label):
-    return Algebra(make_field(p, k), group_by_label(label))
-
-
-def _units(p, k, label):
-    return UnitGroup(_alg(p, k, label))
-
-
-def element_order(u, x):
-    """Multiplicative order of the unit x of u, by divisor descent from |U|
-    (Lagrange), on AlgebraElement powers."""
-    one = u.algebra.one()
-    o = u.order
-    for r in prime_factors(o):
-        while o % r == 0 and x ** (o // r) == one:
-            o //= r
-    assert x ** o == one
-    return o
+from reference_checks import make_algebra, make_units
 
 
 def unit_list_power_walk(u):
@@ -49,34 +27,6 @@ def unit_list_power_walk(u):
         for k, j in enumerate(powers, 1):
             orders[j] = o // gcd(k, o)
     return tuple(orders)
-
-
-# U(F_{p^k} C_p^n) for every modular elementary abelian case under the size cap
-ELEMENTARY_ABELIAN_CASES = [
-    (2, 1, 1), (2, 1, 2), (2, 1, 3),
-    (2, 2, 1), (2, 2, 2),
-    (2, 3, 1), (2, 4, 1),
-    (3, 1, 1), (3, 2, 1),
-]
-
-
-def _elementary_label(p: int, n: int) -> str:
-    if n == 1:
-        return f"C{p}"
-    if n == 2:
-        return f"C{p}xC{p}"
-    return f"C{p}^{n}"
-
-
-@pytest.mark.parametrize("p,k,n", ELEMENTARY_ABELIAN_CASES)
-def test_elementary_abelian_unit_groups(p, k, n):
-    # brute enumeration must agree with C_p^(k p^n - k) x C_{p^k - 1}
-    u = _units(p, k, _elementary_label(p, n))
-    q = p ** k
-    copies = k * p ** n - k
-    want = AbelianType.from_cyclic_orders([p] * copies + [q - 1])
-    assert u.abelian_invariants() == want
-    assert u.order == p ** copies * (q - 1)
 
 
 def test_partition_from_power_counts():
@@ -106,14 +56,15 @@ def test_abelian_type_composite_and_primary_agree():
 
 
 def test_frozen_unit_order_spectra():
-    assert _units(2, 1, "C8").unit_order_spectrum() == ((1, 1), (2, 15), (4, 48), (8, 64))
-    assert _units(2, 2, "C4").unit_order_spectrum() == (
+    assert make_units(2, 1, "C8").unit_order_spectrum() == (
+        (1, 1), (2, 15), (4, 48), (8, 64))
+    assert make_units(2, 2, "C4").unit_order_spectrum() == (
         (1, 1), (2, 15), (3, 2), (4, 48), (6, 30), (12, 96))
-    assert _units(2, 1, "C4xC2").unit_order_spectrum() == ((1, 1), (2, 63), (4, 64))
+    assert make_units(2, 1, "C4xC2").unit_order_spectrum() == ((1, 1), (2, 63), (4, 64))
 
 
 def test_spectrum_is_counted_once_and_shared(monkeypatch):
-    u = _units(3, 1, "C4")
+    u = make_units(3, 1, "C4")
     first = u.unit_order_spectrum()
     # later calls do not read the orders again
     monkeypatch.setattr(u, "_order_list", lambda: pytest.fail("orders recounted"))
@@ -123,71 +74,37 @@ def test_spectrum_is_counted_once_and_shared(monkeypatch):
     assert isinstance(first, tuple) and all(isinstance(pair, tuple) for pair in first)
 
 
-def test_counts_of_units_of_order_at_most_two():
-    def n_le_2(u):
-        spec = dict(u.unit_order_spectrum())
-        return spec.get(1, 0) + spec.get(2, 0)
-
-    assert n_le_2(_units(2, 1, "C4xC2")) == 64
-    assert n_le_2(_units(2, 1, "C8")) == 16
-    assert n_le_2(_units(2, 2, "C4")) == 16
-
-
 def test_abelian_invariants_reject_nonabelian():
     with pytest.raises(ValueError):
-        _units(2, 1, "D6").abelian_invariants()
+        make_units(2, 1, "D6").abelian_invariants()
 
 
 def test_recognize_dihedral():
-    u = _units(2, 1, "D6")
+    u = make_units(2, 1, "D6")
     found, witness = u.recognize_dihedral()
     assert found
     r, s = witness
-    assert element_order(u, r) == 6
-    assert element_order(u, s) == 2
+    assert (u.census[r.key()], u.census[s.key()]) == (6, 2)
     assert s * r * s == r.try_inverse()
 
-    found, witness = _units(2, 1, "D8").recognize_dihedral()
+    found, witness = make_units(2, 1, "D8").recognize_dihedral()
     assert not found and witness is None
 
     with pytest.raises(ValueError):
-        _units(2, 1, "C2").recognize_dihedral()
-
-
-def test_element_order_brute_cross_check():
-    u = _units(5, 1, "C2")
-    one = u.algebra.one()
-    for el in map(u.algebra.from_key, u.census):
-        o = 1
-        acc = el
-        while acc != one:
-            acc = acc * el
-            o += 1
-        assert element_order(u, el) == o
-
-
-def test_order_list_matches_divisor_descent():
-    # the census orders against per-unit divisor descent
-    specs = catalog_specs(256)
-    assert len(specs) == 91
-    for p, k, label in specs:
-        u = _units(p, k, label)
-        assert u._order_list() == tuple(element_order(u, x) for x in
-                                        map(u.algebra.from_key, u.census)), \
-            (p, k, label)
+        make_units(2, 1, "C2").recognize_dihedral()
 
 
 def test_order_list_matches_the_unit_list_power_walk_on_the_catalog():
     specs = catalog_specs(1024)
     assert len(specs) == 243
     for p, k, label in specs:
-        u = _units(p, k, label)
+        u = make_units(p, k, label)
         assert u._order_list() == unit_list_power_walk(u), (p, k, label)
 
 
 @pytest.mark.parametrize("p,k,label", [(2, 1, "D8"), (2, 2, "C3"), (3, 1, "C2xC2")])
 def test_order_list_brute_cross_check(p, k, label):
-    u = _units(p, k, label)
+    u = make_units(p, k, label)
     one = u.algebra.one()
     brute = []
     for el in map(u.algebra.from_key, u.census):
@@ -202,7 +119,7 @@ def test_order_list_brute_cross_check(p, k, label):
 def test_order_list_rejects_a_walk_leaving_the_unit_list(faulty_mul):
     # in F2[C4], y = 1 + x + x^2 has y^2 = x^2, a unit walked before y;
     # x^2 * y = 0 makes the walk of y leave the units after meeting one
-    alg = _alg(2, 1, "C4")
+    alg = make_algebra(2, 1, "C4")
     x2 = alg.group_element("x^2").key()
     y = (alg.one() + alg.group_element("x") + alg.group_element("x^2")).key()
     faulty_mul(alg, lambda a, b, ab: (0,) * 4 if (a, b) == (x2, y) else ab)
@@ -212,7 +129,7 @@ def test_order_list_rejects_a_walk_leaving_the_unit_list(faulty_mul):
 
 def test_order_list_rejects_an_order_not_dividing_the_group_order(faulty_mul):
     # U(F2[C3]) = {1, x, x^2}; x * x = 1 walks x -> 1, so x gets the order 2
-    alg = _alg(2, 1, "C3")
+    alg = make_algebra(2, 1, "C3")
     x, one = alg.group_element("x").key(), alg.one().key()
     faulty_mul(alg, lambda a, b, ab: one if (a, b) == (x, x) else ab)
     with pytest.raises(ValueError, match=r"order 2 of x does not divide \|U\| = 3"):
@@ -220,13 +137,13 @@ def test_order_list_rejects_an_order_not_dividing_the_group_order(faulty_mul):
 
 
 def test_order_list_rejects_a_walk_that_never_returns_to_one(faulty_mul):
-    alg = faulty_mul(_alg(2, 1, "C2"), lambda a, b, ab: a + b)  # never repeats
+    alg = faulty_mul(make_algebra(2, 1, "C2"), lambda a, b, ab: a + b)  # never repeats
     with pytest.raises(ValueError, match="does not return to 1"):
         UnitGroup(alg)
 
 
 def test_closure_sizes():
-    u = _units(2, 1, "D6")
+    u = make_units(2, 1, "D6")
     found, (r, s) = u.recognize_dihedral()
     assert u.closure([r]) == 6
     assert u.closure([s]) == 2
@@ -234,11 +151,3 @@ def test_closure_sizes():
     assert u.closure([]) == 1
     with pytest.raises(ValueError):
         u.closure([u.algebra.from_key((0,) * 6)])
-
-
-def test_structure_string_grammar():
-    # build_row writes the three forms: invariants, D2m, presented(...)
-    assert build_row(2, 1, "C4").structure == \
-        AbelianType.from_cyclic_orders([4, 2]).render() == "C2 x C4"
-    assert build_row(2, 1, "D6").structure == "D12"
-    assert build_row(3, 1, "D6").structure == "presented(order 324, 3 generators)"

@@ -17,9 +17,13 @@ does.
 
 Writes BENCH_<parent>.json at the root of the repository, in the format of
 the earlier files: the environment, a note, the parent commit, and per
-workload one entry per run in run order ({pair, side, report, result}: the
-last two lines bench/run.py prints).  Then prints, for each workload and
-each end-to-end metric of BENCHMARK.json, both sides' median and IQR
+workload one entry per run in run order ({pair, side, set, report, result},
+report and result being the last two lines bench/run.py prints).  A file
+already there for the parent keeps its entries, and the new runs follow
+them as the next set (an entry without a set number is of set 1), so a
+repeat set of one workload keeps the first set of every workload.  Then
+prints, for the set just run, for each workload and each end-to-end metric
+of BENCHMARK.json, both sides' median and IQR
 (statistics.quantiles, n=4), how many pairs the change won (ties count for
 neither), the change of the median as a share of the parent's, and
 "spread > bound" where either side's IQR, relative to its median, is wider
@@ -160,6 +164,19 @@ def summary(workload: str, entries: list[dict], end_to_end: list[dict]) -> list[
     return lines
 
 
+def merge_sets(kept: dict[str, list[dict]],
+               runs: dict[str, list[dict]]) -> dict[str, list[dict]]:
+    """The workloads of BENCH_<parent>.json after a set of runs: kept, the
+    entries the file already holds, then runs, each entry marked with the
+    next set number (an entry without one is of set 1)."""
+    number = 1 + max((e.get("set", 1) for entries in kept.values() for e in entries),
+                     default=0)
+    merged = {w: list(entries) for w, entries in kept.items()}
+    for w, entries in runs.items():
+        merged.setdefault(w, []).extend({**e, "set": number} for e in entries)
+    return merged
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pairs", type=int, default=10)
@@ -176,6 +193,7 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds, end_to_end = benchmark["run_seconds"], benchmark["end_to_end"]
 
+    path = ROOT / f"BENCH_{parent}.json"
     runs: dict[str, list[dict]] = {w: [] for w in workloads}
     with tempfile.TemporaryDirectory() as tmp:
         roots = {side: Path(tmp) / side for side in SIDES}
@@ -201,11 +219,12 @@ def main(argv=None) -> int:
                  " seed k on both sides; odd pairs ran the parent first, even pairs the"
                  f" change. Each side ran from a git archive export; the change side is"
                  " the working tree on top of the parent, identified by src_sha256"
-                 " in each report's env."),
+                 " in each report's env. Entries of set n > 1 are repeat sets, run later"
+                 " against the same parent."),
         "parent_commit": parent,
-        "workloads": runs,
+        "workloads": merge_sets(
+            json.loads(path.read_text())["workloads"] if path.exists() else {}, runs),
     }
-    path = ROOT / f"BENCH_{parent}.json"
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path.name}")
     for workload in workloads:

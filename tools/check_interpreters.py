@@ -5,9 +5,10 @@
 For each interpreter, runs `table`, `verify --jobs 2` and `scan-iso` with
 `--format json` on the uninstalled package (src first on PYTHONPATH, no
 bytecode written), each in its own process, and compares the exit code and
-the sha256 of stdout with bench/golden.json, which it only reads.  Prints one
-line per interpreter and command, `ok` or what differs, and exits 1 if any
-differ or an interpreter cannot be run, else 0.  Stdlib only.
+the sha256 of stdout with bench/golden.json, which it only reads; a command
+must also write nothing to stderr.  Prints one line per interpreter and
+command, `ok` or what differs, and exits 1 if any differ or an interpreter
+cannot be run, else 0.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -28,14 +29,15 @@ COMMANDS = {
 }
 
 
-def run(python: str, argv: list[str]) -> dict:
+def run(python: str, argv: list[str]) -> tuple[dict, bytes]:
     """The exit code and stdout sha256 of `python -m kgunits argv`, in the
-    form of a bench/golden.json entry."""
+    form of a bench/golden.json entry, and its stderr."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([python, "-m", "kgunits", *argv], cwd=ROOT, env=env,
                           capture_output=True, timeout=600)
-    return {"exit": proc.returncode, "sha256": hashlib.sha256(proc.stdout).hexdigest()}
+    return ({"exit": proc.returncode, "sha256": hashlib.sha256(proc.stdout).hexdigest()},
+            proc.stderr)
 
 
 def check(python: str, golden: dict) -> list[str]:
@@ -43,14 +45,16 @@ def check(python: str, golden: dict) -> list[str]:
     lines = []
     for name, argv in COMMANDS.items():
         try:
-            got = run(python, argv)
+            got, err = run(python, argv)
         except (OSError, subprocess.SubprocessError) as exc:
             return lines + [f"{python}: cannot run: {exc}"]
         want = golden[name]
-        verdict = "ok" if got == want else (
+        problems = [] if got == want else [
             f"exit {got['exit']}, sha256 {got['sha256'][:12]} "
-            f"(golden: exit {want['exit']}, {want['sha256'][:12]})")
-        lines.append(f"{python} {name}: {verdict}")
+            f"(golden: exit {want['exit']}, {want['sha256'][:12]})"]
+        if err:
+            problems.append(f"stderr {err.splitlines()[0][:60]!r}")
+        lines.append(f"{python} {name}: {'; '.join(problems) or 'ok'}")
     return lines
 
 
