@@ -13,6 +13,7 @@ are r^m, s^2, s r s = r^(m-1), else "presented(order N, g generators)".
 """
 
 import os
+import re
 from collections import namedtuple
 from functools import lru_cache
 
@@ -303,19 +304,22 @@ def _adjudicate_misprints(by_key: dict, inconsistencies: list) -> list[str]:
                        f"{m.printed!r}, computed {row.decomposition!r} "
                        f"confirms the corrected reading")
         elif m.kind == "structure":
-            row = by_key.get(m.key)
-            other = by_key.get((m.key[0], "C8"))
+            # claims "U(F2C8) = C2 x C4": the printed one must fail, the corrected hold
+            (pf, pg, printed), (cf, cg, corrected) = (
+                re.fullmatch(r"U\((F\d+)(.+)\) = (.+)", claim).groups()
+                for claim in (m.printed, m.corrected))
+            row, other = by_key.get((cf, cg)), by_key.get((pf, pg))
             if row is None:
                 continue
-            if row.structure != "C2 x C4" or \
-                    (other is not None and other.structure == "C2 x C4"):
+            if row.structure != corrected or \
+                    (other is not None and other.structure == printed):
                 inconsistencies.append(
                     f"INCONSISTENT {m.key[0]} {m.key[1]}: computed structures "
                     f"do not adjudicate the printed slip")
                 continue
-            detail = f", U(F2C8) = {other.structure}" if other else ""
+            detail = f", U({pf}{pg}) = {other.structure}" if other else ""
             out.append(f"TYPO {m.key[0]} {m.key[1]} structure: printed "
-                       f"{m.printed!r}; computed U(F2C4) = {row.structure}"
+                       f"{m.printed!r}; computed U({cf}{cg}) = {row.structure}"
                        f"{detail}")
         else:  # the collapsed dihedral presentation
             printed_order = coset_enumeration(parse_presentation(m.printed))

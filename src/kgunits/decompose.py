@@ -16,7 +16,7 @@ from itertools import groupby
 
 from .algebra import Algebra
 from .fields import prime_power_split, valuation
-from .units import AbelianType, primary_partitions
+from .units import AbelianType, abelian_type
 
 
 class Block(namedtuple("Block", "q_base degree p_part")):
@@ -57,7 +57,7 @@ class Block(namedtuple("Block", "q_base degree p_part")):
     def render(self) -> str:
         if not self.p_part:
             return f"F{self.field_size()}"
-        ptype = AbelianType.from_cyclic_orders(self.p_part).render().replace(" ", "")
+        ptype = AbelianType(self.p_part).render().replace(" ", "")
         return f"F{self.field_size()}[{ptype}]"
 
 
@@ -98,8 +98,8 @@ def decompose_abelian(algebra: Algebra) -> SummandList:
         raise ValueError(f"{group.label} is not abelian")
     p, q = algebra.field.p, algebra.field.q
     spectrum = group.order_spectrum()
-    primary = primary_partitions(group.order, spectrum)
-    p_part = tuple(p ** e for e in primary.get(p, ()))
+    p_part = tuple(sorted((d for d in abelian_type(group.order, spectrum) if d % p == 0),
+                          reverse=True))
     blocks = []
     for o, n in spectrum:
         if o % p:
@@ -129,5 +129,5 @@ def predicted_unit_structure(summands: SummandList) -> AbelianType | None:
             m = k_base * block.degree
             n = len(block.p_part)
             orders.extend([p] * (m * (p ** n - 1)))
-    return AbelianType.from_cyclic_orders(o for o in orders if o > 1)
+    return AbelianType(orders)
 

@@ -136,7 +136,7 @@ def prose_family(p: int, k: int, label: str) -> tuple[AbelianType, str | None] |
         orders, decomposition = [q - 1] * 4, f"F{q}^4"
     else:
         orders, decomposition = [q - 1, q - 1, q * q - 1], f"F{q}^2 + F{q * q}"
-    return AbelianType.from_cyclic_orders(orders), decomposition
+    return AbelianType(orders), decomposition
 
 
 def expectation_for(p: int, k: int, label: str) -> dict | None:

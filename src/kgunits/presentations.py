@@ -429,10 +429,6 @@ def coset_table(pres: FpGroup, limit: int = DEFAULT_COSET_LIMIT):
                     break
                 if i == end:
                     ri += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
             while j >= i:
                 column, start, run = backward[rj]
                 x = column[b]

@@ -9,105 +9,46 @@ pairs.  The census raises ValueError on a walk that runs past |K[G]| steps
 or leaves the units after meeting one, and on an order not dividing |U|.
 
 Abelian invariants are recovered purely from order statistics by
-``primary_partitions``: for each prime r dividing |U|, the counts N_i of
-solutions of u^(r^i) = 1 determine the partition of the r-primary component,
-and the recovered partition is checked by reproducing the counts.  Nothing
-here assumes any structure theory of the algebra; it only multiplies units.
-``recognize_dihedral`` searches for a dihedral witness; no catalog row calls it.
+``abelian_type``: for each prime r dividing |U|, the counts of solutions of
+u^(r^i) = 1 determine the elementary divisors of the r-primary component.
+Nothing here assumes any structure theory of the algebra; it only multiplies
+units.  ``recognize_dihedral`` searches for a dihedral witness; no catalog
+row calls it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import Counter
 from functools import cached_property
 
 from .algebra import Algebra, enumerate_units
 from .fields import prime_factors, valuation
 
 
-def _int_log(base: int, n: int) -> int:
-    """Exact logarithm; raises if n is not a power of base."""
-    e, rest = valuation(n, base)
-    if rest != 1:
-        raise ValueError(f"{n} is not a power of {base}")
-    return e
-
-
-def partition_from_power_counts(r: int, counts: list[int]) -> tuple[int, ...]:
-    """Recover the partition of an abelian r-group from solution counts.
-
-    counts[i] must be the number of elements killed by r^i (counts[0] = 1).
-    If the r-group has invariants r^l1 >= r^l2 >= ..., then
-    counts[i] = r ** sum(min(lj, i)), which pins the partition uniquely.
-    """
-    s = [_int_log(r, c) for c in counts]
-    conj = [s[i + 1] - s[i] for i in range(len(s) - 1)]
-    if any(c < 0 for c in conj) or any(conj[i] < conj[i + 1] for i in range(len(conj) - 1)):
-        raise ValueError(f"inconsistent solution counts {counts} for prime {r}")
-    parts = tuple(sorted((sum(1 for c in conj if c >= j) for j in range(1, (conj[0] if conj else 0) + 1)),
-                         reverse=True))
-    # round trip: the partition must reproduce every count
-    for i in range(len(s)):
-        if sum(min(l, i) for l in parts) != s[i]:
-            raise ValueError(f"partition {parts} does not reproduce counts {counts}")
-    return parts
-
-
-def primary_partitions(order: int, spectrum) -> dict[int, tuple[int, ...]]:
-    """Per-prime partitions of an abelian group from its order spectrum.
-
-    spectrum holds (element order, count) pairs.  The recovered cyclic
-    orders must multiply up to the group order; otherwise RuntimeError.
-    """
-    parts: dict[int, tuple[int, ...]] = {}
-    total = 1
-    for r in prime_factors(order):
-        counts = [sum(c for d, c in spectrum if r ** i % d == 0)
-                  for i in range(valuation(order, r)[0] + 1)]
-        parts[r] = partition_from_power_counts(r, counts)
-        total *= r ** sum(parts[r])
-    if total != order:
-        raise RuntimeError(f"primary partitions {parts} do not multiply up to "
-                           f"the group order {order}")  # unreachable
-    return parts
-
-
-class AbelianType(namedtuple("AbelianType", "primary")):
-    """Isomorphism type of a finite abelian group: partitions per prime,
-    primary = ((prime, descending partition), ...)."""
+class AbelianType(tuple):
+    """Isomorphism type of a finite abelian group: its elementary divisors,
+    the prime-power orders of its primary cyclic factors, sorted by prime and
+    then ascending.  AbelianType(orders) splits each cyclic order into prime
+    powers, so AbelianType([6, 4]) == (2, 4, 3) and 1 adds nothing."""
 
     __slots__ = ()
 
-    @classmethod
-    def from_primary(cls, parts: dict[int, tuple[int, ...]]) -> "AbelianType":
-        clean = []
-        for p in sorted(parts):
-            lam = tuple(sorted((e for e in parts[p] if e > 0), reverse=True))
-            if lam:
-                clean.append((p, lam))
-        return cls(tuple(clean))
-
-    @classmethod
-    def from_cyclic_orders(cls, orders) -> "AbelianType":
-        parts: dict[int, list[int]] = {}
+    def __new__(cls, orders):
+        divisors = []
         for n in orders:
             if n < 1:
                 raise ValueError("cyclic factor orders must be positive")
-            for p in prime_factors(n):
-                parts.setdefault(p, []).append(valuation(n, p)[0])
-        return cls.from_primary({p: tuple(v) for p, v in parts.items()})
+            divisors += [p ** valuation(n, p)[0] for p in prime_factors(n)]
+        return super().__new__(cls, sorted(divisors, key=lambda d: (prime_factors(d), d)))
 
     def order(self) -> int:
-        return math.prod(p ** e for p, lam in self.primary for e in lam)
+        return math.prod(self)
 
     def render(self) -> str:
         """Canonical string: primes ascending, exponents ascending, e.g. C2^5 x C4."""
-        if not self.primary:
-            return "C1"
-        return " x ".join(f"C{p ** e}" if m == 1 else f"C{p ** e}^{m}"
-                          for p, lam in self.primary
-                          for e, m in sorted(Counter(lam).items()))
+        return " x ".join(f"C{d}" if m == 1 else f"C{d}^{m}"
+                          for d, m in Counter(self).items()) or "C1"
 
     @classmethod
     def parse(cls, text: str) -> "AbelianType":
@@ -121,13 +62,45 @@ class AbelianType(namedtuple("AbelianType", "primary")):
             if not base.startswith("C"):
                 raise ValueError(f"not an abelian structure string: {text!r}")
             orders += [int(base[1:])] * int(mult or 1)
-        parsed = cls.from_cyclic_orders(orders)
+        parsed = cls(orders)
         if parsed.render() != text:
             raise ValueError(f"not a canonical structure string: {text!r}")
         return parsed
 
     def __str__(self):
         return self.render()
+
+
+def abelian_type(order: int, spectrum) -> AbelianType:
+    """Type of an abelian group of the given order from its order spectrum,
+    (element order, count) pairs.
+
+    For each prime r | order, s_i = log_r #{x : x^(r^i) = 1}.  Elementary
+    divisors r^l1, r^l2, ... give s_i = sum(min(lj, i)), so s_(i+1) - s_i
+    counts the lj > i, and the drop between consecutive differences is the
+    multiplicity of r^i.  ValueError when a count is not a power of r, the
+    identity's count is not 1, or the differences rise; RuntimeError when
+    the type's order is not ``order``.
+    """
+    divisors: list[int] = []
+    for r in prime_factors(order):
+        s = []
+        for i in range(valuation(order, r)[0] + 1):
+            count = sum(c for o, c in spectrum if r ** i % o == 0)
+            e, rest = valuation(count, r)
+            if rest != 1:
+                raise ValueError(f"{count} elements killed by {r}^{i} is not a power of {r}")
+            s.append(e)
+        s.append(s[-1])  # r^(e+1) kills no more than r^e
+        diffs = [b - a for a, b in zip(s, s[1:])]
+        if s[0] or any(a < b for a, b in zip(diffs, diffs[1:])):
+            raise ValueError(f"inconsistent order spectrum {spectrum} at prime {r}")
+        for i in range(1, len(diffs)):
+            divisors += [r ** i] * (diffs[i - 1] - diffs[i])
+    found = AbelianType(divisors)
+    if found.order() != order:
+        raise RuntimeError(f"type {found} does not have the group order {order}")
+    return found
 
 
 class UnitGroup:
@@ -162,11 +135,10 @@ class UnitGroup:
         return tuple(sorted(Counter(self._order_list()).items()))
 
     def abelian_invariants(self) -> AbelianType:
-        """Primary decomposition of an abelian unit group from order counts."""
+        """Elementary divisors of an abelian unit group from order counts."""
         if not self.is_abelian():
             raise ValueError(f"{self.algebra.label()} has a nonabelian unit group")
-        parts = primary_partitions(self.order, self.unit_order_spectrum())
-        return AbelianType.from_primary(parts)
+        return abelian_type(self.order, self.unit_order_spectrum())
 
     def recognize_dihedral(self):
         """(True, (r, s)) if U is dihedral of its order, witnessed; else (False, None).

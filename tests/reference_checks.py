@@ -20,7 +20,7 @@ from kgunits.catalog import parse_structure_order
 from kgunits.decompose import Block, SummandList
 from kgunits.fields import factor_monic, make_field
 from kgunits.groups import group_by_label
-from kgunits.units import UnitGroup, primary_partitions
+from kgunits.units import UnitGroup, abelian_type
 
 # 0-based relators of each published presentation that the others imply
 REDUNDANT_RELATORS: dict[tuple[str, str], tuple[int, ...]] = {
@@ -86,9 +86,9 @@ def tower_blocks(algebra, calls=None):
     x^n - 1) factored is appended to calls, when given."""
     group, field = algebra.group, algebra.field
     p = field.p
-    primary = primary_partitions(group.order, group.order_spectrum())
-    p_part = tuple(p ** e for e in primary.get(p, ()))
-    coprime = sorted(r ** e for r, lam in primary.items() if r != p for e in lam)
+    divisors = abelian_type(group.order, group.order_spectrum())
+    p_part = tuple(sorted((d for d in divisors if d % p == 0), reverse=True))
+    coprime = sorted(d for d in divisors if d % p)
     degrees = [1]
     for n in coprime:
         refined = []

@@ -8,11 +8,11 @@ from kgunits.algebra import Algebra
 from kgunits.catalog import build_catalog, build_row, catalog_specs, \
     parse_structure_order, verify_catalog
 from kgunits.decompose import decompose_abelian, predicted_unit_structure
-from kgunits.expected import PRESENTATION_SOURCES
+from kgunits.expected import PRESENTATION_SOURCES, Misprint
 from kgunits.fields import SIZE_LIMIT, make_field, prime_power_split
 from kgunits.groups import group_by_label, groups_of_order
 from kgunits.presentations import parse_presentation
-from kgunits.units import AbelianType, UnitGroup, primary_partitions
+from kgunits.units import AbelianType, UnitGroup, abelian_type
 
 
 def test_row_count_and_order(catalog_rows):
@@ -93,7 +93,7 @@ def _sandling_unit_structure(summands):
             count = m * (power_size(i - 1) - 2 * power_size(i) + power_size(i + 1))
             orders.extend([p ** i] * count)
             i += 1
-    return AbelianType.from_cyclic_orders(o for o in orders if o > 1)
+    return AbelianType(orders)
 
 
 def test_sandling_count_matches_every_abelian_row(catalog_rows):
@@ -207,7 +207,7 @@ def test_every_row_is_published_and_self_consistent(catalog_rows):
         assert parse_structure_order(r.structure) == r.unit_count, (r.field, r.group)
         if group.is_abelian():
             # the structure string reads back as the type the spectrum gives
-            t = AbelianType.from_primary(primary_partitions(r.unit_count, r.spectrum))
+            t = abelian_type(r.unit_count, r.spectrum)
             assert t.render() == r.structure, (r.field, r.group)
             assert AbelianType.parse(t.render()) == t, (r.field, r.group)
         assert r.size == (r.p ** r.k) ** group.order
@@ -280,6 +280,16 @@ def test_verify_catalog_passes(catalog_rows):
     assert all(line.startswith(("ok ", "TYPO ")) for line in report.lines)
     assert sum(1 for line in report.lines if line.startswith("TYPO")) == 5
     assert all(line.startswith("TYPO") for line in report.typo_lines)
+
+
+def test_structure_misprint_is_adjudicated_from_its_claims(catalog_rows, monkeypatch):
+    # U(F3C4) = C2^2 x C8 refutes the printed claim; U(F3C2) = C2^2 holds
+    slip = Misprint(("F3", "C2"), "structure", "U(F3C4) = C2^2", "U(F3C2) = C2^2", "")
+    monkeypatch.setattr(kgunits.catalog, "MISPRINTS", (slip,))
+    report = verify_catalog(rows=catalog_rows)
+    assert report.typo_lines == ("TYPO F3 C2 structure: printed 'U(F3C4) = C2^2'; "
+                                 "computed U(F3C2) = C2^2, U(F3C4) = C2^2 x C8",)
+    assert report.inconsistency_lines == ()
 
 
 def test_verify_catalog_detects_internal_inconsistency(catalog_rows):

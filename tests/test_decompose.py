@@ -5,7 +5,7 @@ from kgunits.decompose import (Block, SummandList, decompose_abelian,
                                predicted_unit_structure)
 from kgunits.groups import group_by_label
 from kgunits.isoprobe import primitive_idempotents_by_search
-from kgunits.units import UnitGroup, primary_partitions
+from kgunits.units import UnitGroup, abelian_type
 from reference_checks import make_algebra, tower_blocks
 
 
@@ -88,12 +88,12 @@ def test_primitive_idempotents():
 def test_primary_cyclic_orders():
     def primary(label):
         group = group_by_label(label)
-        return primary_partitions(group.order, group.order_spectrum())
+        return abelian_type(group.order, group.order_spectrum())
 
-    # exponent partitions per prime
-    assert primary("C6") == {2: (1,), 3: (1,)}
-    assert primary("C4xC2") == {2: (2, 1)}
-    assert primary("C1") == {}
+    # elementary divisors, by prime and then ascending
+    assert primary("C6") == (2, 3)
+    assert primary("C4xC2") == (2, 4)
+    assert primary("C1") == ()
 
 
 def test_block_invariants():

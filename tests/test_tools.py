@@ -105,6 +105,22 @@ def test_bench_pairs_keeps_the_first_set_when_a_workload_is_repeated():
         "queries": [{**e, "set": 1} for e in repeat["queries"]]}
 
 
+def test_bench_pairs_top_level_describes_every_set_alike():
+    bench_pairs = load_by_path(TOOLS / "bench_pairs.py")
+    # a first set of 2 pairs, then a repeat set of 3 pairs of one workload
+    first = {w: [_entry(k, side, 1.0, 20.0) for k in (1, 2) for side in ("parent", "change")]
+             for w in ("catalog", "scan", "queries")}
+    repeat = {"scan": [_entry(k, side, 2.0, 21.0) for k in (1, 2, 3)
+                       for side in ("parent", "change")]}
+    once = bench_pairs.document("abc1234", {}, first)
+    twice = bench_pairs.document("abc1234", once["workloads"], repeat)
+    assert [e["set"] for e in twice["workloads"]["scan"]] == [1] * 4 + [2] * 6
+    top = {k: v for k, v in twice.items() if k != "workloads"}
+    assert top == {k: v for k, v in once.items() if k != "workloads"}
+    assert top["environment"] == {"PYTHONDONTWRITEBYTECODE": "1"}
+    assert "pairs per workload" not in top["note"]
+
+
 def test_check_interpreters_matches_the_goldens_under_this_python(capsys):
     check_interpreters = load_by_path(TOOLS / "check_interpreters.py")
     assert check_interpreters.main([sys.executable]) == 0

@@ -3,7 +3,7 @@ from math import gcd
 import pytest
 
 from kgunits.catalog import catalog_specs
-from kgunits.units import AbelianType, UnitGroup, partition_from_power_counts
+from kgunits.units import AbelianType, UnitGroup, abelian_type
 from reference_checks import make_algebra, make_units
 
 
@@ -29,30 +29,29 @@ def unit_list_power_walk(u):
     return tuple(orders)
 
 
-def test_partition_from_power_counts():
+def test_abelian_type_from_order_spectra():
     # C4 x C2: counts of x with x^(2^i) = 1 are 1, 4, 8
-    assert partition_from_power_counts(2, [1, 4, 8]) == (2, 1)
-    # C2^3
-    assert partition_from_power_counts(2, [1, 8, 8, 8]) == (1, 1, 1)
-    # C9
-    assert partition_from_power_counts(3, [1, 3, 9]) == (2,)
-    assert partition_from_power_counts(2, [1]) == ()
-    with pytest.raises(ValueError):
-        partition_from_power_counts(2, [1, 4, 2])
-    with pytest.raises(ValueError):
-        partition_from_power_counts(2, [1, 3])
+    assert abelian_type(8, ((1, 1), (2, 3), (4, 4))) == (2, 4)
+    assert abelian_type(8, ((1, 1), (2, 7))) == (2, 2, 2)
+    assert abelian_type(9, ((1, 1), (3, 2), (9, 6))) == (9,)
+    assert abelian_type(1, ((1, 1),)) == ()
+    bad = [(4, ((1, 1), (2, 2), (4, 1))),  # 3 elements killed by 2
+           (2, ((1, 2),)),  # two identities
+           (16, ((1, 1), (2, 1), (4, 14)))]  # s_i - s_(i-1) = 1, 3, 0 rises
+    for order, spectrum in bad:
+        with pytest.raises(ValueError):
+            abelian_type(order, spectrum)
 
 
 def test_abelian_type_composite_and_primary_agree():
-    a = AbelianType.from_cyclic_orders([6, 4])
-    b = AbelianType.from_primary({2: (2, 1), 3: (1,)})
-    assert a == b
+    a = AbelianType([6, 4])
+    assert a == AbelianType([3, 4, 2]) == (2, 4, 3)
     assert a.render() == "C2 x C4 x C3"
     assert a.order() == 24
-    assert AbelianType.from_cyclic_orders([1]).render() == "C1"
-    assert AbelianType.from_cyclic_orders([15]).render() == "C3 x C5"
+    assert AbelianType([1]).render() == "C1"
+    assert AbelianType([15]).render() == "C3 x C5"
     with pytest.raises(ValueError):
-        AbelianType.from_cyclic_orders([0])
+        AbelianType([0])
 
 
 def test_frozen_unit_order_spectra():

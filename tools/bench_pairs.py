@@ -16,9 +16,10 @@ PYTHONDONTWRITEBYTECODE=1, so each compiles the package as a fresh checkout
 does.
 
 Writes BENCH_<parent>.json at the root of the repository, in the format of
-the earlier files: the environment, a note, the parent commit, and per
-workload one entry per run in run order ({pair, side, set, report, result},
-report and result being the last two lines bench/run.py prints).  A file
+the earlier files: the environment every run shares, a note, the parent
+commit, and per workload one entry per run in run order ({pair, side, set,
+report, result}, report and result being the last two lines bench/run.py
+prints; the report's env holds the run's load, python, machine and nproc).  A file
 already there for the parent keeps its entries, and the new runs follow
 them as the next set (an entry without a set number is of set 1), so a
 repeat set of one workload keeps the first set of every workload.  Then
@@ -43,7 +44,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -177,6 +177,25 @@ def merge_sets(kept: dict[str, list[dict]],
     return merged
 
 
+def document(parent: str, kept: dict[str, list[dict]],
+             runs: dict[str, list[dict]]) -> dict:
+    """BENCH_<parent>.json after a set of runs (see merge_sets).  Its top level
+    holds only what every set shares: the load, python, machine and nproc of
+    a run are in its own report's env."""
+    return {
+        "environment": {"PYTHONDONTWRITEBYTECODE": "1"},
+        "note": ("Paired runs of python3 bench/run.py --workload W --seconds S by"
+                 " tools/bench_pairs.py, S the run_seconds of BENCHMARK.json, pair k"
+                 " with seed k on both sides; odd pairs ran the parent first, even"
+                 " pairs the change. Each side ran from a git archive export; the change"
+                 " side is the working tree on top of the parent, identified by"
+                 " src_sha256 in each report's env. Entries of set n > 1 are repeat"
+                 " sets, run later against the same parent."),
+        "parent_commit": parent,
+        "workloads": merge_sets(kept, runs),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pairs", type=int, default=10)
@@ -210,21 +229,8 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {pair} {side}: wall_s "
                           f"{result['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
 
-    out = {
-        "environment": {"PYTHONDONTWRITEBYTECODE": "1", "loadavg_at_write": os.getloadavg(),
-                        "machine": platform.machine(), "nproc": os.cpu_count(),
-                        "python": platform.python_version()},
-        "note": (f"Paired runs of python3 bench/run.py --workload W --seconds {seconds:g}"
-                 f" by tools/bench_pairs.py, {args.pairs} pairs per workload, pair k with"
-                 " seed k on both sides; odd pairs ran the parent first, even pairs the"
-                 f" change. Each side ran from a git archive export; the change side is"
-                 " the working tree on top of the parent, identified by src_sha256"
-                 " in each report's env. Entries of set n > 1 are repeat sets, run later"
-                 " against the same parent."),
-        "parent_commit": parent,
-        "workloads": merge_sets(
-            json.loads(path.read_text())["workloads"] if path.exists() else {}, runs),
-    }
+    out = document(parent, json.loads(path.read_text())["workloads"] if path.exists() else {},
+                   runs)
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path.name}")
     for workload in workloads:
