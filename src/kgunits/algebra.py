@@ -6,8 +6,8 @@ returns it.  Every operation runs on those tuples with the FieldSpec code
 operations.  Products go through ``Algebra.mul_codes``, which ``_product``
 makes on first use: one of two kinds of function written out from the group
 table (the convolution unrolled, one expression per output coefficient), or
-over F_q[C1] with k > 1 ``FieldSpec.mul`` itself.  Only
-``AlgebraElement.__str__`` reads a code as a FieldElement, to print it.
+over F_q[C1] with k > 1 ``FieldSpec.mul`` itself.  ``AlgebraElement.__str__``
+prints each coefficient with ``FieldSpec.code_text``.
 
 ``enumerate_units`` decides every unit and its order in one element census,
 by multiplication alone.  Each code tuple x not yet classified, in counting
@@ -37,7 +37,7 @@ import itertools
 from functools import cached_property, lru_cache
 from math import gcd
 
-from .fields import FieldElement, FieldSpec
+from .fields import FieldSpec
 from .groups import Group
 
 
@@ -190,7 +190,7 @@ class AlgebraElement:
         for i, c in enumerate(self._key):
             if not c:
                 continue
-            cs = str(FieldElement(field, c))
+            cs = field.code_text(c)
             if "+" in cs:
                 cs = f"({cs})"
             if names[i] == "1":
@@ -313,13 +313,16 @@ def _field_census(algebra: Algebra) -> dict[tuple[int, ...], int]:
     units, each met once, and g^t has the order (q - 1) / gcd(t, q - 1)."""
     field, n = algebra.field, algebra.size - 1
     powers = field.primitive_powers()
-    if sorted(powers) != list(range(1, n + 1)):
-        raise ValueError(f"the powers of the primitive element of {field.label()} "
-                         f"are not its {n} units")
     order = [0] * (n + 1)
-    for t, c in enumerate(powers):
-        order[c] = n // gcd(t, n)
-    return {(c,): order[c] for c in range(1, n + 1)}
+    if len(powers) == n:
+        for t, c in enumerate(powers):
+            if not 0 < c <= n or order[c]:  # not a unit, or met twice
+                break
+            order[c] = n // gcd(t, n)
+        else:
+            return {(c,): order[c] for c in range(1, n + 1)}
+    raise ValueError(f"the powers of the primitive element of {field.label()} "
+                     f"are not its {n} units")
 
 
 def _power_walk(algebra: Algebra, x, known: dict) -> None:

@@ -23,9 +23,10 @@ g^((p-1)/r) != 1 mod p for every prime r | p - 1 and walks it on ints,
 with no table.  The one q x q table, ``_square_tables`` (sums and
 products), is for the product of a group algebra K[G] with |G| >= 2 and
 k > 1, which has at least q^2 elements itself (q <= 31 below the published
-bound 1024); no other field builds one.  ``FieldElement`` wraps one code
-for display: its text, and operators that call the ``FieldSpec`` code
-operations.
+bound 1024); no other field builds one.  ``FieldSpec.code_text`` prints a
+code.  ``FieldElement`` wraps one code in operators that call the code
+operations; no command builds one, and it stays for bench/tracing.py's
+counters.
 
 Polynomials are tuples of codes over a given FieldSpec, index = degree.  The
 one polynomial layer (``poly_*``, ``monic_irreducibles``) serves the prime
@@ -194,6 +195,18 @@ class FieldSpec:
             out.append(c)
         return tuple(out)
 
+    def code_text(self, code: int) -> str:
+        """A code as text: the integer itself in a prime field, else its
+        polynomial in t, highest power first, as 2*t^2+t+1, and 0 for zero."""
+        if self.k == 1:
+            return str(code)
+        terms = []
+        for i, c in reversed(tuple(enumerate(self._digits(code)))):
+            if c:
+                var = "t" if i == 1 else f"t^{i}"
+                terms.append(str(c) if i == 0 else var if c == 1 else f"{c}*{var}")
+        return "+".join(terms) or "0"
+
     # -- arithmetic on codes
 
     def _tables(self):
@@ -202,15 +215,21 @@ class FieldSpec:
         Each code c in counting order is walked, multiplying by c as a
         k x k matrix over F_p, until its powers come back to 1; the first
         c whose walk meets all q - 1 units is the first primitive element
-        g, and its walk is exp.  exp[t] = g^t is stored twice over
-        (2(q - 1) entries) so a sum of two logs needs no reduction; log[0]
-        and a Zech entry for 1 + g^n = 0 are None.
+        g, and its walk is exp.  When k > 1 the walks start at the code p,
+        since a code below p lies in F_p and its order divides p - 1, and
+        skip a code met on an earlier walk, whose order divides that walk's
+        length.  exp[t] = g^t is stored twice over (2(q - 1) entries) so a
+        sum of two logs needs no reduction; log[0] and a Zech entry for
+        1 + g^n = 0 are None.
         """
         if self._tabs is None:
             p, q, k = self.p, self.q, self.k
             place, dot = tuple(p ** i for i in range(k)), operator.mul
             one = [1] + [0] * (k - 1)
-            for c in range(1, q):
+            met = set()
+            for c in range(p if k > 1 else 1, q):
+                if c in met:
+                    continue
                 # times c is F_p-linear on digit vectors, with column j the
                 # digits of c t^j: t times column j - 1, t^k reduced by the modulus
                 cols = [self._digits(c)]
@@ -225,6 +244,7 @@ class FieldSpec:
                     cur = [sum(map(dot, cur, row)) % p for row in rows]
                 if len(powers) == q - 1:
                     break
+                met.update(powers)
             log: list = [None] * q
             for t, c in enumerate(powers):
                 log[c] = t
@@ -338,21 +358,7 @@ class FieldElement:
         return FieldElement(self.spec, self.spec.inv(self.code))
 
     def __str__(self):
-        s = self.spec
-        if s.k == 1:
-            return str(self.code)
-        digits = s._digits(self.code)
-        terms = []
-        for i in range(s.k - 1, -1, -1):
-            c = digits[i]
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                var = "t" if i == 1 else f"t^{i}"
-                terms.append(var if c == 1 else f"{c}*{var}")
-        return "+".join(terms) if terms else "0"
+        return self.spec.code_text(self.code)
 
     def __repr__(self):
         return f"{self.spec.label()}({self})"

@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 from functools import lru_cache
@@ -25,11 +26,6 @@ def field_for_size(q: int) -> FieldSpec:
     if pk is None:
         raise ValueError(f"{q} is not a prime power")
     return make_field(*pk)
-
-
-def field_elements(spec):
-    """All q elements of spec as FieldElements, in counting order."""
-    return [FieldElement(spec, c) for c in range(spec.q)]
 
 
 def poly_eval(spec, a, x):
@@ -129,52 +125,6 @@ def test_field_labels():
         field_for_size(6)
 
 
-def test_field_laws_exhaustive_f4():
-    spec = make_field(2, 2)
-    els = field_elements(spec)
-    for a in els:
-        for b in els:
-            assert a + b == b + a
-            assert a * b == b * a
-            for c in els:
-                assert (a + b) + c == a + (b + c)
-                assert (a * b) * c == a * (b * c)
-                assert a * (b + c) == a * b + a * c
-
-
-def test_field_laws_pairs_f8_f9():
-    for spec in (make_field(2, 3), make_field(3, 2)):
-        els = field_elements(spec)
-        probes = els[:4]
-        for a in els:
-            for b in els:
-                assert a + b == b + a
-                assert a * b == b * a
-                for c in probes:
-                    assert a * (b + c) == a * b + a * c
-                    assert (a * b) * c == a * (b * c)
-
-
-def test_inverses_and_orders():
-    for p, k in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)):
-        spec = make_field(p, k)
-        n, one = spec.q - 1, FieldElement(spec, 1)
-        orders = set()
-        for a in field_elements(spec):
-            if not a:
-                with pytest.raises(ZeroDivisionError):
-                    a.inverse()
-                continue
-            assert a * a.inverse() == one
-            o, acc = 1, a
-            while acc != one and o <= n:
-                acc = acc * a
-                o += 1
-            assert acc == one and n % o == 0
-            orders.add(o)
-        assert n in orders  # the multiplicative group is cyclic
-
-
 def test_factorization_degree_patterns():
     cases = [
         (2, 1, 5, [1, 4]),
@@ -230,9 +180,10 @@ def test_x_power_minus_one_has_root_one():
 
 def test_frobenius_is_additive():
     spec = make_field(2, 3)
-    for a in field_elements(spec):
-        for b in field_elements(spec):
-            assert (a + b) * (a + b) == a * a + b * b
+    for a in range(spec.q):
+        for b in range(spec.q):
+            s = spec.add(a, b)
+            assert spec.mul(s, s) == spec.add(spec.mul(a, a), spec.mul(b, b))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +193,7 @@ def _raw_strip(c):
     n = len(c)
     while n and c[n - 1] == 0:
         n -= 1
-    return c[:n]
+    return tuple(c[:n])
 
 
 def _raw_mul(a, b, p):
@@ -253,7 +204,7 @@ def _raw_mul(a, b, p):
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             out[i + j] = (out[i + j] + ai * bj) % p
-    return _raw_strip(tuple(out))
+    return _raw_strip(out)
 
 
 def _raw_mod(a, b, p):
@@ -264,7 +215,7 @@ def _raw_mod(a, b, p):
         f = rem[i] % p
         for j in range(db + 1):
             rem[i - db + j] = (rem[i - db + j] - f * b[j]) % p
-    return _raw_strip(tuple(rem))
+    return _raw_strip(rem)
 
 
 def _base_p(spec):
@@ -303,6 +254,8 @@ def _reference_ops(spec):
 
 
 def _check_pair(spec, ref, a, b):
+    """The code operations on (a, b) against ref, and FieldElement's
+    operators and equality against the code operations."""
     add, sub, neg, mul = ref
     assert spec.add(a, b) == add(a, b), (spec, a, b)
     assert spec.sub(a, b) == sub(a, b), (spec, a, b)
@@ -310,17 +263,22 @@ def _check_pair(spec, ref, a, b):
     x, y = FieldElement(spec, a), FieldElement(spec, b)
     assert ((x + y).code, (x - y).code, (x * y).code) == \
         (spec.add(a, b), spec.sub(a, b), spec.mul(a, b)), (spec, a, b)
+    assert (x == y) == (a == b) and x == FieldElement(spec, a), (spec, a, b)
 
 
 def _check_single(spec, ref, a):
     _, _, neg, mul = ref
     assert spec.neg(a) == neg(a), (spec, a)
+    x = FieldElement(spec, a)
+    assert bool(x) == bool(a) and str(x) == spec.code_text(a), (spec, a)
     if a:
         inv = spec.inv(a)
-        assert mul(a, inv) == 1 and FieldElement(spec, a).inverse().code == inv, (spec, a)
+        assert mul(a, inv) == 1 and x.inverse().code == inv, (spec, a)
     else:
         with pytest.raises(ZeroDivisionError):
             spec.inv(a)
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
 
 
 def test_code_kernel_matches_raw_polynomials_for_every_field():
@@ -412,6 +370,32 @@ def _polynomial_walk_tables(spec):
     return powers + powers, log, zech
 
 
+def _every_code_walk_tables(spec):
+    """(exp, log, zech) from walking every code from 1 in counting order to
+    the first walk that meets all q - 1 units, as the tables were built
+    before their walks started at p and skipped codes already met."""
+    p, q, k = spec.p, spec.q, spec.k
+    place, dot = tuple(p ** i for i in range(k)), operator.mul
+    one = [1] + [0] * (k - 1)
+    for c in range(1, q):
+        cols = [spec._digits(c)]
+        while len(cols) < k:
+            *low, top = cols[-1]
+            cols.append(tuple((x - top * m) % p for x, m in zip((0, *low), spec.modulus)))
+        rows = tuple(zip(*cols))
+        powers, cur = [1], list(cols[0])
+        while cur != one and len(powers) < q:
+            powers.append(sum(map(dot, cur, place)))
+            cur = [sum(map(dot, cur, row)) % p for row in rows]
+        if len(powers) == q - 1:
+            break
+    log = [None] * q
+    for t, c in enumerate(powers):
+        log[c] = t
+    zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in powers]
+    return powers + powers, log, zech
+
+
 def test_linear_walk_tables_match_the_polynomial_walk():
     fresh = make_field.__wrapped__  # a new FieldSpec, tables not yet built
     sizes = [q for q in FIELD_SIZES if prime_power_split(q)[1] > 1]
@@ -423,6 +407,8 @@ def test_linear_walk_tables_match_the_polynomial_walk():
         assert exp == ref_exp, spec
         assert log == ref_log, spec
         assert zech == ref_zech, spec
+        # walks that start at p and skip met codes find what walking all finds
+        assert (exp, log, zech) == _every_code_walk_tables(spec), spec
 
 
 def test_primitive_is_the_first_element_of_the_tables_in_every_field():
@@ -434,6 +420,27 @@ def test_primitive_is_the_first_element_of_the_tables_in_every_field():
         powers = spec.primitive_powers()
         assert powers == spec._tables()[0][:q - 1], spec
         assert sorted(powers) == list(range(1, q)), spec  # g has the order q - 1
+
+
+TERM = re.compile(r"(?:(\d+)\*)?t(?:\^(\d+))?|(\d+)")
+
+
+def test_code_text_writes_the_digits_of_every_code_highest_power_first():
+    # terms c*t^i joined by +, with no c of 1 before t, no ^1, and 0 for zero
+    for q in FIELD_SIZES:
+        spec = make_field(*prime_power_split(q))
+        digits, _ = _base_p(spec)
+        assert spec.code_text(0) == "0"
+        for a in range(1, q):
+            read, powers = [0] * spec.k, []
+            for term in spec.code_text(a).split("+"):
+                c, e, constant = TERM.fullmatch(term).groups()
+                assert c != "1" and e != "1", (spec, a)
+                i = 0 if constant else int(e or 1)
+                read[i] = int(constant or c or 1)
+                powers.append(i)
+            assert tuple(read) == digits(a), (spec, a)
+            assert powers == sorted(set(powers), reverse=True), (spec, a)
 
 
 def test_fields_and_code_census_build_no_field_element(monkeypatch):
@@ -461,73 +468,63 @@ def test_fields_and_code_census_build_no_field_element(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the polynomial layer on codes against the FieldElement layer it replaced
+# the polynomial layer against the same trial division on _reference_ops,
+# which reads no code table
 
-def _ref_strip(c):
-    n = len(c)
-    while n and not c[n - 1]:
-        n -= 1
-    return tuple(c[:n])
-
-
-def _ref_mul(a, b):
+def _ref_mul(ops, a, b):
+    add, _, _, mul = ops
     if not a or not b:
         return ()
-    out = [FieldElement(a[0].spec, 0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = out[i + j] + ai * bj
-    return _ref_strip(out)
+        for j, bj in enumerate(b):
+            out[i + j] = add(out[i + j], mul(ai, bj))
+    return _raw_strip(out)
 
 
-def _ref_divmod(a, b):
-    """poly_divmod over FieldElement coefficients, as it was."""
-    b = _ref_strip(b)
-    spec = b[-1].spec
-    lead_inv = b[-1].inverse()
-    rem = list(a)
+def _ref_divmod(ops, a, b):
+    """(quotient, remainder) of a by the monic b."""
+    _, sub, _, mul = ops
     db = len(b) - 1
     if len(a) - 1 < db:
-        return (), _ref_strip(a)
-    quo = [FieldElement(spec, 0)] * (len(a) - db)
+        return (), _raw_strip(a)
+    rem = list(a)
+    quo = [0] * (len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
-        c = rem[i]
-        if not c:
-            continue
-        f = c * lead_inv
-        quo[i - db] = f
-        for j in range(db + 1):
-            rem[i - db + j] = rem[i - db + j] - f * b[j]
-    return _ref_strip(quo), _ref_strip(rem)
+        f = rem[i]
+        if f:
+            quo[i - db] = f
+            for j in range(db + 1):
+                rem[i - db + j] = sub(rem[i - db + j], mul(f, b[j]))
+    return _raw_strip(quo), _raw_strip(rem)
 
 
 @lru_cache(maxsize=None)
 def _ref_monic_irreducibles(spec, d):
+    ops = _reference_ops(spec)
     lower = [g for dd in range(1, d // 2 + 1) for g in _ref_monic_irreducibles(spec, dd)]
     out = []
     for code in range(spec.q ** d):
         tail = []
         for _ in range(d):
-            tail.append(FieldElement(spec, code % spec.q))
-            code //= spec.q
-        cand = tuple(tail) + (FieldElement(spec, 1),)
-        if d == 1 or all(_ref_divmod(cand, g)[1] for g in lower):
+            code, c = divmod(code, spec.q)
+            tail.append(c)
+        cand = tuple(tail) + (1,)
+        if all(_ref_divmod(ops, cand, g)[1] for g in lower):
             out.append(cand)
     return tuple(out)
 
 
-def _ref_factor_monic(coeffs):
-    """factor_monic over FieldElement coefficients, as it was."""
-    spec = coeffs[-1].spec
-    work = coeffs
+def _ref_factor_monic(spec, f):
+    """Trial division of the monic f by monic irreducibles of rising degree."""
+    ops = _reference_ops(spec)
+    work = f
     found = {}
     d = 1
     while 2 * d <= len(work) - 1:
         for g in _ref_monic_irreducibles(spec, d):
             while True:
-                quo, rem = _ref_divmod(work, g)
+                quo, rem = _ref_divmod(ops, work, g)
                 if rem:
                     break
                 work = quo
@@ -541,18 +538,18 @@ def _ref_factor_monic(coeffs):
     def key(g):  # (degree, base-q integer of the non-leading coefficients)
         code = 0
         for c in reversed(g[:-1]):
-            code = code * spec.q + c.code
+            code = code * spec.q + c
         return (len(g) - 1, code)
     out = sorted(found.items(), key=lambda kv: key(kv[0]))
-    acc = (FieldElement(spec, 1),)
+    acc = (1,)
     for g, m in out:
         for _ in range(m):
-            acc = _ref_mul(acc, g)
-    assert acc == coeffs
+            acc = _ref_mul(ops, acc, g)
+    assert acc == f
     return out
 
 
-def test_code_factorization_matches_the_field_element_layer_on_the_catalog():
+def test_code_factorization_matches_the_reference_layer_on_the_catalog():
     calls = []
     cyclic_semisimple = 0
     for p, k, label in catalog_specs(1024):
@@ -570,6 +567,4 @@ def test_code_factorization_matches_the_field_element_layer_on_the_catalog():
     seen = set(calls)
     assert len(seen) == 221
     for spec, f in sorted(seen, key=lambda c: (c[0].q, c[1])):
-        ref = _ref_factor_monic(tuple(FieldElement(spec, c) for c in f))
-        want = [(tuple(c.code for c in g), m) for g, m in ref]
-        assert factor_monic(spec, f) == want, (spec, f)
+        assert factor_monic(spec, f) == _ref_factor_monic(spec, f), (spec, f)

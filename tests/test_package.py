@@ -122,6 +122,7 @@ UNNAMED_IN_SRC = {
     "__dir__": "PEP 562: dir(kgunits) calls it",
     "_Parser.error": "argparse calls it on every refusal",
     "factor_monic": "bench hook (bench/tracing.py span), ROADMAP items 14 and 18",
+    "FieldElement": "bench hook (bench/tracing.py counters), ROADMAP items 14 and 18",
     "UnitGroup.recognize_dihedral": "bench hook (bench/tracing.py span), "
                                     "ROADMAP items 14 and 18",
 }
@@ -130,31 +131,34 @@ UNNAMED_IN_SRC = {
 def _unnamed_definitions(sources) -> dict[str, str]:
     """Qualified name -> file:line of each function, class and method, at
     any depth, whose name no source names by a Name, an Attribute or an
-    import alias.  Strings name nothing, so __init__'s export table is no
-    use; methods spelled __x__ are Python's data model and not counted."""
+    import alias outside a definition of that name, so a class or a
+    recursive function that names only itself is unnamed.  Strings name
+    nothing, so __init__'s export table is no use; methods spelled __x__ are
+    Python's data model and not counted."""
     defined, named = {}, set()
 
-    def visit(node, prefix, path):
+    def visit(node, prefix, path, inside):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = child.name
                 dunder = name.startswith("__") and name.endswith("__")
                 if not (dunder and isinstance(node, ast.ClassDef)):
                     defined[prefix + name] = f"{path.name}:{child.lineno}"
-                visit(child, f"{prefix}{name}.", path)
+                visit(child, f"{prefix}{name}.", path, inside | {name})
+                continue
+            if isinstance(child, ast.Name):
+                uses = {child.id}
+            elif isinstance(child, ast.Attribute):
+                uses = {child.attr}
+            elif isinstance(child, ast.alias):
+                uses = {child.asname or child.name, child.name.split(".")[-1]}
             else:
-                visit(child, prefix, path)
+                uses = set()
+            named.update(uses - inside)
+            visit(child, prefix, path, inside)
 
     for path in sources:
-        tree = ast.parse(path.read_text(), str(path))
-        visit(tree, "", path)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.update((node.asname or node.name, node.name.split(".")[-1]))
+        visit(ast.parse(path.read_text(), str(path)), "", path, frozenset())
     return {q: where for q, where in defined.items()
             if q.rsplit(".", 1)[-1] not in named}
 

@@ -3,6 +3,7 @@ from math import gcd
 import pytest
 
 from kgunits.catalog import catalog_specs
+from kgunits.expected import PRESENTATION_SOURCES
 from kgunits.units import AbelianType, UnitGroup, abelian_type
 from reference_checks import make_algebra, make_units
 
@@ -142,11 +143,14 @@ def test_order_list_rejects_a_walk_that_never_returns_to_one(faulty_mul):
 
 
 def test_closure_sizes():
+    # the generators of the published F2 D6 presentation w, y | w^6, y^2, ...
     u = make_units(2, 1, "D6")
-    found, (r, s) = u.recognize_dihedral()
-    assert u.closure([r]) == 6
-    assert u.closure([s]) == 2
-    assert u.closure([r, s]) == 12
+    gens = PRESENTATION_SOURCES["F2", "D6"].build_generators(u.algebra)
+    w, y = gens["w"], gens["y"]
+    assert (u.census[w.key()], u.census[y.key()]) == (6, 2)
+    assert u.closure([w]) == 6
+    assert u.closure([y]) == 2
+    assert u.closure([w, y]) == 12
     assert u.closure([]) == 1
     with pytest.raises(ValueError):
         u.closure([u.algebra.from_key((0,) * 6)])
