@@ -219,7 +219,7 @@ def _product(field: FieldSpec, group: Group):
     if group.order == 1:
         mul = field.mul
         return lambda a, b: (mul(a[0], b[0]),)
-    return _product_maker("table", group.table)(*field._square_tables())
+    return _product_maker("table", group.table)(*field._square_tables)
 
 
 @lru_cache(maxsize=None)

@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import operator
 import sys
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 SIZE_LIMIT = 1024
 
@@ -156,8 +156,6 @@ class FieldSpec:
     first monic irreducible of degree k in counting order.  The size is
     checked before p is factored."""
 
-    __slots__ = ("p", "k", "q", "modulus", "_tabs", "_sq")
-
     def __init__(self, p: int, k: int):
         check_field_size(p ** k)
         if not is_prime(p):
@@ -169,8 +167,6 @@ class FieldSpec:
         self.q = p ** k
         self.modulus = (0, 1) if k == 1 else next(
             f for f in _monics(p, k) if is_irreducible(make_field(p, 1), f))
-        self._tabs = None
-        self._sq = None
 
     # -- basics
 
@@ -196,10 +192,8 @@ class FieldSpec:
         return tuple(out)
 
     def code_text(self, code: int) -> str:
-        """A code as text: the integer itself in a prime field, else its
-        polynomial in t, highest power first, as 2*t^2+t+1, and 0 for zero."""
-        if self.k == 1:
-            return str(code)
+        """A code as text: its polynomial in t, highest power first, as
+        2*t^2+t+1, so the integer itself in a prime field, and 0 for zero."""
         terms = []
         for i, c in reversed(tuple(enumerate(self._digits(code)))):
             if c:
@@ -209,49 +203,47 @@ class FieldSpec:
 
     # -- arithmetic on codes
 
+    @cached_property
     def _tables(self):
-        """(exp, log, zech) code tables, built on first use from one walk.
+        """(exp, log, zech) code tables of a field with k > 1, from one walk.
 
-        Each code c in counting order is walked, multiplying by c as a
-        k x k matrix over F_p, until its powers come back to 1; the first
-        c whose walk meets all q - 1 units is the first primitive element
-        g, and its walk is exp.  When k > 1 the walks start at the code p,
-        since a code below p lies in F_p and its order divides p - 1, and
-        skip a code met on an earlier walk, whose order divides that walk's
-        length.  exp[t] = g^t is stored twice over (2(q - 1) entries) so a
-        sum of two logs needs no reduction; log[0] and a Zech entry for
-        1 + g^n = 0 are None.
+        Each code c from p on, in counting order, is walked, multiplying by
+        c as a k x k matrix over F_p, until its powers come back to 1; the
+        first c whose walk meets all q - 1 units is the first primitive
+        element g, and its walk is exp.  A code below p lies in F_p, with an
+        order dividing p - 1, and a code met on an earlier walk has an order
+        dividing that walk's length, so neither is walked.  exp[t] = g^t is
+        stored twice over (2(q - 1) entries) so a sum of two logs needs no
+        reduction; log[0] and a Zech entry for 1 + g^n = 0 are None.
         """
-        if self._tabs is None:
-            p, q, k = self.p, self.q, self.k
-            place, dot = tuple(p ** i for i in range(k)), operator.mul
-            one = [1] + [0] * (k - 1)
-            met = set()
-            for c in range(p if k > 1 else 1, q):
-                if c in met:
-                    continue
-                # times c is F_p-linear on digit vectors, with column j the
-                # digits of c t^j: t times column j - 1, t^k reduced by the modulus
-                cols = [self._digits(c)]
-                while len(cols) < k:
-                    *low, top = cols[-1]
-                    cols.append(tuple((x - top * m) % p
-                                      for x, m in zip((0, *low), self.modulus)))
-                rows = tuple(zip(*cols))
-                powers, cur = [1], list(cols[0])
-                while cur != one and len(powers) < q:  # a unit returns in q - 1 steps
-                    powers.append(sum(map(dot, cur, place)))
-                    cur = [sum(map(dot, cur, row)) % p for row in rows]
-                if len(powers) == q - 1:
-                    break
-                met.update(powers)
-            log: list = [None] * q
-            for t, c in enumerate(powers):
-                log[c] = t
-            # adding 1 raises the constant digit of the code
-            zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in powers]
-            self._tabs = (powers + powers, log, zech)
-        return self._tabs
+        p, q, k = self.p, self.q, self.k
+        place, dot = tuple(p ** i for i in range(k)), operator.mul
+        one = [1] + [0] * (k - 1)
+        met = set()
+        for c in range(p, q):
+            if c in met:
+                continue
+            # times c is F_p-linear on digit vectors, with column j the
+            # digits of c t^j: t times column j - 1, t^k reduced by the modulus
+            cols = [self._digits(c)]
+            while len(cols) < k:
+                *low, top = cols[-1]
+                cols.append(tuple((x - top * m) % p
+                                  for x, m in zip((0, *low), self.modulus)))
+            rows = tuple(zip(*cols))
+            powers, cur = [1], list(cols[0])
+            while cur != one and len(powers) < q:  # a unit returns in q - 1 steps
+                powers.append(sum(map(dot, cur, place)))
+                cur = [sum(map(dot, cur, row)) % p for row in rows]
+            if len(powers) == q - 1:
+                break
+            met.update(powers)
+        log: list = [None] * q
+        for t, c in enumerate(powers):
+            log[c] = t
+        # adding 1 raises the constant digit of the code
+        zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in powers]
+        return powers + powers, log, zech
 
     def primitive_powers(self) -> list[int]:
         """[g^0, ..., g^(q-2)] as codes, g the first primitive element in
@@ -259,7 +251,7 @@ class FieldSpec:
         field the walk of the first g with g^((p-1)/r) != 1 mod p for every
         prime r | p - 1 (g = 1 for F_2, where p - 1 has no prime factor)."""
         if self.k > 1:
-            return self._tables()[0][:self.q - 1]
+            return self._tables[0][:self.q - 1]
         p, n = self.p, self.p - 1
         g = next(g for g in range(1, p)
                  if all(pow(g, n // r, p) != 1 for r in prime_factors(n)))
@@ -268,15 +260,14 @@ class FieldSpec:
             powers.append(powers[-1] * g % p)
         return powers
 
+    @cached_property
     def _square_tables(self):
         """(add, mul) as q x q tuples of code tuples, built on first use for
         the product of a group algebra with |G| >= 2, whose q^|G| elements
         are at least the q^2 entries of each table."""
-        if self._sq is None:
-            codes = range(self.q)
-            self._sq = tuple(tuple(tuple(op(a, b) for b in codes) for a in codes)
-                             for op in (self.add, self.mul))
-        return self._sq
+        codes = range(self.q)
+        return tuple(tuple(tuple(op(a, b) for b in codes) for a in codes)
+                     for op in (self.add, self.mul))
 
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -285,7 +276,7 @@ class FieldSpec:
             return b
         if not b:
             return a
-        exp, log, zech = self._tables()
+        exp, log, zech = self._tables
         i = log[a]
         z = zech[(log[b] - i) % (self.q - 1)]
         return 0 if z is None else exp[i + z]
@@ -303,7 +294,7 @@ class FieldSpec:
             return a * b % self.p
         if not a or not b:
             return 0
-        exp, log, _ = self._tables()
+        exp, log, _ = self._tables
         return exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
@@ -311,7 +302,7 @@ class FieldSpec:
             raise ZeroDivisionError(f"zero of {self.label()} has no inverse")
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        exp, log, _ = self._tables()
+        exp, log, _ = self._tables
         return exp[self.q - 1 - log[a]]
 
 

@@ -25,7 +25,12 @@ class Group:
         self._validate()
         self.identity = 0
         self.inverses = tuple(row.index(0) for row in self.table)
-        self._orders = None
+        self._orders = []
+        for g in range(self.order):
+            acc, n = g, 1
+            while acc != 0:
+                acc, n = self.table[acc][g], n + 1
+            self._orders.append(n)
         self.name_to_index = {n: i for i, n in enumerate(self.element_names)}
 
     def _validate(self):
@@ -58,15 +63,6 @@ class Group:
         return self.inverses[a]
 
     def element_order(self, a: int) -> int:
-        if self._orders is None:
-            orders = []
-            for g in range(self.order):
-                acc, n = g, 1
-                while acc != 0:
-                    acc = self.table[acc][g]
-                    n += 1
-                orders.append(n)
-            self._orders = tuple(orders)
         return self._orders[a]
 
     def order_spectrum(self) -> tuple[tuple[int, int], ...]:

@@ -196,9 +196,8 @@ def _spectrum_text(spec: tuple[tuple[int, int], ...]) -> str:
     return "{" + ", ".join(f"{o}: {c}" for o, c in spec) + "}"
 
 
-def _pair_row(a: Algebra, b: Algebra,
-              ba: InvariantBundle, bb: InvariantBundle) -> ScanRow:
-    """The scan row of one pair of algebras over one field, from their bundles.
+def _pair_row(ba: InvariantBundle, bb: InvariantBundle) -> ScanRow:
+    """The scan row of the pair of algebras of two bundles over one field.
 
     The first invariant in BUNDLE_COMPARE_FIELDS that differs refutes the
     pair; none past it is read, so the bundles build no units for a pair
@@ -206,6 +205,8 @@ def _pair_row(a: Algebra, b: Algebra,
     decompose into the same copies of K is certified by a verified witness;
     any other tie is inconclusive.
     """
+    a, b = ba.algebra, bb.algebra
+
     def row(verdict: str, detail: str) -> ScanRow:
         return ScanRow(a.size, a.field.label(), a.group.label, b.group.label,
                        verdict, detail)
@@ -228,17 +229,16 @@ def _pair_row(a: Algebra, b: Algebra,
                "invariant bundle ties and no certified decomposition match")
 
 
-def compare_unit_groups(a: Algebra, b: Algebra,
-                        ba: InvariantBundle, bb: InvariantBundle) -> dict:
-    """The scan's note on the unit groups of two algebras of nonabelian
-    groups, read off their bundles, as its JSON dict."""
+def compare_unit_groups(ba: InvariantBundle, bb: InvariantBundle) -> dict:
+    """The scan's note on the unit groups of the algebras of two bundles,
+    both of nonabelian groups, as its JSON dict."""
     if ba.unit_count != bb.unit_count:
         verdict = "not isomorphic (orders differ)"
     elif ba.unit_order_spectrum != bb.unit_order_spectrum:
         verdict = "not isomorphic (element order spectra differ)"
     else:
         verdict = "inconclusive (equal orders and spectra, both nonabelian)"
-    return {"pair": [f"U({a.label()})", f"U({b.label()})"],
+    return {"pair": [f"U({ba.algebra.label()})", f"U({bb.algebra.label()})"],
             "orders": [ba.unit_count, bb.unit_count],
             "spectra": [ba.unit_order_spectrum, bb.unit_order_spectrum],
             "abelian": [ba.commutative, bb.commutative],
@@ -270,16 +270,12 @@ def scan_minimum_counterexample(bound: int = 1024) -> ScanReport:
     rows, notes, counts = [], [], []
     for p, k, n in _scan_algebras(bound):
         field = make_field(p, k)
-        groups = groups_of_order(n)
-        counts.append(len(groups))
-        algebras = {g.label: Algebra(field, g) for g in groups}
-        bundles = {lbl: bundle(alg) for lbl, alg in algebras.items()}
-        for ga, gb in combinations(groups, 2):
-            pair = (algebras[ga.label], algebras[gb.label],
-                    bundles[ga.label], bundles[gb.label])
-            rows.append(_pair_row(*pair))
-            if not (ga.is_abelian() or gb.is_abelian()):
-                notes.append(compare_unit_groups(*pair))
+        bundles = [bundle(Algebra(field, g)) for g in groups_of_order(n)]
+        counts.append(len(bundles))
+        for ba, bb in combinations(bundles, 2):
+            rows.append(_pair_row(ba, bb))
+            if not (ba.commutative or bb.commutative):
+                notes.append(compare_unit_groups(ba, bb))
     minimum = next((r for r in rows if r.verdict == "isomorphic"), None)
     inconclusive = tuple(r for r in rows if r.verdict == "inconclusive")
     return ScanReport(bound=bound, rows=tuple(rows), minimum=minimum,

@@ -1,4 +1,5 @@
 import functools
+import operator
 import random
 from math import gcd
 
@@ -39,6 +40,13 @@ def test_ring_laws_exhaustive_f2c2():
                 assert (x * y) * z == x * (y * z)
                 assert x * (y + z) == x * y + x * z
                 assert (x + y) * z == x * z + y * z
+    # a second Algebra(F2, C2) combines; another field or group refuses
+    assert one * make_algebra(2, 1, "C2").one() == one
+    for other in (make_algebra(3, 1, "C2"), make_algebra(2, 1, "C3")):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError, match=f"^mixed-algebra arithmetic: F2C2 vs "
+                                                 f"{other.label()}$"):
+                op(one, other.one())
 
 
 def test_ring_laws_sampled_f3c2():
@@ -411,20 +419,26 @@ def test_square_tables_are_built_only_for_algebras_with_q_squared_elements():
         one = alg.one().key()
         assert alg.mul_codes(one, one) == one
         if k == 1 or label == "C1":
-            assert field._sq is None, (p, k, label)
+            assert "_square_tables" not in vars(field), (p, k, label)
         else:
             assert alg.size >= field.q ** 2, (p, k, label)
-    built = sorted(f.q for f in fields.values() if f._sq is not None)
-    assert built == [4, 8, 9, 16, 25, 27]
-    for q, tables in ((f.q, f._sq) for f in fields.values() if f._sq is not None):
+    built = {f.q: vars(f)["_square_tables"] for f in fields.values()
+             if "_square_tables" in vars(f)}
+    assert sorted(built) == [4, 8, 9, 16, 25, 27]
+    for q, tables in built.items():
         assert all(len(t) == q and all(len(row) == q for row in t) for t in tables)
+    # every catalog row built, and no prime field holds the k > 1 code tables
+    for spec in catalog_specs(1024):
+        build_row(*spec)
+    primes = {make_field(p, 1) for p, k, _ in catalog_specs(1024) if k == 1}
+    assert len(primes) == 172 and not any("_tables" in vars(f) for f in primes)
 
 
 def test_f32_c2_above_the_published_bound_multiplies_like_the_loop(monkeypatch):
     # size 1024: build_row refuses this algebra, but the library multiplies in it
     field = make_field.__wrapped__(2, 5)  # a field whose square tables are unbuilt
     census = enumerate_units(Algebra(field, group_by_label("C2")))
-    assert field._sq is not None
+    assert "_square_tables" in vars(field)
     monkeypatch.setattr(Algebra, "mul_codes",
                         property(lambda alg: functools.partial(loop_mul, alg)))
     reference = enumerate_units(Algebra(field, group_by_label("C2")))

@@ -13,14 +13,15 @@ from kgunits.isoprobe import (BUNDLE_COMPARE_FIELDS, InvariantBundle, _pair_row,
 from kgunits.units import UnitGroup
 from reference_checks import make_algebra
 
-# an eager reference for the lazy bundle: every compared invariant read
-# straight off the group and one UnitGroup
-Reference = namedtuple("Reference", BUNDLE_COMPARE_FIELDS)
+# an eager reference for the lazy bundle: the algebra, and every compared
+# invariant read straight off the group and one UnitGroup
+Reference = namedtuple("Reference", ("algebra", *BUNDLE_COMPARE_FIELDS))
 
 
 def _reference(alg):
     units = UnitGroup(alg)
-    return Reference(alg.group.is_abelian(), units.order, units.unit_order_spectrum())
+    return Reference(alg, alg.group.is_abelian(), units.order,
+                     units.unit_order_spectrum())
 
 
 def _fields(b):
@@ -29,7 +30,7 @@ def _fields(b):
 
 def _row(p, label_a, label_b):
     a, b = make_algebra(p, 1, label_a), make_algebra(p, 1, label_b)
-    return _pair_row(a, b, bundle(a), bundle(b))
+    return _pair_row(bundle(a), bundle(b))
 
 
 def test_bundle_is_deterministic():
@@ -45,7 +46,7 @@ def test_bundle_holds_exactly_the_compared_invariants_in_order():
     assert isinstance(b, InvariantBundle)
     # no units until a unit invariant is read, then one UnitGroup for both
     assert "units" not in vars(b)
-    assert _fields(b) == _reference(b.algebra) and "units" in vars(b)
+    assert _fields(b) == _fields(_reference(b.algebra)) and "units" in vars(b)
 
 
 def test_pair_row_refutes_by_the_first_differing_invariant():
@@ -68,22 +69,22 @@ def test_pair_row_certifies_the_order_625_pair():
 
 
 def test_a_certified_pair_is_decomposed_once_per_algebra(monkeypatch):
-    a, b = make_algebra(5, 1, "C4"), make_algebra(5, 1, "C2xC2")
-    ba, bb = bundle(a), bundle(b)
+    ba, bb = bundle(make_algebra(5, 1, "C4")), bundle(make_algebra(5, 1, "C2xC2"))
     real = kgunits.isoprobe.decompose_abelian
     calls = []
     monkeypatch.setattr(kgunits.isoprobe, "decompose_abelian",
                         lambda alg: calls.append(alg.label()) or real(alg))
-    assert _pair_row(a, b, ba, bb).verdict == "isomorphic"
+    assert _pair_row(ba, bb).verdict == "isomorphic"
     assert calls == ["F5C4", "F5C2xC2"]
 
 
 def test_a_commutative_tie_without_matching_decompositions_is_inconclusive():
-    # the bundles tie by construction; F3 C4 and C2xC2 decompose differently,
-    # so explicit_isomorphism refuses and the row says so
-    a, b = make_algebra(3, 1, "C4"), make_algebra(3, 1, "C2xC2")
-    ba = bundle(a)
-    r = _pair_row(a, b, ba, ba)
+    # the bundles tie by construction, reading one UnitGroup; F3 C4 and
+    # C2xC2 decompose differently, so explicit_isomorphism refuses and the
+    # row says so
+    ba, bb = bundle(make_algebra(3, 1, "C4")), bundle(make_algebra(3, 1, "C2xC2"))
+    bb.units = ba.units
+    r = _pair_row(ba, bb)
     assert (r.verdict, r.detail) == (
         "inconclusive", "invariant bundle ties and no certified decomposition match")
 
@@ -109,10 +110,9 @@ def test_explicit_isomorphism_refuses_extension_field_blocks():
 
 
 def test_a_tie_with_an_extension_field_block_is_inconclusive():
-    a, b = make_algebra(2, 1, "C3"), make_algebra(2, 1, "C3")
-    ba, bb = bundle(a), bundle(b)
+    ba, bb = bundle(make_algebra(2, 1, "C3")), bundle(make_algebra(2, 1, "C3"))
     assert _fields(ba) == _fields(bb)
-    r = _pair_row(a, b, ba, bb)
+    r = _pair_row(ba, bb)
     assert (r.verdict, r.detail) == (
         "inconclusive", "invariant bundle ties and no certified decomposition match")
 
@@ -141,14 +141,13 @@ def test_scan_report(scan_report):
 def test_the_lazy_scan_matches_rows_and_notes_from_full_bundles(scan_report):
     rows, notes = [], []
     for p, k, n in _scan_algebras(1024):
-        algebras = [make_algebra(p, k, g.label) for g in groups_of_order(n)]
-        full = [(alg, _reference(alg)) for alg in algebras]
-        for alg, expected in full:
-            assert _fields(bundle(alg)) == expected
-        for (a, ba), (b, bb) in combinations(full, 2):
-            rows.append(tuple(_pair_row(a, b, ba, bb)))
-            if not (a.group.is_abelian() or b.group.is_abelian()):
-                notes.append(compare_unit_groups(a, b, ba, bb))
+        full = [_reference(make_algebra(p, k, g.label)) for g in groups_of_order(n)]
+        for expected in full:
+            assert _fields(bundle(expected.algebra)) == _fields(expected)
+        for ba, bb in combinations(full, 2):
+            rows.append(tuple(_pair_row(ba, bb)))
+            if not (ba.commutative or bb.commutative):
+                notes.append(compare_unit_groups(ba, bb))
     assert [tuple(r) for r in scan_report.rows] == rows
     assert list(scan_report.notes) == notes
 
@@ -204,7 +203,7 @@ def test_scan_below_the_minimum_finds_nothing():
 
 
 def _note(a, b):
-    return compare_unit_groups(a, b, bundle(a), bundle(b))
+    return compare_unit_groups(bundle(a), bundle(b))
 
 
 def test_compare_unit_groups_branches():
@@ -226,7 +225,7 @@ def test_the_spectrum_is_one_object_from_units_to_rows_and_notes(monkeypatch):
     ba, bb = bundle(d8), bundle(q8)
     ua, ub = ba.units, bb.units
     assert ba.unit_order_spectrum is ua.unit_order_spectrum()
-    note = compare_unit_groups(d8, q8, ba, bb)
+    note = compare_unit_groups(ba, bb)
     assert note["spectra"][0] is ua.unit_order_spectrum()
     assert note["spectra"][1] is ub.unit_order_spectrum()
     # build_row's own unit group, caught on the way in; past its cache

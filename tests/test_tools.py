@@ -89,6 +89,21 @@ def test_bench_pairs_summary_arithmetic():
     assert wall_verdict([4, 5, 6, 7, 8], [3.9, 3.5, 4.5, 3.6, 3.8]) == "unresolved"
 
 
+def test_bench_pairs_counts_the_src_lines_of_both_trees(tmp_path):
+    bench_pairs = load_by_path(TOOLS / "bench_pairs.py")
+    trees = {"parent": {"a.py": "x\ny\n", "b.py": "z\n", "notes.txt": "n\n"},
+             "change": {"a.py": "x\n", "b.py": ""}}
+    for side, files in trees.items():
+        package = tmp_path / side / "src" / "kgunits"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text)
+    (tmp_path / "change" / "tools.py").write_text("outside\nsrc\n")
+    roots = {side: tmp_path / side for side in trees}
+    assert bench_pairs.src_size(roots) == \
+        "src/kgunits/*.py: parent 3 lines, change 1 lines (-2)"
+
+
 def test_bench_pairs_keeps_the_first_set_when_a_workload_is_repeated():
     bench_pairs = load_by_path(TOOLS / "bench_pairs.py")
     # a file from before set numbers: its entries are of set 1

@@ -35,8 +35,10 @@ its median is worse by more than the bound, else "unresolved" when the
 spread exceeds the bound and not every change run beats every parent run,
 else "no regression".
 For catalog it also prints each command's median CPU time on both sides,
-since that workload's wall time is noisier than its bound.  Stdlib only;
-`git` and `tar` must be on the path.
+since that workload's wall time is noisier than its bound.  Last it prints
+each side's line count of src/kgunits/*.py, as `wc -l` counts it, so a
+change's size and its no-regression figures come from one run.  Stdlib
+only; `git` and `tar` must be on the path.
 """
 
 from __future__ import annotations
@@ -68,6 +70,15 @@ def export(rev: str, dest: Path) -> None:
     archive.stdout.close()
     if archive.wait() != 0:
         raise RuntimeError(f"git archive {rev} failed")
+
+
+def src_size(roots: dict[str, Path]) -> str:
+    """Each side's line count of src/kgunits/*.py under its root, and the change."""
+    lines = {side: sum(path.read_bytes().count(b"\n")
+                       for path in (root / "src" / "kgunits").glob("*.py"))
+             for side, root in roots.items()}
+    return (f"src/kgunits/*.py: parent {lines['parent']} lines, change "
+            f"{lines['change']} lines ({lines['change'] - lines['parent']:+d})")
 
 
 def run_bench(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -219,6 +230,7 @@ def main(argv=None) -> int:
         for side, rev in zip(SIDES, (parent, change)):
             roots[side].mkdir()
             export(rev, roots[side])
+        size = src_size(roots)
         for workload in workloads:
             for pair in range(1, args.pairs + 1):
                 order = SIDES if pair % 2 else SIDES[::-1]
@@ -235,6 +247,7 @@ def main(argv=None) -> int:
     print(f"wrote {path.name}")
     for workload in workloads:
         print("\n".join(summary(workload, runs[workload], end_to_end)))
+    print(size)
     return 0
 
 
